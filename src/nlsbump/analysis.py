@@ -20,6 +20,7 @@ from scipy.sparse.linalg import (
     ArpackNoConvergence,
     LinearOperator,
     eigsh,
+    splu,
 )
 
 from .errors import (
@@ -412,7 +413,7 @@ def _interior_operators(spec: ProblemSpec, weight: np.ndarray):
     return h_sp.tocsr(), m_sp.tocsr(), inner, n_int
 
 
-def _smallest_eigs(a_op, m_sp, n_int, how_many, seed, maxiter=5000):
+def _smallest_eigs(a_op, m_sp, m_inv, n_int, how_many, seed, maxiter=5000):
     """Smallest pencil eigenvalues by Lanczos with a seeded start vector.
 
     The start vector is the only source of randomness; fixing it keeps
@@ -423,8 +424,8 @@ def _smallest_eigs(a_op, m_sp, n_int, how_many, seed, maxiter=5000):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vals, vecs = eigsh(a_op, k=how_many, M=m_sp, which="SA",
-                               v0=v0, maxiter=maxiter)
+            vals, vecs = eigsh(a_op, k=how_many, M=m_sp, Minv=m_inv,
+                               which="SA", v0=v0, maxiter=maxiter)
     except (ArpackError, ArpackNoConvergence) as exc:
         raise SpectralError(f"Lanczos iteration failed: {exc}") from exc
     order = np.argsort(vals)
@@ -503,10 +504,12 @@ def coercivity_estimate(spec: ProblemSpec, u: ScalarField,
         mq = float(col @ (m_sp @ col))
         tq.append(hq / mq)
 
-    un_vals, _ = _smallest_eigs(h_sp, m_sp, n_int, 2, seed)
+    # M is symmetric, so the transpose of its CSR form is its CSC form.
+    m_inv = LinearOperator(m_sp.shape, matvec=splu(m_sp.T).solve, dtype=float)
+    un_vals, _ = _smallest_eigs(h_sp, m_sp, m_inv, n_int, 2, seed)
     lift = 10.0 * (1.0 + abs(float(un_vals[0])))
     pen_op = _penalized_operator(h_sp, m_sp, constraints, lift)
-    pr_vals, _ = _smallest_eigs(pen_op, m_sp, n_int, 1, seed)
+    pr_vals, _ = _smallest_eigs(pen_op, m_sp, m_inv, n_int, 1, seed)
     return CoercivityReport(rho=float(pr_vals[0]),
                             unprojected_min=float(un_vals[0]),
                             unprojected_second=float(un_vals[1]),

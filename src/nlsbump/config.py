@@ -12,7 +12,7 @@ parse is the identity.  Every violation of a module precondition is
 reported as a ConfigError naming the offending line or field.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -321,8 +321,3 @@ def grid_for(cfg: ExperimentConfig, eps: float) -> TensorGrid:
 def problem_at(cfg: ExperimentConfig, eps: float) -> ProblemSpec:
     return make_problem(eps=eps, p=cfg.p, potential=make_potential(cfg),
                         grid=grid_for(cfg, eps))
-
-
-def with_schedule(cfg: ExperimentConfig,
-                  eps_schedule) -> ExperimentConfig:
-    return replace(cfg, eps_schedule=tuple(float(e) for e in eps_schedule))

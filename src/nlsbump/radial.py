@@ -342,7 +342,11 @@ def solve_ground_state(v_a: float, p: float, dim: int,
     # Coarse pass narrows the bracket cheaply; the fine pass makes u(0)
     # consistent with the step the table is built with.
     coarse_tol = max(cfg.bisect_tol, 1e-3 * d_lo)
-    lo, hi = bisect(lo, hi, 8.0 * h, coarse_tol)
+    try:
+        lo, hi = bisect(lo, hi, 8.0 * h, coarse_tol)
+    except BracketError:
+        # A large explicit step makes 8h too coarse to classify the ends.
+        lo, hi = bisect(lo, hi, h, coarse_tol)
     pad = 4.0 * max(abs(hi - lo), 1e-7 * max(abs(lo), abs(hi)))
     lo, hi = bisect(min(lo, hi) - pad, max(lo, hi) + pad, h, cfg.bisect_tol)
     c = 0.5 * (lo + hi)

@@ -191,6 +191,17 @@ def test_bracket_errors():
                            ShootingConfig(bracket_lo=2.0, bracket_hi=1.0))
 
 
+def test_explicit_coarse_step_still_brackets():
+    # Regression: the coarse pass marched at 8 * ode_step = 0.032, where
+    # both ends of the default bracket classified as undershoot, and the
+    # solve raised BracketError although the bracket straddles at the
+    # requested step.  u(0) moves by O(h^4) from the auto-refined value.
+    prof = solve_ground_state(1.0, 5.5, 2, ShootingConfig(ode_step=4e-3))
+    assert prof.r_nodes[1] == pytest.approx(4e-3)
+    assert np.all(np.diff(prof.values) < 0.0)
+    assert abs(prof.values[0] - 2.03939975936) < 1e-6
+
+
 def test_decay_window_errors(get_profile):
     prof = get_profile(1.0, 4.0, 1)
     with pytest.raises(DomainError):

@@ -14,8 +14,10 @@ from nlsbump.errors import ConsistencyError, ConvergenceError, DomainError, \
 from nlsbump.grid import (apply_linear, make_field, make_grid, make_problem,
                           nonlinearity, pde_residual)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
+from nlsbump.analysis import _interior_operators
 from nlsbump.solver import (AnsatzSpec, BumpSpec, NewtonConfig, build_ansatz,
-                            continuation_solve, newton_solve)
+                            continuation_solve, dirichlet_inverse,
+                            dirichlet_symbol, newton_solve)
 
 
 def const_problem_1d(n, eps=1.0):
@@ -235,6 +237,64 @@ def test_continuation_warm_start_no_worse_than_cold(get_profile):
         assert rep.iterations <= cold_rep.iterations
 
 
+def test_preconditioner_keeps_krylov_counts_small(get_profile):
+    spec = benchmark_factory(0.3)
+    u0 = build_ansatz(spec, benchmark_ansatz(get_profile))
+    _, rep = newton_solve(spec, u0)
+    assert rep.converged
+    assert len(rep.krylov_iterations) == len(rep.backtracks) \
+        == len(rep.shifts) == rep.iterations
+    # measured: 20-24 per step; unpreconditioned MINRES took 100-200
+    assert 1 <= min(rep.krylov_iterations)
+    assert max(rep.krylov_iterations) <= 40
+    assert rep.krylov_short == 0
+
+
+def test_report_records_backtracks_and_shifts(get_profile):
+    # measured: backtracks 2, 6, 7, 7, 13, then 0; the shift climbs to
+    # 0.147 in step 5 and relaxes to 0 for the quadratic tail
+    spec = benchmark_factory(0.4)
+    u0 = build_ansatz(spec, benchmark_ansatz(get_profile))
+    _, rep = newton_solve(spec, u0)
+    assert rep.converged
+    assert sum(rep.backtracks) > 0 and max(rep.shifts) > 0.0
+    assert rep.backtracks[-1] == 0 and rep.shifts[-1] == 0.0
+    for trials, shift in zip(rep.backtracks, rep.shifts):
+        # more rejected trials than one attempt has means an attempt failed
+        # and the step ended on a raised shift
+        if trials >= NewtonConfig().max_backtracks:
+            assert shift > 0.0
+
+
+def test_minres_stopping_short_is_counted(get_profile):
+    spec = single_well_problem(n=101)
+    prof = get_profile(1.0, 4.0, 2)
+    u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    with pytest.raises(ConvergenceError) as err:
+        newton_solve(spec, u0, NewtonConfig(krylov_max=2, max_newton=2,
+                                            tol_residual=1e-14))
+    rep = err.value.report
+    assert rep.krylov_iterations == [2, 2]
+    assert rep.krylov_short == 2
+
+
+@pytest.mark.parametrize("counts,eps", [((9,), 0.7), ((11, 9), 0.45),
+                                        ((9, 11, 13), 0.6)])
+def test_dirichlet_inverse_inverts_constant_potential_metric(counts, eps):
+    dim = len(counts)
+    grid = make_grid(lo=[-3.0] * dim, hi=[3.0, 2.5, 4.0][:dim],
+                     counts=list(counts))
+    spec = make_problem(eps=eps, p=4.0,
+                        potential=constant_potential(1.7, dim), grid=grid)
+    _, m_sp, _, n_int = _interior_operators(spec, np.zeros(grid.counts))
+    symbol = dirichlet_symbol(tuple(n - 2 for n in counts), grid.spacing,
+                              eps ** 2, 1.7)
+    assert symbol.size == n_int
+    assert np.all(symbol > 0.0)
+    product = dirichlet_inverse(symbol) @ m_sp.toarray()
+    assert np.abs(product - np.eye(n_int)).max() <= 1e-12
+
+
 def test_build_ansatz_validates_center_and_floor(get_profile):
     spec = single_well_problem(n=101)
     prof = get_profile(1.0, 4.0, 2)
@@ -292,6 +352,7 @@ def test_convergence_error_carries_partial_state(get_profile):
         newton_solve(spec, u0, NewtonConfig(max_newton=1,
                                             tol_residual=1e-14))
     assert err.value.report.iterations == 1
+    assert len(err.value.report.krylov_iterations) == 1
     assert not err.value.report.converged
     assert err.value.field.values.shape == tuple(spec.grid.counts)
 
