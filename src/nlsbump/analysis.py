@@ -42,13 +42,14 @@ from .grid import (
     make_sphere_quadrature,
 )
 from .potential import eval_potential, grad_potential
-from .radial import (
-    RadialProfile,
-    eval_profile,
-    eval_profile_deriv,
-    solve_ground_state,
+from .radial import RadialProfile, eval_profile_deriv, solve_ground_state
+from .solver import (
+    AnsatzSpec,
+    NewtonConfig,
+    build_ansatz,
+    bump_field,
+    newton_solve,
 )
-from .solver import AnsatzSpec, NewtonConfig, build_ansatz, newton_solve
 
 _profile_cache: dict = {}
 
@@ -71,6 +72,7 @@ class BumpDecomposition:
     v_norm: float
     projection_residuals: np.ndarray
     profiles: Tuple[RadialProfile, ...]
+    iterations: int = 0  # projection-Newton steps taken
 
 
 @dataclass
@@ -96,6 +98,7 @@ class RateFit:
 @dataclass
 class UniquenessReport:
     sup_diff: float
+    rel_diff: float  # sup_diff / sup |u| of the first solution
     xi_field: Optional[ScalarField]
     normalized: bool
 
@@ -106,14 +109,6 @@ class CoercivityReport:
     unprojected_min: float
     unprojected_second: float
     translation_quotients: np.ndarray
-
-
-def bump_field(spec: ProblemSpec, profile: RadialProfile,
-               center: np.ndarray) -> np.ndarray:
-    """The rescaled bump sampled on the grid (raw array)."""
-    pts = spec.grid.points()
-    r = np.linalg.norm(pts - center, axis=1) / spec.eps
-    return eval_profile(profile, r).reshape(spec.grid.counts)
 
 
 def bump_translation_fields(spec: ProblemSpec, profile: RadialProfile,
@@ -218,9 +213,9 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
         return basis_norms * (1e-9 * v_norm + 5e-15 * u_norm)
 
     converged = np.all(np.abs(g) <= tolerance())
-    for _ in range(max_iter):
-        if converged:
-            break
+    iterations = 0
+    while not converged and iterations < max_iter:
+        iterations += 1
         jac = np.empty((n_par, n_par))
         for col in range(n_par):
             step = 1e-6 * spec.eps if col < k * grid.dim else 1e-6
@@ -257,7 +252,7 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
         centers=c_fin, amplitudes=a_fin, remainder_w=wfield,
         remainder_v=vfield, w_norm=eps_norm(spec, wfield),
         v_norm=eps_norm(spec, vfield), projection_residuals=np.abs(g),
-        profiles=profiles)
+        profiles=profiles, iterations=iterations)
 
 
 def default_ball_radius(spec: ProblemSpec) -> float:
@@ -374,14 +369,10 @@ def overlap_integral(spec: ProblemSpec, profile_a: RadialProfile, center_a,
                      profile_b: RadialProfile, center_b,
                      q1: float = 1.0, q2: float = 1.0) -> float:
     """Box integral of U_a^q1((x-c_a)/eps) U_b^q2((x-c_b)/eps)."""
-    pts = spec.grid.points()
     ca = np.atleast_1d(np.asarray(center_a, dtype=float))
     cb = np.atleast_1d(np.asarray(center_b, dtype=float))
-    ra = np.linalg.norm(pts - ca, axis=1) / spec.eps
-    rb = np.linalg.norm(pts - cb, axis=1) / spec.eps
-    va = eval_profile(profile_a, ra) ** q1
-    vb = eval_profile(profile_b, rb) ** q2
-    return box_integral(spec.grid, (va * vb).reshape(spec.grid.counts))
+    return box_integral(spec.grid, bump_field(spec, profile_a, ca) ** q1
+                        * bump_field(spec, profile_b, cb) ** q2)
 
 
 def _interior_operators(spec: ProblemSpec, weight: np.ndarray):
@@ -480,17 +471,15 @@ def coercivity_estimate(spec: ProblemSpec, u: ScalarField,
     the production two-dimensional geometry (fine three-dimensional grids
     would need more memory than this path is designed for).
     """
-    k = dec.centers.shape[0]
-    wshape = sum(bump_field(spec, dec.profiles[j], dec.centers[j])
-                 ** (spec.p - 2.0) for j in range(k))
-    weight = (spec.p - 1.0) * wshape
+    bumps = [bump_field(spec, prof, c)
+             for prof, c in zip(dec.profiles, dec.centers)]
+    weight = (spec.p - 1.0) * sum(b ** (spec.p - 2.0) for b in bumps)
     h_sp, m_sp, inner, n_int = _interior_operators(spec, weight)
 
     cols = []
     trans_cols = []
-    for j in range(k):
-        cols.append(bump_field(spec, dec.profiles[j],
-                               dec.centers[j])[inner].ravel())
+    for j, bump in enumerate(bumps):
+        cols.append(bump[inner].ravel())
         for t in bump_translation_fields(spec, dec.profiles[j],
                                          dec.centers[j]):
             col = t[inner].ravel()
@@ -552,7 +541,8 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
     shifted centers) without re-validating, since a shifted center no
     longer sits at the well floor.  The claim under test is that both runs
     land on the same solution; it passes when the relative sup difference
-    is at or below 1e-8.
+    (rel_diff, normalized by the sup of the first solution) is at or below
+    1e-8.
     """
     if len(perturbations) != 2:
         raise DomainError("uniqueness probe compares exactly two runs")
@@ -572,9 +562,11 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
     diff = fields[0].values - fields[1].values
     sup_diff = float(np.abs(diff).max())
     sup_u = float(np.abs(fields[0].values).max())
+    rel_diff = (sup_diff / sup_u if sup_u > 0.0
+                else math.inf if sup_diff > 0.0 else 0.0)
     if sup_diff > 1e-12 * sup_u and sup_diff > 0.0:
         xi = make_field(spec.grid, diff / sup_diff)
-        return UniquenessReport(sup_diff=sup_diff, xi_field=xi,
-                                normalized=True)
-    return UniquenessReport(sup_diff=sup_diff, xi_field=None,
-                            normalized=False)
+        return UniquenessReport(sup_diff=sup_diff, rel_diff=rel_diff,
+                                xi_field=xi, normalized=True)
+    return UniquenessReport(sup_diff=sup_diff, rel_diff=rel_diff,
+                            xi_field=None, normalized=False)

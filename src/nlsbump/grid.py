@@ -181,18 +181,26 @@ def apply_linear(spec: ProblemSpec, u: ScalarField) -> ScalarField:
     return ScalarField(grid=u.grid, values=out)
 
 
-def nonlinearity(p: float, values: np.ndarray) -> np.ndarray:
-    """|u|^(p-2) u, elementwise, safe for sign changes and non-integer p."""
-    if p == 4.0:
-        return values * values * values
-    if p == 3.0:
-        return np.abs(values) * values
-    return np.abs(values) ** (p - 2.0) * values
+def power_map(p: float) -> Callable:
+    """Return u -> |u|^(p-2) u, for a float or elementwise on an array.
+
+    Safe for sign changes and non-integer p.  The builtin abs keeps a
+    Python float a Python float, which matters in the radial shooting
+    loop; on arrays it is np.abs.  On arrays the p = 4 and p = 3 forms are
+    bitwise equal to the general one, by numpy's fast paths for x**2.0
+    and x**1.0.
+    """
+    em = p - 2.0
+    if em == 2.0:
+        return lambda u: u * u * u
+    if em == 1.0:
+        return lambda u: abs(u) * u
+    return lambda u: abs(u) ** em * u
 
 
 def pde_residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
     out = apply_linear(spec, u)
-    out.values -= nonlinearity(spec.p, u.values)
+    out.values -= power_map(spec.p)(u.values)
     return out
 
 

@@ -4,8 +4,14 @@ Solves  u'' + (dim-1)/r u' = v_a u - u^(p-1)  on [0, r_max] with u'(0) = 0,
 looking for the positive decreasing solution that decays like
 exp(-sqrt(v_a) r) r^(-(dim-1)/2).  The shooting parameter is u(0): too large
 and the trajectory crosses zero (overshoot), too small and it turns back up
-(undershoot).  Bisection on u(0) pins the connecting orbit; a fixed-step RK4
-integrator marches each trial outward from a series start at the origin.
+(undershoot).  Bisection on u(0) pins the connecting orbit.
+
+One fixed-step RK4 stepper, _march, integrates every trajectory outward
+from a series start at r = h.  It stops after the first step that ends
+with u below a floor or u' > 0, and records the nodes only when it is
+handed arrays.  A bisection trial marches without arrays to a low floor
+and is classified from the state it ends in; the final table marches with
+arrays to a higher floor, where the analytic tail takes over.
 
 Because the connecting orbit is exponentially unstable, the final table is
 genuine integration out to a switch radius and an analytic exponential tail
@@ -22,11 +28,15 @@ from scipy.optimize import brentq
 from scipy.special import kv, kvp
 
 from .errors import BracketError, ConvergenceError, DomainError
+from .grid import power_map
 
 # Trial classification constants. A trial is abandoned early once u drops to
 # _CLASSIFY_RATIO * u(0): by then the trajectory is deep in the linear tail
 # and the sign of the growing-mode amplitude tells over- from undershoot.
 _CLASSIFY_RATIO = 1e-4
+# A trial that turns upward while u is still above _TURN_RATIO * u(0) is an
+# undershoot outright; below that, the tail comparison decides.
+_TURN_RATIO = 1e-6
 # The genuine table is kept until u falls to _TAIL_RATIO * u(0); past that the
 # accumulated amplification of the bisection error would pollute the values.
 _TAIL_RATIO = 1e-5
@@ -50,7 +60,6 @@ class ShootingConfig:
     bracket_lo: Optional[float] = None
     bracket_hi: Optional[float] = None
     bisect_tol: float = 1e-13
-    overshoot_threshold: float = 1e-6  # relative to the trial u(0)
 
 
 @dataclass
@@ -105,16 +114,6 @@ def _linear_tail_values(dim: int, kappa: float, r) -> np.ndarray:
     return r ** (-nu) * kv(nu, kappa * r)
 
 
-def _nl_power(p: float):
-    """Return f(u) = |u|^(p-2) u as a fast scalar callable."""
-    em = p - 2.0
-    if em == 2.0:
-        return lambda u: u * u * u
-    if em == 1.0:
-        return lambda u: abs(u) * u
-    return lambda u: abs(u) ** em * u
-
-
 def _series_start(c: float, v_a: float, p: float, dim: int,
                   nl, r0: float) -> Tuple[float, float]:
     """Fourth-order series for (u, u') at small r0 > 0."""
@@ -127,20 +126,28 @@ def _series_start(c: float, v_a: float, p: float, dim: int,
     return u, d
 
 
-def _classify(c: float, v_a: float, p: float, dim: int, h: float,
-              r_max: float, thr_rel: float) -> int:
-    """Integrate one trial and report overshoot (+1) or undershoot (-1)."""
-    nl = _nl_power(p)
+def _march(c: float, v_a: float, p: float, dim: int, h: float,
+           n_steps: int, floor: float, values: Optional[np.ndarray] = None,
+           dvalues: Optional[np.ndarray] = None
+           ) -> Tuple[float, float, float, int]:
+    """RK4 from the series start at r = h, for at most n_steps steps of h.
+
+    Stops after the first step that ends with u < floor or u' > 0.  Given
+    arrays, writes node i (r = i h) of the trajectory into values[i] and
+    dvalues[i] for every node it reaches.  Returns (u, u', r, i) at the
+    node it ends on.
+    """
+    nl = power_map(p)
     nm1 = dim - 1.0
-    kappa = math.sqrt(v_a)
-    thr = thr_rel * c
-    floor = _CLASSIFY_RATIO * c
     u, d = _series_start(c, v_a, p, dim, nl, h)
+    if values is not None:
+        values[0], dvalues[0] = c, 0.0
+        values[1], dvalues[1] = u, d
     r = h
-    n_steps = int(math.ceil((r_max - h) / h))
+    i = 1
     half = 0.5 * h
     sixth = h / 6.0
-    for _ in range(n_steps):
+    for i in range(2, n_steps + 2):
         k1u = d
         k1d = v_a * u - nl(u) - nm1 / r * d
         rm = r + half
@@ -160,68 +167,28 @@ def _classify(c: float, v_a: float, p: float, dim: int, h: float,
         u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
         d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
         r = r4
-        if u < 0.0:
-            return _OVERSHOOT
-        if d > 0.0 and u > thr:
-            return _UNDERSHOOT
-        if u < floor:
+        if values is not None:
+            values[i] = u
+            dvalues[i] = d
+        if u < floor or d > 0.0:
             break
+    return u, d, r, i
+
+
+def _classify(c: float, v_a: float, p: float, dim: int, h: float,
+              r_max: float) -> int:
+    """Integrate one trial and report overshoot (+1) or undershoot (-1)."""
+    n_steps = int(math.ceil((r_max - h) / h))
+    u, d, r, _ = _march(c, v_a, p, dim, h, n_steps, _CLASSIFY_RATIO * c)
+    if u < 0.0:
+        return _OVERSHOOT
+    if d > 0.0 and u > _TURN_RATIO * c:
+        return _UNDERSHOOT
     # Deep in the linear tail (or at r_max): compare u'/u against the exact
     # decaying branch; a positive defect means the trajectory decays too
     # slowly, i.e. carries a positive growing-mode amplitude (undershoot).
-    s = d - u * float(_linear_tail_logderiv(dim, kappa, r))
+    s = d - u * float(_linear_tail_logderiv(dim, math.sqrt(v_a), r))
     return _UNDERSHOOT if s >= 0.0 else _OVERSHOOT
-
-
-def _integrate_table(c: float, v_a: float, p: float, dim: int, h: float,
-                     n_nodes: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """March the final trajectory, returning (values, dvalues, i_stop).
-
-    i_stop is the first index whose value is no longer trustworthy (u fell
-    below _TAIL_RATIO * c, turned upward, or crossed zero); entries from
-    i_stop on are left as the raw integration and must be replaced by the
-    analytic tail.
-    """
-    nl = _nl_power(p)
-    nm1 = dim - 1.0
-    values = np.empty(n_nodes)
-    dvalues = np.empty(n_nodes)
-    values[0] = c
-    dvalues[0] = 0.0
-    u, d = _series_start(c, v_a, p, dim, nl, h)
-    values[1] = u
-    dvalues[1] = d
-    r = h
-    half = 0.5 * h
-    sixth = h / 6.0
-    floor = _TAIL_RATIO * c
-    i_stop = n_nodes
-    for i in range(2, n_nodes):
-        k1u = d
-        k1d = v_a * u - nl(u) - nm1 / r * d
-        rm = r + half
-        u2 = u + half * k1u
-        d2 = d + half * k1d
-        k2u = d2
-        k2d = v_a * u2 - nl(u2) - nm1 / rm * d2
-        u3 = u + half * k2u
-        d3 = d + half * k2d
-        k3u = d3
-        k3d = v_a * u3 - nl(u3) - nm1 / rm * d3
-        r4 = r + h
-        u4 = u + h * k3u
-        d4 = d + h * k3d
-        k4u = d4
-        k4d = v_a * u4 - nl(u4) - nm1 / r4 * d4
-        u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-        d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
-        r = r4
-        values[i] = u
-        dvalues[i] = d
-        if u <= floor or u <= 0.0 or d >= 0.0:
-            i_stop = i
-            break
-    return values, dvalues, i_stop
 
 
 def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
@@ -270,7 +237,7 @@ def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
     return kappa_t
 
 
-def _default_bracket(v_a: float, p: float, dim: int) -> Tuple[float, float]:
+def _default_bracket(v_a: float, p: float) -> Tuple[float, float]:
     # The 1-D center value (p v_a / 2)^(1/(p-2)) is a strict lower bound for
     # the higher-dimensional ones, which stay within a modest factor of it.
     g = (p * v_a / 2.0) ** (1.0 / (p - 2.0))
@@ -302,7 +269,7 @@ def solve_ground_state(v_a: float, p: float, dim: int,
     if r_max <= 0.0:
         raise DomainError(f"r_max must be positive, got {r_max}")
     lo, hi = cfg.bracket_lo, cfg.bracket_hi
-    d_lo, d_hi = _default_bracket(v_a, p, dim)
+    d_lo, d_hi = _default_bracket(v_a, p)
     if lo is None:
         lo = d_lo
     if hi is None:
@@ -316,11 +283,10 @@ def solve_ground_state(v_a: float, p: float, dim: int,
     h = (1e-3 / max(1.0, kappa)) if auto_step else float(cfg.ode_step)
     if h <= 0.0 or h > r_max / 16.0:
         raise DomainError(f"ode_step {h} unusable for r_max {r_max}")
-    thr = cfg.overshoot_threshold
 
     def bisect(lo, hi, step, tol):
-        f_lo = _classify(lo, v_a, p, dim, step, r_max, thr)
-        f_hi = _classify(hi, v_a, p, dim, step, r_max, thr)
+        f_lo = _classify(lo, v_a, p, dim, step, r_max)
+        f_hi = _classify(hi, v_a, p, dim, step, r_max)
         if f_lo == f_hi:
             kind = "overshoot" if f_lo == _OVERSHOOT else "undershoot"
             raise BracketError(
@@ -333,7 +299,7 @@ def solve_ground_state(v_a: float, p: float, dim: int,
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if _classify(mid, v_a, p, dim, step, r_max, thr) == _OVERSHOOT:
+            if _classify(mid, v_a, p, dim, step, r_max) == _OVERSHOOT:
                 hi = mid
             else:
                 lo = mid
@@ -355,7 +321,13 @@ def solve_ground_state(v_a: float, p: float, dim: int,
     for round_ in range(5):
         n_nodes = int(round(r_max / h)) + 1
         r_nodes = np.arange(n_nodes) * h
-        values, dvalues, i_stop = _integrate_table(c, v_a, p, dim, h, n_nodes)
+        values, dvalues = np.empty(n_nodes), np.empty(n_nodes)
+        floor = _TAIL_RATIO * c
+        u, d, _, i = _march(c, v_a, p, dim, h, n_nodes - 2, floor, values,
+                            dvalues)
+        # i_stop: the first node no longer trusted (u fell below the floor,
+        # crossed zero or turned upward), or n_nodes if none stopped it.
+        i_stop = i if u < floor or d > 0.0 else n_nodes
         _attach_tail(r_nodes, values, dvalues, i_stop, v_a, dim)
         res = float(np.max(np.abs(profile_ode_residual(
             r_nodes, values, v_a, p, dim))))
@@ -402,7 +374,7 @@ def profile_ode_residual(r_nodes: np.ndarray, values: np.ndarray,
     first = (u[2:] - u[:-2]) / (2.0 * h)
     r = r_nodes[1:-1]
     um = u[1:-1]
-    return lap + (dim - 1.0) / r * first - v_a * um + np.abs(um) ** (p - 2.0) * um
+    return lap + (dim - 1.0) / r * first - v_a * um + power_map(p)(um)
 
 
 def ode_residual(profile: RadialProfile) -> np.ndarray:

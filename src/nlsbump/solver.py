@@ -117,6 +117,13 @@ _TRIVIAL_RATIO = 1e-8
 _KRYLOV_TOL_FLOOR = 1e-10
 
 
+def bump_field(spec: ProblemSpec, profile: RadialProfile,
+               center: np.ndarray) -> np.ndarray:
+    """The rescaled bump U(|x - center|/eps) sampled on the grid (raw array)."""
+    r = np.linalg.norm(spec.grid.points() - center, axis=1) / spec.eps
+    return eval_profile(profile, r).reshape(spec.grid.counts)
+
+
 def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec) -> ScalarField:
     """Sum of rescaled radial bumps, sampled on the grid.
 
@@ -126,7 +133,6 @@ def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec) -> ScalarField:
     """
     grid = spec.grid
     total = np.zeros(grid.counts)
-    pts = grid.points()
     for k, bump in enumerate(ansatz.bumps):
         center = np.atleast_1d(np.asarray(bump.center, dtype=float))
         if center.shape != (grid.dim,):
@@ -148,8 +154,7 @@ def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec) -> ScalarField:
         if prof.dim != grid.dim:
             raise ConsistencyError(
                 f"bump {k} profile is {prof.dim}-d on a {grid.dim}-d grid")
-        r = np.linalg.norm(pts - center, axis=1) / spec.eps
-        total += bump.amplitude * eval_profile(prof, r).reshape(grid.counts)
+        total += bump.amplitude * bump_field(spec, prof, center)
     return make_field(grid, total)
 
 

@@ -10,6 +10,7 @@ amplitudes, and remainders are known by construction.
 import numpy as np
 import pytest
 
+import nlsbump.analysis
 from nlsbump.analysis import (AnsatzTweak, BumpDecomposition, bump_field,
                               bump_translation_fields, coercivity_estimate,
                               decompose, default_ball_radius, fit_rate,
@@ -98,6 +99,7 @@ def const_solutions(get_profile):
 def test_decompose_exact_ansatz_is_a_fixed_point(two_bump_case):
     spec, profs, _, u0 = two_bump_case
     dec = decompose(spec, u0, CENTERS, profiles=profs)
+    assert dec.iterations == 0
     assert np.abs(dec.centers - CENTERS).max() <= 1e-12
     assert np.abs(dec.amplitudes).max() <= 1e-12
     assert dec.w_norm <= 1e-12
@@ -155,6 +157,24 @@ def test_decompose_puts_perturbation_into_remainder(two_bump_case):
     # remainder orthogonality at the documented tolerance
     norms = np.array([eps_norm(spec, make_field(grid, b)) for b in basis])
     assert np.all(dec.projection_residuals <= 1e-8 * dec.v_norm * norms)
+
+
+@pytest.mark.parametrize("eps, counts, steps",
+                         [(0.3, (171, 131), 3), (0.25, (205, 157), 2)])
+def test_decompose_counts_projection_steps_on_benchmark_grid(
+        get_profile, eps, counts, steps):
+    # The 2-well benchmark grid (spacing eps/6).  A decomposition builds
+    # the basis once plus 2k(N+1) + 1 = 13 times per projection step, so
+    # these measured counts are the 40 and 27 basis builds the benchmark
+    # traces at these eps.
+    spec = double_well_problem(eps=eps, counts=counts)
+    profs = (get_profile(1.0, 4.0, 2), get_profile(1.21, 4.0, 2))
+    ansatz = AnsatzSpec(bumps=tuple(BumpSpec(prof, c)
+                                    for prof, c in zip(profs, CENTERS)))
+    u, rep = newton_solve(spec, build_ansatz(spec, ansatz))
+    assert rep.converged
+    dec = decompose(spec, u, CENTERS, profiles=profs)
+    assert dec.iterations == steps
 
 
 def test_decompose_on_converged_solution(well_case):
@@ -488,6 +508,28 @@ def test_probe_normalizes_the_difference_field(get_profile):
     assert rep.normalized
     assert rep.sup_diff > 0.0
     assert np.abs(rep.xi_field.values).max() == 1.0
+
+
+def test_probe_rel_diff_is_relative_to_the_first_solution(get_profile,
+                                                          monkeypatch):
+    solutions = []
+
+    def recording_solve(*args, **kwargs):
+        u, report = newton_solve(*args, **kwargs)
+        solutions.append(u)
+        return u, report
+
+    monkeypatch.setattr(nlsbump.analysis, "newton_solve", recording_solve)
+    spec = single_well_problem(n=101)
+    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
+                                        np.zeros(2)),))
+    rep = uniqueness_probe(spec, ansatz,
+                           (AnsatzTweak(amp_scale=0.9),
+                            AnsatzTweak(amp_scale=1.1)),
+                           NewtonConfig(tol_residual=1e-4))
+    assert len(solutions) == 2
+    assert rep.sup_diff > 0.0
+    assert rep.rel_diff == rep.sup_diff / np.abs(solutions[0].values).max()
 
 
 def test_probe_rejects_out_of_basin_tweaks(well_case, get_profile):

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import nlsbump.analysis
+import nlsbump.cli
 from nlsbump.cli import main
+from nlsbump.solver import newton_solve
 
 SMOKE = """
 problem.dim = 2
@@ -146,6 +149,26 @@ def test_uniqueness_rows_all_pass(pipeline):
     assert {r["pair"] for r in rows} == {"amplitude", "shift"}
     assert all(r["result"] == "pass" for r in rows)
     assert all(float(r["rel_diff"]) <= 1e-8 for r in rows)
+
+
+def test_uniqueness_solves_four_times_per_eps(pipeline, tmp_path,
+                                             monkeypatch):
+    # Two solves per pair, and no separate reference solve: rel_diff is
+    # taken relative to each pair's own first solution.
+    cfg_path, _, _ = pipeline
+    solved = []
+
+    def counting_solve(spec, *args, **kwargs):
+        solved.append(spec.eps)
+        return newton_solve(spec, *args, **kwargs)
+
+    for module in (nlsbump.analysis, nlsbump.cli):
+        monkeypatch.setattr(module, "newton_solve", counting_solve,
+                            raising=False)
+    code = main(["uniqueness", "--config", str(cfg_path), "--out",
+                 str(tmp_path)])
+    assert code == 0
+    assert solved == [0.4] * 4 + [0.3] * 4
 
 
 def test_rerun_is_byte_identical(pipeline, tmp_path, monkeypatch):

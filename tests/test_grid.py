@@ -20,6 +20,7 @@ from nlsbump.grid import (
     make_problem,
     make_sphere_quadrature,
     pde_residual,
+    power_map,
     sphere_surface_integral,
 )
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
@@ -116,6 +117,27 @@ def test_sampled_soliton_residual_second_order():
         errs[n] = np.abs(pde_residual(spec, u).values).max()
     assert errs[2001] < 5e-4
     assert 3.4 < errs[2001] / errs[4001] < 4.6
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.5])
+def test_power_map_scalar_and_array_paths_agree_bitwise(p):
+    # The shooting loop maps Python floats, the grid residuals arrays.  On
+    # arrays, the p = 3 and p = 4 shortcuts equal |u|**(p-2) * u exactly.
+    f = power_map(p)
+    x = 3.0 * np.random.default_rng(11).standard_normal(20000)
+    x[:3] = (0.0, -0.0, 1.0)
+    scalars = [f(float(v)) for v in x]
+    assert all(type(s) is float for s in scalars)
+    arr = f(x)
+    assert np.array_equal(arr, np.abs(x) ** (p - 2.0) * x)
+    if p in (3.0, 4.0):
+        assert np.array_equal(arr, np.array(scalars))
+    else:
+        # numpy's pow and the C library's differ in the last bit on some
+        # inputs (measured: 949 of these 20000 at p = 5.5, at most 3.7e-16
+        # relative)
+        np.testing.assert_allclose(arr, scalars,
+                                   rtol=2.0 * np.finfo(float).eps, atol=0.0)
 
 
 def test_inner_product_adjoint_to_operator():

@@ -12,7 +12,7 @@ import pytest
 from nlsbump.errors import ConsistencyError, ConvergenceError, DomainError, \
     GeometryError
 from nlsbump.grid import (apply_linear, make_field, make_grid, make_problem,
-                          nonlinearity, pde_residual)
+                          pde_residual)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.analysis import _interior_operators
 from nlsbump.solver import (AnsatzSpec, BumpSpec, NewtonConfig, build_ansatz,
