@@ -4,14 +4,14 @@ rate fits, interaction integrals, coercivity, and the uniqueness probe.
 The decomposition writes a field as a sum of amplitude-corrected rescaled
 radial bumps plus a remainder that is energy-orthogonal to every bump and
 to each bump's translation derivatives.  Bump centers and amplitude
-corrections are the unknowns of that orthogonality system, solved by a
-small damped Newton iteration with finite-difference Jacobian.
+corrections are the unknowns of that orthogonality system, solved by
+Newton's method with its exact Jacobian (see decompose).
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -40,9 +40,11 @@ from .grid import (
     field_values_on,
     make_field,
     make_sphere_quadrature,
+    power_map,
 )
 from .potential import eval_potential, grad_potential
-from .radial import RadialProfile, eval_profile_deriv, solve_ground_state
+from .radial import (RadialProfile, eval_profile, eval_profile_deriv,
+                     solve_ground_state)
 from .solver import (
     AnsatzSpec,
     NewtonConfig,
@@ -52,6 +54,7 @@ from .solver import (
 )
 
 _profile_cache: dict = {}
+_DECOMPOSE_MAX_ITER = 50
 
 
 def ground_state_for(v_a: float, p: float, dim: int) -> RadialProfile:
@@ -99,8 +102,7 @@ class RateFit:
 class UniquenessReport:
     sup_diff: float
     rel_diff: float  # sup_diff / sup |u| of the first solution
-    xi_field: Optional[ScalarField]
-    normalized: bool
+    xi_field: Optional[ScalarField]  # diff / sup_diff, unless negligible
 
 
 @dataclass
@@ -148,16 +150,49 @@ def _owning_wells(spec: ProblemSpec, centers: np.ndarray) -> List[int]:
     return owners
 
 
+def bump_hessian_pairings(spec: ProblemSpec, profile: RadialProfile,
+                          center: np.ndarray, v: ScalarField) -> np.ndarray:
+    """The dim x dim pairings <v, d_a d_b U((x - center)/eps)>_eps.
+
+    In y = (x - center)/eps, with r = |y| and q = U'/r, the Hessian is
+    ((U'' - q) y_a y_b / r^2 + q delta_ab) / eps^2.  U'' is read off the
+    profile equation, U'' = v_a U - U^(p-1) - (dim-1) q, and at r = 0
+    q = U''(0) = (v_a U(0) - U(0)^(p-1)) / dim, so no table is differenced.
+    """
+    grid = spec.grid
+    y = (grid.points() - center) / spec.eps
+    r = np.linalg.norm(y, axis=1)
+    safe = np.where(r > 0.0, r, 1.0)
+    u = eval_profile(profile, r)
+    source = profile.v_a * u - power_map(profile.p)(u)
+    q = np.where(r > 0.0, eval_profile_deriv(profile, r) / safe,
+                 source / grid.dim)
+    curv = source - grid.dim * q  # U'' - q
+    y /= safe[:, None]  # now y/r
+    out = np.empty((grid.dim, grid.dim))
+    for a in range(grid.dim):
+        for b in range(a, grid.dim):
+            hess = make_field(grid, curv * y[:, a] * y[:, b] + q * (a == b))
+            out[a, b] = out[b, a] = eps_inner(spec, v, hess) / spec.eps ** 2
+    return out
+
+
 def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
-              profiles: Optional[Sequence[RadialProfile]] = None,
-              max_iter: int = 50) -> BumpDecomposition:
+              profiles: Optional[Sequence[RadialProfile]] = None
+              ) -> BumpDecomposition:
     """Split u into amplitude-corrected bumps plus an orthogonal remainder.
 
     Finds centers x_j and corrections alpha_j so that
 
         v = u - sum_j (1 + alpha_j) U_j((x - x_j)/eps)
 
-    is energy-orthogonal to every bump and every translation derivative.
+    is energy-orthogonal to every bump U_j and every translation derivative
+    T_j,a = d_a U_j.  Newton's method solves that system for theta[j] =
+    (alpha_j, x_j) with the exact Jacobian: the eps-Gram matrix of the
+    basis [U_j, T_j,1..dim], its columns scaled by -1 and 1 + alpha_j
+    (dv/dalpha_j = -U_j, dv/dx_j = (1 + alpha_j) T_j), plus the motion of
+    the basis, dU_j/dx_j = -T_j and dT_j,a/dx_j,b = -d_a d_b U_j
+    (bump_hessian_pairings).
     Also returns w = u - sum_j U_j((x - x_j)/eps), the remainder against
     the uncorrected unit-amplitude sum.
     """
@@ -182,77 +217,57 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
     if len(profiles) != k:
         raise DomainError("need one profile per bump")
 
-    n_par = k * (grid.dim + 1)
+    n_per = grid.dim + 1
     u_norm = eps_norm(spec, u)
 
-    def unpack(theta):
-        c = theta[:k * grid.dim].reshape(k, grid.dim)
-        a = theta[k * grid.dim:]
-        return c, a
-
-    def basis_and_residuals(theta):
-        c, alph = unpack(theta)
-        bumps = [bump_field(spec, profiles[j], c[j]) for j in range(k)]
+    theta = np.column_stack([np.zeros(k), centers])
+    iterations = 0
+    while True:
+        bumps = [bump_field(spec, profiles[j], theta[j, 1:]) for j in range(k)]
         basis = []
         for j in range(k):
-            basis.append(bumps[j])
-            basis.extend(bump_translation_fields(spec, profiles[j], c[j]))
-        vvals = u.values - sum((1.0 + alph[j]) * bumps[j] for j in range(k))
+            basis.append(make_field(grid, bumps[j]))
+            basis.extend(make_field(grid, t) for t in bump_translation_fields(
+                spec, profiles[j], theta[j, 1:]))
+        vvals = u.values - sum((1.0 + theta[j, 0]) * bumps[j] for j in range(k))
         vfield = make_field(grid, vvals)
-        g = np.array([eps_inner(spec, vfield, make_field(grid, b))
-                      for b in basis])
-        return g, basis, vfield, bumps
-
-    theta = np.concatenate([centers.ravel(), np.zeros(k)])
-    g, basis, vfield, bumps = basis_and_residuals(theta)
-    basis_norms = np.array([eps_norm(spec, make_field(grid, b))
-                            for b in basis])
-
-    def tolerance():
+        g = np.array([eps_inner(spec, vfield, b) for b in basis])
+        gram = np.array([[eps_inner(spec, a, b) for b in basis]
+                         for a in basis])
         v_norm = eps_norm(spec, vfield)
-        return basis_norms * (1e-9 * v_norm + 5e-15 * u_norm)
-
-    converged = np.all(np.abs(g) <= tolerance())
-    iterations = 0
-    while not converged and iterations < max_iter:
+        basis_norms = np.sqrt(np.diag(gram))
+        if np.all(np.abs(g) <= basis_norms * (1e-9 * v_norm
+                                               + 5e-15 * u_norm)):
+            break
+        if iterations == _DECOMPOSE_MAX_ITER:
+            raise DecompositionError(
+                f"projection system not converged after {iterations} "
+                f"iterations (max residual {np.abs(g).max():.3e})")
         iterations += 1
-        jac = np.empty((n_par, n_par))
-        for col in range(n_par):
-            step = 1e-6 * spec.eps if col < k * grid.dim else 1e-6
-            tp = theta.copy()
-            tp[col] += step
-            gp, _, _, _ = basis_and_residuals(tp)
-            tm = theta.copy()
-            tm[col] -= step
-            gm, _, _, _ = basis_and_residuals(tm)
-            jac[:, col] = (gp - gm) / (2.0 * step)
+        scale = np.repeat(1.0 + theta[:, :1], n_per, axis=1)
+        scale[:, 0] = -1.0
+        jac = gram * scale.ravel()
+        for j in range(k):
+            trans = slice(j * n_per + 1, (j + 1) * n_per)
+            jac[j * n_per, trans] -= g[trans]
+            jac[trans, trans] -= bump_hessian_pairings(
+                spec, profiles[j], theta[j, 1:], vfield)
         try:
             delta = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
             raise DecompositionError("projection Jacobian is singular")
-        theta = theta + delta
-        c_now, _ = unpack(theta)
-        drift = np.linalg.norm(c_now - anchor, axis=1)
+        theta = theta + delta.reshape(k, n_per)
+        drift = np.linalg.norm(theta[:, 1:] - anchor, axis=1)
         if np.any(drift > drift_limit):
             raise GeometryError(
                 "decomposition centers drifted out of their well patches")
-        g, basis, vfield, bumps = basis_and_residuals(theta)
-        basis_norms = np.array([eps_norm(spec, make_field(grid, b))
-                                for b in basis])
-        converged = np.all(np.abs(g) <= tolerance())
-    if not converged:
-        raise DecompositionError(
-            f"projection system not converged after {max_iter} iterations "
-            f"(max residual {np.abs(g).max():.3e})")
 
-    c_fin, a_fin = unpack(theta)
-    wvals = u.values - sum(bumps)
-    wfield = make_field(grid, wvals)
+    wfield = make_field(grid, u.values - sum(bumps))
     return BumpDecomposition(
-        centers=c_fin, amplitudes=a_fin, remainder_w=wfield,
-        remainder_v=vfield, w_norm=eps_norm(spec, wfield),
-        v_norm=eps_norm(spec, vfield), projection_residuals=np.abs(g),
-        profiles=profiles, iterations=iterations)
+        centers=theta[:, 1:], amplitudes=theta[:, 0], remainder_w=wfield,
+        remainder_v=vfield, w_norm=eps_norm(spec, wfield), v_norm=v_norm,
+        projection_residuals=np.abs(g), profiles=profiles,
+        iterations=iterations)
 
 
 def default_ball_radius(spec: ProblemSpec) -> float:
@@ -345,8 +360,13 @@ def localized_moment(spec: ProblemSpec, dec: BumpDecomposition,
     return float(np.trapezoid(u2 * surface, r))
 
 
-def fit_rate(samples: Sequence[Tuple[float, float]]) -> RateFit:
-    """Least-squares power law through (eps, value) pairs, in log-log."""
+def fit_rate(samples: Sequence[Tuple[float, float]],
+             abscissa: Callable = np.log) -> RateFit:
+    """Least-squares line of log(value) against abscissa(eps).
+
+    The default, log eps, fits a power law in eps; 1/eps fits an
+    exponential rate.
+    """
     pts = [(float(e), float(v)) for e, v in samples]
     if len(pts) < 3:
         raise DomainError("need at least 3 samples to fit a rate")
@@ -358,7 +378,7 @@ def fit_rate(samples: Sequence[Tuple[float, float]]) -> RateFit:
         raise DomainError(
             "nonpositive sample value; below-floor points must be filtered "
             "out by the caller before fitting")
-    le, lv = np.log(eps), np.log(vals)
+    le, lv = abscissa(eps), np.log(vals)
     slope, intercept = np.polyfit(le, lv, 1)
     dev = float(np.abs(lv - (slope * le + intercept)).max())
     return RateFit(samples=tuple(pts), slope=float(slope),
@@ -366,13 +386,12 @@ def fit_rate(samples: Sequence[Tuple[float, float]]) -> RateFit:
 
 
 def overlap_integral(spec: ProblemSpec, profile_a: RadialProfile, center_a,
-                     profile_b: RadialProfile, center_b,
-                     q1: float = 1.0, q2: float = 1.0) -> float:
-    """Box integral of U_a^q1((x-c_a)/eps) U_b^q2((x-c_b)/eps)."""
+                     profile_b: RadialProfile, center_b) -> float:
+    """Box integral of U_a((x-c_a)/eps) U_b((x-c_b)/eps)."""
     ca = np.atleast_1d(np.asarray(center_a, dtype=float))
     cb = np.atleast_1d(np.asarray(center_b, dtype=float))
-    return box_integral(spec.grid, bump_field(spec, profile_a, ca) ** q1
-                        * bump_field(spec, profile_b, cb) ** q2)
+    return box_integral(spec.grid, bump_field(spec, profile_a, ca)
+                        * bump_field(spec, profile_b, cb))
 
 
 def _interior_operators(spec: ProblemSpec, weight: np.ndarray):
@@ -448,10 +467,7 @@ def _penalized_operator(h_sp, m_sp, constraints, shift):
     def mv(x):
         return h_sp @ x + shift * (my @ (gram_inv @ (my.T @ x)))
 
-    n = h_sp.shape[0]
-    return LinearOperator((n, n), matvec=mv,
-                          matmat=lambda xs: h_sp @ xs + shift
-                          * (my @ (gram_inv @ (my.T @ xs))), dtype=float)
+    return LinearOperator(h_sp.shape, matvec=mv, dtype=float)
 
 
 def coercivity_estimate(spec: ProblemSpec, u: ScalarField,
@@ -536,37 +552,25 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
                      cfg: Optional[NewtonConfig] = None) -> UniquenessReport:
     """Solve twice from perturbed initializations and compare sup norms.
 
-    The base ansatz is validated against the problem once; each tweak then
-    perturbs the initial field directly (scaled amplitudes, bumps placed at
-    shifted centers) without re-validating, since a shifted center no
-    longer sits at the well floor.  The claim under test is that both runs
-    land on the same solution; it passes when the relative sup difference
-    (rel_diff, normalized by the sup of the first solution) is at or below
-    1e-8.
+    Each run starts from the ansatz with the tweak's scaled amplitudes and
+    shifted centers (build_ansatz validates the unshifted bumps).  The
+    claim under test is that both runs land on the same solution; it
+    passes when the relative sup difference (rel_diff, normalized by the
+    sup of the first solution) is at or below 1e-8.
     """
     if len(perturbations) != 2:
         raise DomainError("uniqueness probe compares exactly two runs")
-    build_ansatz(spec, ansatz)
-    k = len(ansatz.bumps)
     fields = []
     for tweak in perturbations:
-        shifts = _tweak_shifts(spec, k, tweak)
-        vals = np.zeros(spec.grid.counts)
-        for j, b in enumerate(ansatz.bumps):
-            center = np.asarray(b.center, dtype=float) + shifts[j]
-            vals += (b.amplitude * tweak.amp_scale
-                     * bump_field(spec, b.profile, center))
-        u0 = make_field(spec.grid, vals)
-        u, _ = newton_solve(spec, u0, cfg)
-        fields.append(u)
+        shifts = _tweak_shifts(spec, len(ansatz.bumps), tweak)
+        u0 = build_ansatz(spec, ansatz, tweak.amp_scale, shifts)
+        fields.append(newton_solve(spec, u0, cfg)[0])
     diff = fields[0].values - fields[1].values
     sup_diff = float(np.abs(diff).max())
     sup_u = float(np.abs(fields[0].values).max())
     rel_diff = (sup_diff / sup_u if sup_u > 0.0
                 else math.inf if sup_diff > 0.0 else 0.0)
+    xi = None
     if sup_diff > 1e-12 * sup_u and sup_diff > 0.0:
         xi = make_field(spec.grid, diff / sup_diff)
-        return UniquenessReport(sup_diff=sup_diff, rel_diff=rel_diff,
-                                xi_field=xi, normalized=True)
-    return UniquenessReport(sup_diff=sup_diff, rel_diff=rel_diff,
-                            xi_field=None, normalized=False)
+    return UniquenessReport(sup_diff=sup_diff, rel_diff=rel_diff, xi_field=xi)

@@ -264,10 +264,8 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
     """All per-eps analysis; raises NlsbumpError on any failure."""
     spec, u = _load_solution(cfg, out_dir, eps, name)
     wells = cfg.wells
-    profiles = tuple(ground_state_for(w.depth, cfg.p, cfg.dim)
-                     for w in wells)
     centers = np.array([w.center for w in wells])
-    dec = decompose(spec, u, centers, profiles)
+    dec = decompose(spec, u, centers)
 
     # A ball centered on a bump integrates the near-odd flux integrand to
     # roundoff on both sides of the identity, leaving a noise-over-noise
@@ -296,8 +294,8 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
     overlaps = {}
     for j in range(len(wells)):
         for l in range(j + 1, len(wells)):
-            raw = overlap_integral(spec, profiles[j], dec.centers[j],
-                                   profiles[l], dec.centers[l])
+            raw = overlap_integral(spec, dec.profiles[j], dec.centers[j],
+                                   dec.profiles[l], dec.centers[l])
             overlaps[(j, l)] = raw * spec.eps ** (-cfg.dim)
 
     drifts = np.linalg.norm(dec.centers - centers, axis=1)
@@ -320,23 +318,13 @@ def _fit_samples(records: List[Dict], key, cfg: ExperimentConfig):
     return [(e, v) for e, v in samples if v > _FIT_FLOOR]
 
 
-def _rate_row(quantity: str, well: str, samples, expected: Optional[float]):
+def _rate_row(quantity: str, well: str, samples, expected: Optional[float],
+              abscissa=np.log):
     if len(samples) < 3:
         return _row(quantity, well, None, expected, None,
                     f"only {len(samples)} samples above the fit floor")
-    fit = fit_rate(samples)
+    fit = fit_rate(samples, abscissa)
     return _row(quantity, well, fit.slope, expected, fit.max_deviation, "")
-
-
-def _overlap_row(well_pair: str, samples, expected: float):
-    if len(samples) < 3:
-        return _row("overlap_decay", well_pair, None, expected, None,
-                    f"only {len(samples)} samples above the fit floor")
-    inv_eps = np.array([1.0 / e for e, _ in samples])
-    logs = np.log([v for _, v in samples])
-    slope, intercept = np.polyfit(inv_eps, logs, 1)
-    dev = float(np.abs(logs - (slope * inv_eps + intercept)).max())
-    return _row("overlap_decay", well_pair, float(slope), expected, dev, "")
 
 
 def cmd_analyze(args) -> int:
@@ -395,7 +383,8 @@ def cmd_analyze(args) -> int:
                                        - np.array(cfg.wells[l].center)))
             expected = -min(np.sqrt(cfg.wells[j].depth),
                             np.sqrt(cfg.wells[l].depth)) * sep
-            rate_rows.append(_overlap_row(f"{j}-{l}", samples, expected))
+            rate_rows.append(_rate_row("overlap_decay", f"{j}-{l}", samples,
+                                       expected, lambda e: 1.0 / e))
 
     _write_csv(out_dir / "rates.csv",
                ["quantity", "well", "slope", "expected", "max_deviation",

@@ -124,12 +124,16 @@ def bump_field(spec: ProblemSpec, profile: RadialProfile,
     return eval_profile(profile, r).reshape(spec.grid.counts)
 
 
-def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec) -> ScalarField:
+def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
+                 amp_scale: float = 1.0,
+                 shifts: Optional[np.ndarray] = None) -> ScalarField:
     """Sum of rescaled radial bumps, sampled on the grid.
 
     Each bump's profile must have been solved at the potential value of its
     own center (and at the problem's exponent), otherwise the pieces do not
-    describe the same equation.
+    describe the same equation.  A perturbed start scales every amplitude
+    by amp_scale and samples bump k at center + shifts[k]; the checks see
+    the unperturbed bumps, since a shifted center is off the well floor.
     """
     grid = spec.grid
     total = np.zeros(grid.counts)
@@ -154,7 +158,9 @@ def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec) -> ScalarField:
         if prof.dim != grid.dim:
             raise ConsistencyError(
                 f"bump {k} profile is {prof.dim}-d on a {grid.dim}-d grid")
-        total += bump.amplitude * bump_field(spec, prof, center)
+        if shifts is not None:
+            center = center + shifts[k]
+        total += bump.amplitude * amp_scale * bump_field(spec, prof, center)
     return make_field(grid, total)
 
 

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import nlsbump.analysis
+import nlsbump.solver
 from nlsbump.analysis import (AnsatzTweak, BumpDecomposition, bump_field,
-                              bump_translation_fields, coercivity_estimate,
-                              decompose, default_ball_radius, fit_rate,
-                              localized_moment, overlap_integral,
-                              pohozaev_terms, uniqueness_probe)
-from nlsbump.errors import DomainError, GeometryError
+                              bump_hessian_pairings, bump_translation_fields,
+                              coercivity_estimate, decompose,
+                              default_ball_radius, fit_rate, localized_moment,
+                              overlap_integral, pohozaev_terms,
+                              uniqueness_probe)
+from nlsbump.errors import ConsistencyError, DomainError, GeometryError
 from nlsbump.grid import (eps_inner, eps_norm, make_field, make_grid,
                           make_problem)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
@@ -94,6 +96,19 @@ def const_solutions(get_profile):
     return out
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list it appends to."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 # --- decomposition ---
 
 def test_decompose_exact_ansatz_is_a_fixed_point(two_bump_case):
@@ -162,19 +177,52 @@ def test_decompose_puts_perturbation_into_remainder(two_bump_case):
 @pytest.mark.parametrize("eps, counts, steps",
                          [(0.3, (171, 131), 3), (0.25, (205, 157), 2)])
 def test_decompose_counts_projection_steps_on_benchmark_grid(
-        get_profile, eps, counts, steps):
-    # The 2-well benchmark grid (spacing eps/6).  A decomposition builds
-    # the basis once plus 2k(N+1) + 1 = 13 times per projection step, so
-    # these measured counts are the 40 and 27 basis builds the benchmark
-    # traces at these eps.
+        get_profile, eps, counts, steps, monkeypatch):
+    # The 2-well benchmark grid (spacing eps/6).  The exact Jacobian is
+    # assembled from the basis the step already built, so a decomposition
+    # samples each of its k bumps once per projection step plus once for
+    # the final check: 4 and 3 basis builds at these eps, where the
+    # finite-difference Jacobian rebuilt the basis 2k(N+1) = 12 more
+    # times per step.
     spec = double_well_problem(eps=eps, counts=counts)
     profs = (get_profile(1.0, 4.0, 2), get_profile(1.21, 4.0, 2))
     ansatz = AnsatzSpec(bumps=tuple(BumpSpec(prof, c)
                                     for prof, c in zip(profs, CENTERS)))
     u, rep = newton_solve(spec, build_ansatz(spec, ansatz))
     assert rep.converged
+    samples = count_calls(monkeypatch, nlsbump.analysis, "bump_field")
     dec = decompose(spec, u, CENTERS, profiles=profs)
     assert dec.iterations == steps
+    assert len(samples) == len(profs) * (steps + 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bump_hessian_pairings_match_differenced_translations(get_profile,
+                                                              dim):
+    # -<v, dT_a/dc_b>_eps by central differences in the center c, against
+    # the pairings read off the profile equation; measured 6.0e-8, 5.1e-10
+    # and 1.7e-9 relative in 1-D, 2-D and 3-D.  The center is a grid node,
+    # so the r = 0 branch is sampled too.
+    n = {1: 201, 2: 81, 3: 33}[dim]
+    grid = make_grid(lo=[-2.5] * dim, hi=[2.5] * dim, counts=[n] * dim)
+    spec = make_problem(eps=0.5, p=4.0, potential=constant_potential(1.0, dim),
+                        grid=grid)
+    prof = get_profile(1.0, 4.0, dim)
+    center = np.zeros(dim)
+    x0 = np.array([0.3, 0.2, -0.25])[:dim]
+    v = make_field(grid, np.exp(-np.sum((grid.points() - x0) ** 2, axis=1)))
+    got = bump_hessian_pairings(spec, prof, center, v)
+    h = 1e-4 * spec.eps
+    want = np.empty((dim, dim))
+    for b in range(dim):
+        step = h * np.eye(dim)[b]
+        plus = bump_translation_fields(spec, prof, center + step)
+        minus = bump_translation_fields(spec, prof, center - step)
+        for a in range(dim):
+            want[a, b] = -eps_inner(
+                spec, v, make_field(grid, (plus[a] - minus[a]) / (2.0 * h)))
+    assert np.array_equal(got, got.T)
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 def test_decompose_on_converged_solution(well_case):
@@ -466,7 +514,6 @@ def test_identical_initializations_reproduce_bitwise(well_case):
                                           AnsatzTweak(amp_scale=1.05)))
     assert rep.sup_diff == 0.0
     assert rep.xi_field is None
-    assert not rep.normalized
 
 
 def test_amplitude_perturbations_reach_one_solution(get_profile):
@@ -480,19 +527,23 @@ def test_amplitude_perturbations_reach_one_solution(get_profile):
     assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
 
 
-def test_center_perturbations_reach_one_solution(get_profile):
+def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
     spec = double_well_problem(counts=(205, 157))
     ansatz = AnsatzSpec(bumps=(
         BumpSpec(get_profile(1.0, 4.0, 2), CENTERS[0]),
         BumpSpec(get_profile(1.21, 4.0, 2), CENTERS[1])))
     u, _ = newton_solve(spec, build_ansatz(spec, ansatz))
     shift = 0.3 * spec.eps
+    samples = (count_calls(monkeypatch, nlsbump.solver, "bump_field"),
+               count_calls(monkeypatch, nlsbump.analysis, "bump_field"))
     rep = uniqueness_probe(
         spec, ansatz,
         (AnsatzTweak(center_shifts=np.array([shift, 0.0])),
          AnsatzTweak(center_shifts=np.array([-shift, 0.0]))))
     # measured: 9.1e-14 relative
     assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
+    # each run samples every bump once, at its shifted center
+    assert sum(len(c) for c in samples) == 2 * len(ansatz.bumps)
 
 
 def test_probe_normalizes_the_difference_field(get_profile):
@@ -505,7 +556,6 @@ def test_probe_normalizes_the_difference_field(get_profile):
                            (AnsatzTweak(amp_scale=0.9),
                             AnsatzTweak(amp_scale=1.1)),
                            NewtonConfig(tol_residual=1e-4))
-    assert rep.normalized
     assert rep.sup_diff > 0.0
     assert np.abs(rep.xi_field.values).max() == 1.0
 
@@ -530,6 +580,14 @@ def test_probe_rel_diff_is_relative_to_the_first_solution(get_profile,
     assert len(solutions) == 2
     assert rep.sup_diff > 0.0
     assert rep.rel_diff == rep.sup_diff / np.abs(solutions[0].values).max()
+
+
+def test_probe_rejects_a_profile_solved_at_another_depth(get_profile):
+    spec = single_well_problem(n=101)
+    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.21, 4.0, 2),
+                                        np.zeros(2)),))
+    with pytest.raises(ConsistencyError, match="v_a=1.21"):
+        uniqueness_probe(spec, ansatz, (AnsatzTweak(), AnsatzTweak()))
 
 
 def test_probe_rejects_out_of_basin_tweaks(well_case, get_profile):
