@@ -554,9 +554,9 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
 
     Each run starts from the ansatz with the tweak's scaled amplitudes and
     shifted centers (build_ansatz validates the unshifted bumps).  The
-    claim under test is that both runs land on the same solution; it
-    passes when the relative sup difference (rel_diff, normalized by the
-    sup of the first solution) is at or below 1e-8.
+    claim under test is that both runs land on the same solution; the
+    caller compares rel_diff (sup difference over the first solution's
+    sup) with its tolerance, the CLI with analysis.uniqueness_rtol.
     """
     if len(perturbations) != 2:
         raise DomainError("uniqueness probe compares exactly two runs")

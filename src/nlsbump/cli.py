@@ -4,8 +4,8 @@ Subcommands
 -----------
 groundstate   solve the radial profile for one (v_a, p, dim), write it as
               a CSV table (r, u, du), print a three-line summary.
-solve         run the continuation sweep of a config, persist one binary
-              field file per eps, write solve.csv.
+solve         solve each eps from the ansatz, in schedule order; a failure
+              ends the sweep.  One field file per solved eps, solve.csv.
 analyze       load the persisted fields, run the bump decomposition, the
               flux identity, overlap integrals, and the coercivity
               estimate per eps, fit decay rates across eps, and write
@@ -41,9 +41,9 @@ leave their numeric columns empty and put a message in the error column.
 
 Exit codes: 0 success; 2 configuration or usage; 3 domain or geometry;
 4 iteration failure (also: any sweep row that records a failure);
-5 malformed field file.  Independent sweep members run on a thread pool
-sized by --jobs (default: the NLSB_THREADS environment variable, then 1);
-rows are collected and written in schedule order regardless of pool size.
+5 malformed field file.  analyze and uniqueness run their eps on a thread
+pool sized by --jobs (default: the NLSB_THREADS environment variable, then
+1; --jobs does not apply to solve); rows are written in schedule order.
 """
 
 import argparse
@@ -86,7 +86,7 @@ from .errors import (
 )
 from .fieldio import read_field, write_field
 from .radial import ShootingConfig, ode_residual, solve_ground_state
-from .solver import BumpSpec, continuation_solve, make_ansatz
+from .solver import AnsatzSpec, BumpSpec, build_ansatz, newton_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,17 +140,18 @@ def _row(*cells) -> List[str]:
 
 
 def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
-        return args.jobs
-    raw = os.environ.get("NLSB_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"NLSB_THREADS must be an integer, got {raw!r}")
-    return 1
+    """--jobs, else NLSB_THREADS, else 1; either must be an integer >= 1."""
+    source, raw = "--jobs", args.jobs
+    if raw is None:
+        source = "NLSB_THREADS"
+        raw = os.environ.get(source, "").strip() or "1"
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {raw!r}")
+    if jobs < 1:
+        raise ConfigError(f"{source} must be at least 1, got {raw}")
+    return jobs
 
 
 def _map_jobs(fn, items, jobs: int):
@@ -174,14 +175,14 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _base_ansatz(cfg: ExperimentConfig):
+def _base_ansatz(cfg: ExperimentConfig) -> AnsatzSpec:
     """One unit-amplitude bump per well, profile solved at the well depth."""
     bumps = []
     for well in cfg.wells:
         profile = ground_state_for(well.depth, cfg.p, cfg.dim)
         bumps.append(BumpSpec(profile=profile, center=np.array(well.center),
                               amplitude=1.0))
-    return make_ansatz(bumps)
+    return AnsatzSpec(bumps=tuple(bumps))
 
 
 def cmd_groundstate(args) -> int:
@@ -208,23 +209,26 @@ def cmd_groundstate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    """Newton from the ansatz at each eps; later rows after a failure read
+    "not attempted"."""
     cfg, out_dir, _ = _load_experiment(args)
     names = _solution_names(cfg)
     ansatz = _base_ansatz(cfg)
-    results = continuation_solve(lambda e: problem_at(cfg, e),
-                                 cfg.eps_schedule, ansatz, cfg.solver)
 
     rows = []
     for i, eps in enumerate(cfg.eps_schedule):
-        if i >= len(results):
-            rows.append(_row(eps, None, None, None, None, "not attempted"))
-            continue
-        _, u, report = results[i]
-        if not report.converged:
+        spec = problem_at(cfg, eps)
+        try:
+            u, report = newton_solve(spec, build_ansatz(spec, ansatz),
+                                     cfg.solver)
+        except ConvergenceError as exc:
+            report = exc.report
             rows.append(_row(eps, report.iterations, report.final_residual,
                              report.positivity, False,
                              "newton did not converge"))
-            continue
+            rows += [_row(e, None, None, None, None, "not attempted")
+                     for e in cfg.eps_schedule[i + 1:]]
+            break
         write_field(out_dir / names[eps], u, eps, cfg.p)
         rows.append(_row(eps, report.iterations, report.final_residual,
                          report.positivity, True, ""))
@@ -490,7 +494,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gs.set_defaults(func=cmd_groundstate)
 
     for name, func, blurb in (
-            ("solve", cmd_solve, "run the continuation sweep of a config"),
+            ("solve", cmd_solve,
+             "solve each eps from the ansatz, in schedule order; a failure "
+             "ends the sweep"),
             ("analyze", cmd_analyze,
              "decompose, flux identity, overlaps, coercivity, rate fits"),
             ("uniqueness", cmd_uniqueness,
@@ -500,8 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True,
                          help="experiment config file")
         cmd.add_argument("--jobs", type=int, default=None,
-                         help="worker threads for sweep members "
-                              "(default: NLSB_THREADS, then 1)")
+                         help="worker threads for analyze/uniqueness, not "
+                              "solve (default: NLSB_THREADS, then 1)")
         cmd.add_argument("--out", default=None,
                          help="output directory (default: run.output_dir)")
         cmd.add_argument("--verbose", action="store_true",

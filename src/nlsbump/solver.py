@@ -23,7 +23,7 @@ number as the grid refines.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.fft import dstn
@@ -39,8 +39,6 @@ from .errors import (
 from .grid import (
     ProblemSpec,
     ScalarField,
-    TensorGrid,
-    field_values_on,
     make_field,
     neg_weighted_laplacian,
     pde_residual,
@@ -59,10 +57,6 @@ class BumpSpec:
 @dataclass(frozen=True)
 class AnsatzSpec:
     bumps: Tuple[BumpSpec, ...]
-
-
-def make_ansatz(bumps: Sequence[BumpSpec]) -> AnsatzSpec:
-    return AnsatzSpec(bumps=tuple(bumps))
 
 
 @dataclass(frozen=True)
@@ -188,7 +182,6 @@ def dirichlet_inverse(symbol: np.ndarray) -> LinearOperator:
 
 def newton_solve(spec: ProblemSpec, u0: ScalarField,
                  cfg: Optional[NewtonConfig] = None,
-                 deflate_fields: Optional[Sequence[ScalarField]] = None,
                  ) -> Tuple[ScalarField, SolveReport]:
     """Solve F(u) = 0 from the initial iterate u0.
 
@@ -200,9 +193,6 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
     search accepts steps on the cell-weighted L2 norm (recorded in
     residual_history), which stays smooth where the sup norm is pinned to
     a single stubborn node, as happens on coarse three-dimensional grids.
-
-    deflate_fields, when given, are projected out of every Krylov space;
-    useful when near-singular translation modes stall the inner solver.
 
     Raises ConvergenceError (with .report and .field attached) when Newton
     runs out of iterations or backtracking cannot find a descent step, and
@@ -225,16 +215,6 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
         r = pde_residual(spec, ScalarField(grid, u)).values
         r[ring] = 0.0
         return r
-
-    basis = None
-    if deflate_fields:
-        cols = [f.values[inner].ravel() for f in deflate_fields]
-        basis = np.linalg.qr(np.stack(cols, axis=1))[0]
-
-    def deflected(flat: np.ndarray) -> np.ndarray:
-        if basis is None:
-            return flat
-        return flat - basis @ (basis.T @ flat)
 
     u = u0.values.copy()
     u[ring] = 0.0
@@ -297,19 +277,19 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
 
             def matvec(flat: np.ndarray) -> np.ndarray:
                 krylov_iterations[-1] += 1
-                v = deflected(flat).reshape(v_int.shape)
+                v = flat.reshape(v_int.shape)
                 out = neg_weighted_laplacian(v, grid.spacing, e2)
                 out += diag * v
-                return deflected(out.ravel())
+                return out.ravel()
 
             op = LinearOperator((v_int.size,) * 2, matvec=matvec, dtype=float)
-            rhs = deflected(-res[inner].ravel())
+            rhs = -res[inner].ravel()
             step_flat, info = minres(op, rhs, rtol=rtol,
                                      maxiter=cfg.krylov_max, M=precond)
             if info < 0:
                 raise KrylovError(f"MINRES breakdown (info={info})")
             krylov_short += int(info > 0)
-            dv = deflected(step_flat).reshape(v_int.shape)
+            dv = step_flat.reshape(v_int.shape)
 
             step = cfg.damping
             backtracks_used = 0
@@ -345,50 +325,3 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
         history.append(m_res)
 
     return make_field(grid, u), make_report(True, it)
-
-
-def _resample(prev: ScalarField, grid: TensorGrid) -> ScalarField:
-    pts = grid.points()
-    clipped = np.clip(pts, prev.grid.lo, prev.grid.hi)
-    vals = field_values_on(prev, clipped)
-    return make_field(grid, vals.reshape(grid.counts))
-
-
-def continuation_solve(spec_factory: Callable[[float], ProblemSpec],
-                       eps_schedule: Sequence[float],
-                       ansatz: AnsatzSpec,
-                       cfg: Optional[NewtonConfig] = None,
-                       ) -> List[Tuple[float, ScalarField, SolveReport]]:
-    """Solve along a decreasing eps schedule, warm-starting each solve.
-
-    The first point starts from the assembled ansatz; each later point
-    starts from the previous solution resampled onto the new grid by
-    multilinear interpolation.  On a convergence failure the sequence is
-    cut short; the failed point's best iterate and report are still
-    appended, so the caller can see how far it got.
-    """
-    eps_list = [float(e) for e in eps_schedule]
-    if not eps_list:
-        raise DomainError("eps schedule must be nonempty")
-    if any(e <= 0.0 for e in eps_list):
-        raise DomainError("eps values must be positive")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise DomainError("eps schedule must be strictly decreasing")
-
-    results: List[Tuple[float, ScalarField, SolveReport]] = []
-    prev: Optional[ScalarField] = None
-    for eps in eps_list:
-        spec = spec_factory(eps)
-        if abs(spec.eps - eps) > 1e-15:
-            raise ConsistencyError(
-                f"spec factory returned eps={spec.eps} for requested {eps}")
-        u0 = build_ansatz(spec, ansatz) if prev is None \
-            else _resample(prev, spec.grid)
-        try:
-            u, report = newton_solve(spec, u0, cfg)
-        except ConvergenceError as exc:
-            results.append((eps, exc.field, exc.report))
-            break
-        results.append((eps, u, report))
-        prev = u
-    return results

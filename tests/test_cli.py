@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nlsbump.analysis
 import nlsbump.cli
-from nlsbump.cli import main
-from nlsbump.solver import newton_solve
+from nlsbump.cli import _base_ansatz, main
+from nlsbump.config import load_config, problem_at
+from nlsbump.fieldio import read_field
+from nlsbump.solver import build_ansatz, newton_solve
 
 SMOKE = """
 problem.dim = 2
@@ -113,6 +116,61 @@ def test_solve_rows_monotone_and_converged(pipeline):
         assert (out / f"solution_eps{e}.nlsb").exists()
 
 
+def counting_newton(monkeypatch, *modules):
+    """Route newton_solve through a wrapper; returns the list of eps solved."""
+    solved = []
+
+    def counting_solve(spec, *args, **kwargs):
+        solved.append(spec.eps)
+        return newton_solve(spec, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "newton_solve", counting_solve)
+    return solved
+
+
+def test_solve_calls_newton_once_per_eps(pipeline, tmp_path, monkeypatch):
+    cfg_path, _, _ = pipeline
+    solved = counting_newton(monkeypatch, nlsbump.cli)
+    code = main(["solve", "--config", str(cfg_path), "--out",
+                 str(tmp_path)])
+    assert code == 0
+    assert solved == [0.4, 0.3]
+
+
+def test_solve_fields_are_cold_solves_from_the_ansatz(pipeline):
+    # Every eps starts from the ansatz, not from the previous solution.
+    cfg_path, out, _ = pipeline
+    cfg = load_config(cfg_path)
+    ansatz = _base_ansatz(cfg)
+    for eps in cfg.eps_schedule:
+        spec = problem_at(cfg, eps)
+        cold, _ = newton_solve(spec, build_ansatz(spec, ansatz), cfg.solver)
+        written, eps_file, _ = read_field(out / f"solution_eps{eps:g}.nlsb")
+        assert eps_file == eps
+        assert np.array_equal(written.values, cold.values)
+
+
+def test_solve_failure_ends_the_sweep(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path, SMOKE,
+        **{"schedule.eps": "0.4 0.3",
+           "solver.max_newton": "1",
+           "run.output_dir": str(out)})
+    solved = counting_newton(monkeypatch, nlsbump.cli)
+    code = main(["solve", "--config", str(cfg_path)])
+    assert code == 4
+    assert solved == [0.4]
+    first, second = read_rows(out / "solve.csv")
+    assert [float(first["eps"]), float(second["eps"])] == [0.4, 0.3]
+    assert (first["converged"], first["iterations"], first["error"]) \
+        == ("false", "1", "newton did not converge")
+    assert second["error"] == "not attempted"
+    assert second["iterations"] == second["converged"] == ""
+    assert not list(out.glob("*.nlsb"))
+
+
 def test_pohozaev_rows_cover_the_sweep(pipeline):
     _, out, _ = pipeline
     rows = read_rows(out / "pohozaev.csv")
@@ -156,15 +214,7 @@ def test_uniqueness_solves_four_times_per_eps(pipeline, tmp_path,
     # Two solves per pair, and no separate reference solve: rel_diff is
     # taken relative to each pair's own first solution.
     cfg_path, _, _ = pipeline
-    solved = []
-
-    def counting_solve(spec, *args, **kwargs):
-        solved.append(spec.eps)
-        return newton_solve(spec, *args, **kwargs)
-
-    for module in (nlsbump.analysis, nlsbump.cli):
-        monkeypatch.setattr(module, "newton_solve", counting_solve,
-                            raising=False)
+    solved = counting_newton(monkeypatch, nlsbump.analysis, nlsbump.cli)
     code = main(["uniqueness", "--config", str(cfg_path), "--out",
                  str(tmp_path)])
     assert code == 0
@@ -226,9 +276,11 @@ def test_bad_jobs_values_are_config_errors(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path, SMOKE,
                             **{"run.output_dir": str(tmp_path / "out")})
     assert main(["solve", "--config", str(cfg_path), "--jobs", "0"]) == 2
-    monkeypatch.setenv("NLSB_THREADS", "many")
-    assert main(["solve", "--config", str(cfg_path)]) == 2
-    assert "NLSB_THREADS" in capsys.readouterr().err
+    assert "--jobs" in capsys.readouterr().err
+    for value in ("many", "0", "-3"):
+        monkeypatch.setenv("NLSB_THREADS", value)
+        assert main(["solve", "--config", str(cfg_path)]) == 2
+        assert "NLSB_THREADS" in capsys.readouterr().err
 
 
 def test_analyze_without_solutions_records_missing_files(tmp_path):

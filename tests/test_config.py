@@ -144,8 +144,12 @@ def test_module_preconditions_enforced():
     # wells closer than 4 patch radii
     bad(BENCH.replace("problem.well.1.center = 1 0",
                       "problem.well.1.center = -0.5 0"), "apart")
-    bad(BENCH.replace("schedule.eps = 0.4 0.3 0.25 0.2 0.15",
-                      "schedule.eps = 0.3 0.4"), "decreasing")
+    for schedule, match in (("0.3 0.4", "decreasing"),
+                            ("0.3 0.3", "decreasing"),
+                            ("0.3 -0.2", "positive"),
+                            ("", "empty value")):
+        bad(BENCH.replace("schedule.eps = 0.4 0.3 0.25 0.2 0.15",
+                          f"schedule.eps = {schedule}"), match)
     bad(BENCH + "solver.damping = 1.5\n", "solver")
     bad(BENCH + "analysis.uniqueness_amp = 0.5\n", "basin")
     bad(BENCH + "run.output_dir =\n", "nonempty")

@@ -3,7 +3,7 @@
 Accuracy anchors come from the radial shooting oracle: a constant-potential
 solve must reproduce the rescaled one-dimensional profile at second order
 in h.  The remaining tests pin down iteration behavior (quadratic tail,
-warm starts, deflation) and the error paths.
+Krylov counts, backtracks and shifts) and the error paths.
 """
 
 import numpy as np
@@ -16,8 +16,7 @@ from nlsbump.grid import (apply_linear, make_field, make_grid, make_problem,
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.analysis import _interior_operators
 from nlsbump.solver import (AnsatzSpec, BumpSpec, NewtonConfig, build_ansatz,
-                            continuation_solve, dirichlet_inverse,
-                            dirichlet_symbol, newton_solve)
+                            dirichlet_inverse, dirichlet_symbol, newton_solve)
 
 
 def const_problem_1d(n, eps=1.0):
@@ -163,36 +162,6 @@ def test_solutions_on_nested_grids_differ_at_second_order(get_profile):
     assert np.abs(shared - fields[501].values).max() <= 1.2e-3
 
 
-def test_deflating_translation_modes_reproduces_plain_solution(get_profile):
-    spec = single_well_problem(n=101)
-    prof = get_profile(1.0, 4.0, 2)
-    u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
-    plain, rep_plain = newton_solve(spec, u0)
-    modes = [make_field(spec.grid, m)
-             for m in np.gradient(u0.values, *spec.grid.spacing)]
-    deflated, rep_defl = newton_solve(spec, u0, deflate_fields=modes)
-    assert rep_defl.converged
-    assert np.abs(deflated.values - plain.values).max() \
-        <= 1e-10 * np.abs(plain.values).max()
-
-
-def test_continuation_schedule_of_one_equals_direct_solve(get_profile):
-    prof = get_profile(1.0, 4.0, 2)
-
-    def factory(eps):
-        return single_well_problem(n=101, eps=eps)
-
-    ansatz = AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),))
-    out = continuation_solve(factory, [0.25], ansatz)
-    assert len(out) == 1
-    eps0, u_cont, rep_cont = out[0]
-    direct, rep_direct = newton_solve(factory(0.25),
-                                      build_ansatz(factory(0.25), ansatz))
-    assert eps0 == 0.25
-    assert np.array_equal(u_cont.values, direct.values)
-    assert rep_cont.iterations == rep_direct.iterations
-
-
 def benchmark_factory(eps):
     wells = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
              WellSpec(center=np.array([1.0, 0.0]), depth=1.21, coeff=1.0)]
@@ -208,33 +177,6 @@ def benchmark_ansatz(get_profile):
     return AnsatzSpec(bumps=(
         BumpSpec(get_profile(1.0, 4.0, 2), np.array([-1.0, 0.0])),
         BumpSpec(get_profile(1.21, 4.0, 2), np.array([1.0, 0.0]))))
-
-
-def test_continuation_solves_full_schedule(get_profile):
-    ansatz = benchmark_ansatz(get_profile)
-    schedule = [0.4, 0.3]
-    out = continuation_solve(benchmark_factory, schedule, ansatz)
-    assert [e for e, _, _ in out] == schedule
-    for eps, u, rep in out:
-        assert rep.converged
-        assert rep.positivity
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="measured: resampled warm starts need more iterations than cold "
-    "ansatz starts on this geometry (13 vs 6 at eps 0.3, 14 vs 4 at 0.2); "
-    "a bump of the previous width is a worse initializer than the fresh "
-    "ansatz, whose residual shrinks with eps at flat wells")
-def test_continuation_warm_start_no_worse_than_cold(get_profile):
-    ansatz = benchmark_ansatz(get_profile)
-    schedule = [0.4, 0.3]
-    out = continuation_solve(benchmark_factory, schedule, ansatz)
-    for eps, u, rep in out:
-        cold_spec = benchmark_factory(eps)
-        _, cold_rep = newton_solve(cold_spec,
-                                   build_ansatz(cold_spec, ansatz))
-        assert rep.iterations <= cold_rep.iterations
 
 
 def test_preconditioner_keeps_krylov_counts_small(get_profile):
@@ -355,21 +297,6 @@ def test_convergence_error_carries_partial_state(get_profile):
     assert len(err.value.report.krylov_iterations) == 1
     assert not err.value.report.converged
     assert err.value.field.values.shape == tuple(spec.grid.counts)
-
-
-def test_continuation_rejects_bad_schedules(get_profile):
-    prof = get_profile(1.0, 4.0, 2)
-    ansatz = AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),))
-
-    def factory(eps):
-        return single_well_problem(n=101, eps=eps)
-
-    with pytest.raises(DomainError):
-        continuation_solve(factory, [], ansatz)
-    with pytest.raises(DomainError):
-        continuation_solve(factory, [0.3, 0.3], ansatz)
-    with pytest.raises(DomainError):
-        continuation_solve(factory, [0.3, -0.2], ansatz)
 
 
 def test_mismatched_grid_rejected():
