@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import (
-    ArpackError,
-    ArpackNoConvergence,
-    LinearOperator,
-    eigsh,
-    splu,
-)
+from scipy.sparse.linalg import lobpcg
 
 from .errors import (
     DecompositionError,
@@ -50,11 +43,17 @@ from .solver import (
     NewtonConfig,
     build_ansatz,
     bump_field,
+    dirichlet_inverse,
+    dirichlet_symbol,
+    interior_operator,
     newton_solve,
 )
 
 _profile_cache: dict = {}
 _DECOMPOSE_MAX_ITER = 50
+# LOBPCG's bound on the residual norm of each M-normalized eigenpair
+_LOBPCG_TOL = 1e-8
+_LOBPCG_MAX_ITER = 1000
 
 
 def ground_state_for(v_a: float, p: float, dim: int) -> RadialProfile:
@@ -111,6 +110,8 @@ class CoercivityReport:
     unprojected_min: float
     unprojected_second: float
     translation_quotients: np.ndarray
+    # LOBPCG iterations of the unprojected and the projected eigensolve
+    lobpcg_iterations: Tuple[int, int] = (0, 0)
 
 
 def bump_translation_fields(spec: ProblemSpec, profile: RadialProfile,
@@ -324,42 +325,6 @@ def pohozaev_terms(spec: ProblemSpec, u: ScalarField, center,
                           residual=residual)
 
 
-def localized_moment(spec: ProblemSpec, dec: BumpDecomposition,
-                     well_index: int, direction: int,
-                     ball_radius: Optional[float] = None,
-                     resolution: int = 32) -> float:
-    """Moment of U^2 against the potential's local gradient shape.
-
-    Integrates |eps y + x_j - a_j|^(m-2) (eps y_i + (x_j - a_j)_i) U^2(|y|)
-    over the ball |y| <= d/eps, by nesting the unit-sphere rule inside the
-    profile's own radial nodes.
-    """
-    wells = spec.potential.wells
-    if not wells:
-        raise DomainError("localized_moment needs a potential with wells")
-    if ball_radius is None:
-        ball_radius = default_ball_radius(spec)
-    a = wells[well_index].center
-    xj = dec.centers[well_index]
-    delta = xj - a
-    m = spec.potential.exponent
-    prof = dec.profiles[well_index]
-    r_cap = min(ball_radius / spec.eps, prof.r_max)
-    mask = (prof.r_nodes > 0.0) & (prof.r_nodes <= r_cap)
-    r = prof.r_nodes[mask]
-    u2 = prof.values[mask] ** 2
-    dim = spec.grid.dim
-    unit = make_sphere_quadrature(np.zeros(dim), 1.0, resolution)
-    # y = r * omega for each radial node and unit-sphere node
-    z = spec.eps * r[:, None, None] * unit.normals[None, :, :] + delta
-    norms = np.linalg.norm(z, axis=2)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    phi = np.where(norms > 0.0,
-                   safe ** (m - 2.0) * z[:, :, direction], 0.0)
-    surface = r ** (dim - 1) * (phi @ unit.weights)
-    return float(np.trapezoid(u2 * surface, r))
-
-
 def fit_rate(samples: Sequence[Tuple[float, float]],
              abscissa: Callable = np.log) -> RateFit:
     """Least-squares line of log(value) against abscissa(eps).
@@ -394,84 +359,60 @@ def overlap_integral(spec: ProblemSpec, profile_a: RadialProfile, center_a,
                         * bump_field(spec, profile_b, cb))
 
 
-def _interior_operators(spec: ProblemSpec, weight: np.ndarray):
-    """Sparse (H, M) pair on interior nodes.
+def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):
+    """Smallest pencil eigenvalues by preconditioned LOBPCG.
 
-    H is the linearized energy Hessian -eps^2 lap + V - weight, M is the
-    energy metric -eps^2 lap + V; both under homogeneous Dirichlet.  The
-    plain-node pairing of M reproduces the energy inner product exactly
-    for boundary-zero fields, so M-orthogonality below is eps-orthogonality.
+    The seeded start block, one column per wanted eigenvalue, is the only
+    source of randomness; fixing it keeps repeated runs bit-identical.
+    Returns the eigenvalues and the iteration count (one preconditioner
+    application per iteration; LOBPCG solves tiny problems densely, in
+    none).
     """
-    grid = spec.grid
-    inner = tuple(slice(1, -1) for _ in grid.counts)
-    shape_int = tuple(n - 2 for n in grid.counts)
-    n_int = int(np.prod(shape_int))
-    e2 = spec.eps ** 2
-    lap = sparse.csr_matrix((n_int, n_int))
-    eyes = [sparse.identity(n, format="csr") for n in shape_int]
-    for axis, (n, h) in enumerate(zip(shape_int, grid.spacing)):
-        d2 = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
-                          shape=(n, n), format="csr") / h ** 2
-        pieces = eyes[:axis] + [d2] + eyes[axis + 1:]
-        term = pieces[0]
-        for piece in pieces[1:]:
-            term = sparse.kron(term, piece, format="csr")
-        lap = lap + term
-    vvals = spec.potential_values()[inner].ravel()
-    m_sp = e2 * lap + sparse.diags(vvals)
-    h_sp = m_sp - sparse.diags(weight[inner].ravel())
-    return h_sp.tocsr(), m_sp.tocsr(), inner, n_int
+    x0 = np.random.default_rng(seed).standard_normal((n_int, how_many))
+    iterations = 0
 
+    def counted(block):
+        nonlocal iterations
+        iterations += 1
+        return precond @ block
 
-def _smallest_eigs(a_op, m_sp, m_inv, n_int, how_many, seed, maxiter=5000):
-    """Smallest pencil eigenvalues by Lanczos with a seeded start vector.
-
-    The start vector is the only source of randomness; fixing it keeps
-    repeated runs bit-identical.
-    """
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n_int)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = eigsh(a_op, k=how_many, M=m_sp, Minv=m_inv,
-                               which="SA", v0=v0, maxiter=maxiter)
-    except (ArpackError, ArpackNoConvergence) as exc:
-        raise SpectralError(f"Lanczos iteration failed: {exc}") from exc
+    with warnings.catch_warnings():
+        # Non-convergence is judged below, from the pairs themselves.
+        warnings.simplefilter("ignore", UserWarning)
+        vals, vecs = lobpcg(a_op, x0, B=m_op, M=counted, tol=_LOBPCG_TOL,
+                            maxiter=_LOBPCG_MAX_ITER, largest=False)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     for i in range(how_many):
         x = vecs[:, i]
-        ax = a_op @ x
-        mx = m_sp @ x
+        ax = a_op(x)
+        mx = m_op(x)
         res = np.linalg.norm(ax - vals[i] * mx)
+        if res > _LOBPCG_TOL:
+            raise SpectralError(
+                f"LOBPCG did not converge in {iterations} iterations: "
+                f"eigenpair {i} residual {res:.2e} over {_LOBPCG_TOL:g}")
         scale = np.linalg.norm(ax) + abs(vals[i]) * np.linalg.norm(mx)
         if not np.isfinite(vals[i]) or res > 1e-6 * max(scale, 1e-30):
             raise SpectralError(
                 f"eigenpair {i} did not converge (residual {res:.2e} "
                 f"against scale {scale:.2e})")
-    return vals, vecs
+    return vals, iterations
 
 
-def _penalized_operator(h_sp, m_sp, constraints, shift):
+def _penalized_operator(h_op, m_op, constraints, shift):
     """H plus a rank-k penalty pushing span(constraints) up by shift.
 
     Eigenvectors M-orthogonal to the constraints keep their eigenvalues;
     constrained directions move near +shift, so the bottom of the spectrum
     becomes the constrained minimum.
     """
-    my = m_sp @ constraints
-    gram = constraints.T @ my
-    gram_inv = np.linalg.inv(gram)
-
-    def mv(x):
-        return h_sp @ x + shift * (my @ (gram_inv @ (my.T @ x)))
-
-    return LinearOperator(h_sp.shape, matvec=mv, dtype=float)
+    my = m_op(constraints)
+    gram_inv = np.linalg.inv(constraints.T @ my)
+    return lambda x: h_op(x) + shift * (my @ (gram_inv @ (my.T @ x)))
 
 
-def coercivity_estimate(spec: ProblemSpec, u: ScalarField,
-                        dec: BumpDecomposition,
+def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
                         seed: int = 12345) -> CoercivityReport:
     """Smallest Rayleigh quotients of the linearized energy Hessian.
 
@@ -479,18 +420,29 @@ def coercivity_estimate(spec: ProblemSpec, u: ScalarField,
     over the energy-norm sphere, restricted to the complement of the bumps
     and their translation derivatives.  The restriction is enforced by a
     rank-k(N+1) penalty that lifts the constrained directions above the
-    spectrum of interest, after which a seeded Lanczos iteration reads off
-    the bottom.  Also reports the two smallest unconstrained quotients and
-    the quotients of the translation modes themselves.
+    spectrum of interest, after which a seeded LOBPCG iteration (Knyazev
+    2001) reads off the bottom.  Also reports the two smallest
+    unconstrained quotients and the quotients of the translation modes
+    themselves.
 
-    The metric solve inside Lanczos uses a sparse factorization, sized for
-    the production two-dimensional geometry (fine three-dimensional grids
-    would need more memory than this path is designed for).
+    H = -eps^2 lap_h + V - weight and the metric M = -eps^2 lap_h + V act
+    on the interior unknowns through Newton's stencil (interior_operator);
+    the plain-node pairing of M is the energy inner product for
+    boundary-zero fields, so M-orthogonality is eps-orthogonality.  LOBPCG
+    needs only products with H and M, and is preconditioned by the exact
+    DST-I inverse of -eps^2 lap_h + min V, so nothing is factorized.
     """
+    grid = spec.grid
+    inner = tuple(slice(1, -1) for _ in grid.counts)
+    e2 = spec.eps ** 2
     bumps = [bump_field(spec, prof, c)
              for prof, c in zip(dec.profiles, dec.centers)]
     weight = (spec.p - 1.0) * sum(b ** (spec.p - 2.0) for b in bumps)
-    h_sp, m_sp, inner, n_int = _interior_operators(spec, weight)
+    v_int = spec.potential_values()[inner]
+    h_op = interior_operator(v_int - weight[inner], grid.spacing, e2)
+    m_op = interior_operator(v_int, grid.spacing, e2)
+    precond = dirichlet_inverse(dirichlet_symbol(
+        v_int.shape, grid.spacing, e2, float(v_int.min())))
 
     cols = []
     trans_cols = []
@@ -505,20 +457,21 @@ def coercivity_estimate(spec: ProblemSpec, u: ScalarField,
 
     tq = []
     for col in trans_cols:
-        hq = float(col @ (h_sp @ col))
-        mq = float(col @ (m_sp @ col))
+        hq = float(col @ h_op(col))
+        mq = float(col @ m_op(col))
         tq.append(hq / mq)
 
-    # M is symmetric, so the transpose of its CSR form is its CSC form.
-    m_inv = LinearOperator(m_sp.shape, matvec=splu(m_sp.T).solve, dtype=float)
-    un_vals, _ = _smallest_eigs(h_sp, m_sp, m_inv, n_int, 2, seed)
+    un_vals, un_iters = _smallest_eigs(h_op, m_op, precond, v_int.size, 2,
+                                       seed)
     lift = 10.0 * (1.0 + abs(float(un_vals[0])))
-    pen_op = _penalized_operator(h_sp, m_sp, constraints, lift)
-    pr_vals, _ = _smallest_eigs(pen_op, m_sp, m_inv, n_int, 1, seed)
+    pen_op = _penalized_operator(h_op, m_op, constraints, lift)
+    pr_vals, pr_iters = _smallest_eigs(pen_op, m_op, precond, v_int.size, 1,
+                                       seed)
     return CoercivityReport(rho=float(pr_vals[0]),
                             unprojected_min=float(un_vals[0]),
                             unprojected_second=float(un_vals[1]),
-                            translation_quotients=np.array(tq))
+                            translation_quotients=np.array(tq),
+                            lobpcg_iterations=(un_iters, pr_iters))
 
 
 @dataclass(frozen=True)

@@ -293,7 +293,7 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
             rel = abs(rep.residual) / scale if scale > 0.0 else 0.0
             pohozaev.append((j, direction, rep, rel))
 
-    coercivity = coercivity_estimate(spec, u, dec, seed=cfg.seed)
+    coercivity = coercivity_estimate(spec, dec, seed=cfg.seed)
 
     overlaps = {}
     for j in range(len(wells)):

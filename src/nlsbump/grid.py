@@ -94,13 +94,6 @@ def make_field(grid: TensorGrid, values) -> ScalarField:
     return ScalarField(grid=grid, values=values)
 
 
-def field_from_function(grid: TensorGrid,
-                        fn: Callable[[np.ndarray], np.ndarray]) -> ScalarField:
-    """Sample fn (taking points of shape (M, dim)) at every grid node."""
-    vals = np.asarray(fn(grid.points()), dtype=float).reshape(grid.counts)
-    return make_field(grid, vals)
-
-
 @dataclass(eq=False)
 class ProblemSpec:
     eps: float
@@ -226,11 +219,6 @@ def box_integral(grid: TensorGrid, values: np.ndarray) -> float:
     return float(np.sum(values * w) * grid.cell_volume)
 
 
-def l2_norm(grid: TensorGrid, u: ScalarField) -> float:
-    _check_same_grid(u, grid)
-    return math.sqrt(box_integral(grid, u.values ** 2))
-
-
 def eps_inner(spec: ProblemSpec, u: ScalarField, v: ScalarField) -> float:
     """Energy inner product: integral of eps^2 grad u . grad v + V u v.
 
@@ -349,15 +337,6 @@ def make_sphere_quadrature(center, radius: float,
             w_pol, np.ones(n_az)).ravel()
     return SphereQuadrature(center=center, radius=float(radius), nodes=nodes,
                             weights=weights, normals=normals)
-
-
-def sphere_surface_integral(quad: SphereQuadrature,
-                            g: Callable[[np.ndarray, np.ndarray],
-                                        np.ndarray]) -> float:
-    """Sum of weights * g(nodes, normals); g maps (M,dim),(M,dim) -> (M,)."""
-    vals = np.asarray(g(quad.nodes, quad.normals), dtype=float)
-    vals = np.broadcast_to(vals, quad.weights.shape)
-    return float(np.dot(quad.weights, vals))
 
 
 def field_values_on(f: ScalarField, points) -> np.ndarray:

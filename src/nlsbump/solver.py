@@ -19,11 +19,15 @@ validated positive, so P is SPD even where J is indefinite; that is all
 preconditioned MINRES (Paige and Saunders 1975) needs, and it still
 minimizes a residual, in the P^-1 norm, in steps that no longer grow in
 number as the grid refines.
+
+The same two pieces serve the coercivity estimate in analysis:
+interior_operator applies both its Hessian and its energy metric, and the
+DST-I inverse preconditions its LOBPCG eigensolve.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.fft import dstn
@@ -168,16 +172,45 @@ def dirichlet_symbol(shape, spacing, e2: float, c: float) -> np.ndarray:
     return symbol
 
 
+def _columnwise(coef: np.ndarray, x: np.ndarray):
+    """x (a flat vector or a block of columns) over coef's grid shape, and
+    coef shaped to scale each of its columns."""
+    tail = x.shape[1:]
+    return x.reshape(coef.shape + tail), coef.reshape(coef.shape
+                                                      + (1,) * len(tail))
+
+
 def dirichlet_inverse(symbol: np.ndarray) -> LinearOperator:
     """Exact inverse of the operator dirichlet_symbol diagonalizes."""
+    axes = tuple(range(symbol.ndim))
     inv_symbol = 1.0 / symbol
 
     def apply(flat: np.ndarray) -> np.ndarray:
-        x = dstn(flat.reshape(symbol.shape), type=1, norm="ortho")
-        return dstn(inv_symbol * x, type=1, norm="ortho").ravel()
+        v, scale = _columnwise(inv_symbol, flat)
+        x = dstn(v, type=1, norm="ortho", axes=axes)
+        return dstn(scale * x, type=1, norm="ortho",
+                    axes=axes).reshape(flat.shape)
 
     return LinearOperator((symbol.size, symbol.size), matvec=apply,
-                          dtype=float)
+                          matmat=apply, dtype=float)
+
+
+def interior_operator(diag: np.ndarray, spacing,
+                      e2: float) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> (-e2 lap_h + diag) x on the interior unknowns.
+
+    x is a flat vector or a block of columns over diag's grid shape; the
+    stencil's "zero outside the box" is the Dirichlet ring.
+    """
+    def apply(x: np.ndarray) -> np.ndarray:
+        # LOBPCG solves tiny problems densely, from an integer identity
+        x = np.asarray(x, dtype=float)
+        v, d = _columnwise(diag, x)
+        out = neg_weighted_laplacian(v, spacing, e2)
+        out += d * v
+        return out.reshape(x.shape)
+
+    return apply
 
 
 def newton_solve(spec: ProblemSpec, u0: ScalarField,
@@ -271,16 +304,12 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
 
         accepted = False
         for _ in range(cfg.max_regularizations):
-            # The stencil's "zero outside the box" is the Dirichlet ring.
             shift = lam
-            diag = base_diag + shift
+            apply_j = interior_operator(base_diag + shift, grid.spacing, e2)
 
             def matvec(flat: np.ndarray) -> np.ndarray:
                 krylov_iterations[-1] += 1
-                v = flat.reshape(v_int.shape)
-                out = neg_weighted_laplacian(v, grid.spacing, e2)
-                out += diag * v
-                return out.ravel()
+                return apply_j(flat)
 
             op = LinearOperator((v_int.size,) * 2, matvec=matvec, dtype=float)
             rhs = -res[inner].ravel()

@@ -9,22 +9,23 @@ amplitudes, and remainders are known by construction.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nlsbump.analysis
 import nlsbump.solver
 from nlsbump.analysis import (AnsatzTweak, BumpDecomposition, bump_field,
                               bump_hessian_pairings, bump_translation_fields,
-                              coercivity_estimate, decompose,
-                              default_ball_radius, fit_rate, localized_moment,
+                              coercivity_estimate, decompose, fit_rate,
                               overlap_integral, pohozaev_terms,
                               uniqueness_probe)
-from nlsbump.errors import ConsistencyError, DomainError, GeometryError
+from nlsbump.errors import (ConsistencyError, DomainError, GeometryError,
+                            SpectralError)
 from nlsbump.grid import (eps_inner, eps_norm, make_field, make_grid,
                           make_problem)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
 from nlsbump.solver import (AnsatzSpec, BumpSpec, NewtonConfig, build_ansatz,
-                            newton_solve)
+                            interior_operator, newton_solve)
 
 WELLS = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
          WellSpec(center=np.array([1.0, 0.0]), depth=1.21, coeff=1.0)]
@@ -313,71 +314,6 @@ def test_flux_ball_validation(well_case):
         pohozaev_terms(spec, u, BALL_CENTER, 0.8, 2)
 
 
-# --- localized moment ---
-
-def hand_decomposition(profiles, centers):
-    k = len(profiles)
-    return BumpDecomposition(
-        centers=np.asarray(centers, dtype=float),
-        amplitudes=np.zeros(k), remainder_w=None, remainder_v=None,
-        w_norm=0.0, v_norm=0.0, projection_residuals=np.zeros(3 * k),
-        profiles=tuple(profiles))
-
-
-def test_moment_vanishes_at_the_well_center(get_profile):
-    spec = double_well_problem(eps=0.1, counts=(61, 47))
-    profs = (get_profile(1.0, 4.0, 2), get_profile(1.21, 4.0, 2))
-    dec = hand_decomposition(profs, [w.center for w in WELLS])
-    assert abs(localized_moment(spec, dec, 0, 0)) <= 1e-14
-
-
-def test_moment_reduces_to_offset_identity_at_quadratic_wells(get_profile):
-    # at exponent 2 the weight is constant and the odd part integrates
-    # away, leaving offset * integral of U^2; eps = 0.1 puts the ball cap
-    # at 10 bump widths so full-range radial quadrature is a valid oracle
-    spec = double_well_problem(eps=0.1, counts=(61, 47))
-    u1 = get_profile(1.0, 4.0, 2)
-    offset = 0.02
-    dec = hand_decomposition((u1, get_profile(1.21, 4.0, 2)),
-                             [WELLS[0].center + np.array([offset, 0.0]),
-                              WELLS[1].center])
-    mom = localized_moment(spec, dec, 0, 0)
-    target = offset * radial_integral(u1, lambda v: v ** 2)
-    # measured: 8.8e-8 relative
-    assert abs(mom - target) <= 1e-6 * abs(target)
-
-
-def test_moment_matches_dense_quadrature_at_cubic_wells(get_profile):
-    spec = double_well_problem(eps=0.25, counts=(61, 47), exponent=3.0)
-    u1 = get_profile(1.0, 4.0, 2)
-    delta = np.array([0.05, -0.02])
-    dec = hand_decomposition((u1, get_profile(1.21, 4.0, 2)),
-                             [WELLS[0].center + delta, WELLS[1].center])
-    mom = localized_moment(spec, dec, 0, 0)
-
-    cap = default_ball_radius(spec) / spec.eps
-    ax = np.linspace(-cap, cap, 1601)
-    h = ax[1] - ax[0]
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    rr = np.hypot(gx, gy)
-    uu = eval_profile(u1, rr.ravel()).reshape(rr.shape)
-    z0 = spec.eps * gx + delta[0]
-    z1 = spec.eps * gy + delta[1]
-    integrand = np.where(rr <= cap,
-                         np.hypot(z0, z1) * z0 * uu ** 2, 0.0)
-    oracle = float(np.trapezoid(np.trapezoid(integrand, dx=h, axis=1),
-                                dx=h))
-    # measured: 5.2e-7 relative; three digits is the contract
-    assert abs(mom - oracle) <= 1e-3 * abs(oracle)
-
-
-def test_moment_requires_wells(get_profile):
-    spec = const_problem(61)
-    dec = hand_decomposition((get_profile(1.0, 4.0, 2),), [np.zeros(2)])
-    with pytest.raises(DomainError, match="wells"):
-        localized_moment(spec, dec, 0, 0)
-
-
 # --- rate fitting ---
 
 def test_rate_fit_is_exact_on_pure_power_laws():
@@ -469,7 +405,7 @@ def test_hessian_spectrum_matches_the_radial_pencil(get_profile,
     u, rep = newton_solve(spec, u0)
     assert rep.converged
     dec = decompose(spec, u, np.zeros((1, 2)), profiles=(prof,))
-    co = coercivity_estimate(spec, u, dec)
+    co = coercivity_estimate(spec, dec)
 
     l0 = pencil_oracle(1.0, 4.0, 2, 0)
     l1 = pencil_oracle(1.0, 4.0, 2, 1)
@@ -497,12 +433,86 @@ def test_hessian_spectrum_matches_the_radial_pencil(get_profile,
 
 
 def test_projected_coercivity_positive_at_a_flat_well(well_case):
-    spec, _, u, dec = well_case
-    co = coercivity_estimate(spec, u, dec)
+    spec, _, _, dec = well_case
+    co = coercivity_estimate(spec, dec)
     # measured: rho 0.4154, one negative unprojected direction
     assert co.unprojected_min < 0.0
     assert 0.3 <= co.rho <= 0.5
     assert np.abs(co.translation_quotients).max() <= 0.05
+    # preconditioned by the DST-I inverse, neither eigensolve needs many
+    # steps on this 159 x 159 interior; measured 15 and 43
+    unprojected, projected = co.lobpcg_iterations
+    assert 1 <= unprojected <= 30
+    assert 1 <= projected <= 90
+
+
+def hand_decomposition(profiles, centers):
+    k = len(profiles)
+    dim = np.shape(centers)[1]
+    return BumpDecomposition(
+        centers=np.asarray(centers, dtype=float),
+        amplitudes=np.zeros(k), remainder_w=None, remainder_v=None,
+        w_norm=0.0, v_norm=0.0,
+        projection_residuals=np.zeros((dim + 1) * k),
+        profiles=tuple(profiles))
+
+
+def smallest_one_dimensional_problem():
+    # h = eps and 8 nodes, the fewest make_grid accepts: 6 interior
+    # unknowns, fewer than LOBPCG iterates on for a block of 2
+    well = WellSpec(center=np.zeros(1), depth=4.0, coeff=1.0)
+    pot = make_multiwell([well], exponent=2.0, patch_radius=0.05)
+    grid = make_grid(lo=[-1.4], hi=[1.4], counts=[8])
+    return make_problem(eps=0.4, p=4.0, potential=pot, grid=grid)
+
+
+@pytest.mark.parametrize("case", ["well-2d", "smallest-1d"])
+def test_coercivity_matches_dense_pencils(case, get_profile):
+    if case == "well-2d":
+        spec = single_well_problem(n=21)  # 19 x 19 interior unknowns
+        prof = get_profile(1.0, 4.0, 2)
+    else:
+        spec = smallest_one_dimensional_problem()
+        prof = get_profile(4.0, 4.0, 1)
+    center = np.zeros(spec.grid.dim)
+    co = coercivity_estimate(spec, hand_decomposition((prof,), [center]))
+
+    # the same pencils, assembled densely from the shared stencil
+    inner = tuple(slice(1, -1) for _ in spec.grid.counts)
+    v_int = spec.potential_values()[inner]
+    bump = bump_field(spec, prof, center)
+    weight = (spec.p - 1.0) * bump ** (spec.p - 2.0)
+    eye = np.eye(v_int.size)
+    e2 = spec.eps ** 2
+    h_mat = interior_operator(v_int - weight[inner], spec.grid.spacing,
+                              e2)(eye)
+    m_mat = interior_operator(v_int, spec.grid.spacing, e2)(eye)
+    unprojected = scipy.linalg.eigh(h_mat, m_mat, eigvals_only=True)
+    cons = np.stack([bump[inner].ravel()] + [
+        t[inner].ravel()
+        for t in bump_translation_fields(spec, prof, center)], axis=1)
+    my = m_mat @ cons
+    lift = 10.0 * (1.0 + abs(unprojected[0]))
+    pen = h_mat + lift * my @ np.linalg.solve(cons.T @ my, my.T)
+    projected = scipy.linalg.eigh(pen, m_mat, eigvals_only=True)
+
+    def rel(a, b):
+        return abs(a - b) / abs(b)
+
+    # measured: at most 5.9e-14
+    assert rel(co.unprojected_min, unprojected[0]) <= 1e-9
+    assert rel(co.unprojected_second, unprojected[1]) <= 1e-9
+    assert rel(co.rho, projected[0]) <= 1e-9
+    if case == "smallest-1d":
+        # LOBPCG solves the 2-vector problem densely (no iterations)
+        assert co.lobpcg_iterations[0] == 0
+
+
+def test_lobpcg_iteration_cap_is_a_spectral_error(well_case, monkeypatch):
+    spec, _, _, dec = well_case
+    monkeypatch.setattr(nlsbump.analysis, "_LOBPCG_MAX_ITER", 1)
+    with pytest.raises(SpectralError, match="LOBPCG did not converge"):
+        coercivity_estimate(spec, dec)
 
 
 # --- uniqueness probe ---

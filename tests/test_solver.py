@@ -14,9 +14,9 @@ from nlsbump.errors import ConsistencyError, ConvergenceError, DomainError, \
 from nlsbump.grid import (apply_linear, make_field, make_grid, make_problem,
                           pde_residual)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
-from nlsbump.analysis import _interior_operators
 from nlsbump.solver import (AnsatzSpec, BumpSpec, NewtonConfig, build_ansatz,
-                            dirichlet_inverse, dirichlet_symbol, newton_solve)
+                            dirichlet_inverse, dirichlet_symbol,
+                            interior_operator, newton_solve)
 
 
 def const_problem_1d(n, eps=1.0):
@@ -228,13 +228,14 @@ def test_dirichlet_inverse_inverts_constant_potential_metric(counts, eps):
                      counts=list(counts))
     spec = make_problem(eps=eps, p=4.0,
                         potential=constant_potential(1.7, dim), grid=grid)
-    _, m_sp, _, n_int = _interior_operators(spec, np.zeros(grid.counts))
-    symbol = dirichlet_symbol(tuple(n - 2 for n in counts), grid.spacing,
-                              eps ** 2, 1.7)
-    assert symbol.size == n_int
+    inner = tuple(slice(1, -1) for _ in counts)
+    v_int = spec.potential_values()[inner]
+    eye = np.eye(v_int.size)
+    metric = interior_operator(v_int, grid.spacing, eps ** 2)(eye)
+    symbol = dirichlet_symbol(v_int.shape, grid.spacing, eps ** 2, 1.7)
     assert np.all(symbol > 0.0)
-    product = dirichlet_inverse(symbol) @ m_sp.toarray()
-    assert np.abs(product - np.eye(n_int)).max() <= 1e-12
+    product = dirichlet_inverse(symbol) @ metric
+    assert np.abs(product - eye).max() <= 1e-12
 
 
 def test_build_ansatz_validates_center_and_floor(get_profile):
