@@ -197,9 +197,11 @@ def cmd_groundstate(args) -> int:
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"profile_va{args.va:g}_p{args.p:g}_dim{args.dim}.csv"
-    rows = [_row(r, u, du) for r, u, du in
-            zip(profile.r_nodes, profile.values, profile.dvalues)]
-    _write_csv(path, ["r", "u", "du"], rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("r,u,du\n")
+        fh.writelines(f"{r:.17g},{u:.17g},{du:.17g}\n" for r, u, du in zip(
+            profile.r_nodes.tolist(), profile.values.tolist(),
+            profile.dvalues.tolist()))
 
     print(f"u(0) = {profile.values[0]:.6f}")
     print(f"decay_rate = {profile.decay_rate:.6f}")

@@ -11,7 +11,8 @@ from a series start at r = h.  It stops after the first step that ends
 with u below a floor or u' > 0, and records the nodes only when it is
 handed arrays.  A bisection trial marches without arrays to a low floor
 and is classified from the state it ends in; the final table marches with
-arrays to a higher floor, where the analytic tail takes over.
+arrays to a higher floor, where the analytic tail takes over.  A finer
+step reuses u(0); it is bisected again only at the step whose table is kept.
 
 Because the connecting orbit is exponentially unstable, the final table is
 genuine integration out to a switch radius and an analytic exponential tail
@@ -49,8 +50,9 @@ class ShootingConfig:
     """Knobs for the shooting solve.
 
     r_max and ode_step default to None, which means: pick r_max as
-    10/sqrt(v_a) + 10 and start from step 1e-3/max(1, sqrt(v_a)), halving it
-    until the finite-difference residual of the table meets the target.  An
+    10/sqrt(v_a) + 10 and start from step 1e-3/max(1, sqrt(v_a)), shrinking
+    it until the finite-difference residual of the table meets the target;
+    u(0) is carried across and bisected again only at the kept step.  An
     explicit ode_step is honored exactly (no refinement), which is what the
     step-halving convergence tests rely on.
     """
@@ -249,6 +251,9 @@ def solve_ground_state(v_a: float, p: float, dim: int,
                        ) -> RadialProfile:
     """Shoot for the positive decreasing radial ground state.
 
+    A finer step is tried with the carried u(0), which is bisected again
+    (and the table rebuilt) once that step's table passes or breaks down.
+
     Raises DomainError for unsupported (v_a, p, dim), BracketError when the
     bracket fails to straddle, and ConvergenceError when bisection or the
     table construction cannot meet tolerance.
@@ -317,8 +322,20 @@ def solve_ground_state(v_a: float, p: float, dim: int,
     lo, hi = bisect(min(lo, hi) - pad, max(lo, hi) + pad, h, cfg.bisect_tol)
     c = 0.5 * (lo + hi)
 
-    h_min = h / 64.0
-    for round_ in range(5):
+    def pin(c, step):
+        # u(0) moves by O(h^4), so a slim pad almost always straddles.
+        for pad in (1e-7 * c, 1e-5 * c, 1e-3 * c):
+            try:
+                lo, hi = bisect(c - pad, c + pad, step, cfg.bisect_tol)
+                return 0.5 * (lo + hi)
+            except BracketError:
+                continue
+        raise BracketError(
+            "could not re-bracket the shooting value after step refinement")
+
+    # pinned: c was bisected at the current step h.
+    h_min, pinned, round_ = h / 64.0, True, 0
+    while True:
         n_nodes = int(round(r_max / h)) + 1
         r_nodes = np.arange(n_nodes) * h
         values, dvalues = np.empty(n_nodes), np.empty(n_nodes)
@@ -328,31 +345,28 @@ def solve_ground_state(v_a: float, p: float, dim: int,
         # i_stop: the first node no longer trusted (u fell below the floor,
         # crossed zero or turned upward), or n_nodes if none stopped it.
         i_stop = i if u < floor or d > 0.0 else n_nodes
-        _attach_tail(r_nodes, values, dvalues, i_stop, v_a, dim)
+        try:
+            _attach_tail(r_nodes, values, dvalues, i_stop, v_a, dim)
+        except ConvergenceError:
+            if pinned:
+                raise
+            c, pinned = pin(c, h), True
+            continue
         res = float(np.max(np.abs(profile_ode_residual(
             r_nodes, values, v_a, p, dim))))
         target = _RESIDUAL_TARGET * values[0]
         if not auto_step or res <= 0.8 * target:
-            break
+            if pinned:
+                break
+            c, pinned = pin(c, h), True
+            continue
         if round_ == 4 or h <= h_min:
             raise ConvergenceError(
                 f"table residual {res:.3g} still over target {target:.3g} "
                 f"at ode_step {h:.3g}; auto refinement exhausted")
         shrink = 2 ** int(math.ceil(math.log2(math.sqrt(res / (0.5 * target)))))
-        h /= min(16, max(2, shrink))
-        h = max(h, h_min)
-        # Re-pin u(0) against the finer step; the connecting value moves by
-        # O(h^4) so a slim pad almost always straddles, but widen if not.
-        for pad in (1e-7 * c, 1e-5 * c, 1e-3 * c):
-            try:
-                lo, hi = bisect(c - pad, c + pad, h, cfg.bisect_tol)
-                break
-            except BracketError:
-                continue
-        else:
-            raise BracketError(
-                "could not re-bracket the shooting value after step refinement")
-        c = 0.5 * (lo + hi)
+        h = max(h / min(16, max(2, shrink)), h_min)
+        pinned, round_ = False, round_ + 1
 
     if np.any(values <= 0.0) or np.any(np.diff(values) >= 0.0):
         raise ConvergenceError(
@@ -420,34 +434,28 @@ def eval_profile(profile: RadialProfile, r) -> np.ndarray:
     the exponential tail C exp(-decay_rate r) r^(-(dim-1)/2) matched
     continuously at r_max.
     """
+    return _evaluate(profile, r, 0, lambda ro: _tail_values(profile, ro))
+
+
+def eval_profile_deriv(profile: RadialProfile, r) -> np.ndarray:
+    """Evaluate U' at radii r >= 0 (scalar or array)."""
+    beta = (profile.dim - 1) / 2.0
+    return _evaluate(profile, r, 1, lambda ro: -(
+        profile.decay_rate + beta / ro) * _tail_values(profile, ro))
+
+
+def _evaluate(profile: RadialProfile, r, which: int, tail) -> np.ndarray:
+    """Interpolant `which` (0: U, 1: U') inside [0, r_max], tail beyond."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
         raise DomainError("radii must be nonnegative")
-    spline, _ = profile._interpolants()
+    spline = profile._interpolants()[which]
     out = np.empty(r_arr.shape, dtype=float)
     inside = r_arr <= profile.r_max
     if np.any(inside):
         out[inside] = spline(r_arr[inside])
     if not np.all(inside):
-        out[~inside] = _tail_values(profile, r_arr[~inside])
-    return out if out.shape else out[()]
-
-
-def eval_profile_deriv(profile: RadialProfile, r) -> np.ndarray:
-    """Evaluate U' at radii r >= 0 (scalar or array)."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0):
-        raise DomainError("radii must be nonnegative")
-    _, dspline = profile._interpolants()
-    out = np.empty(r_arr.shape, dtype=float)
-    inside = r_arr <= profile.r_max
-    if np.any(inside):
-        out[inside] = dspline(r_arr[inside])
-    if not np.all(inside):
-        ro = r_arr[~inside]
-        beta = (profile.dim - 1) / 2.0
-        out[~inside] = -(profile.decay_rate + beta / ro) * _tail_values(
-            profile, ro)
+        out[~inside] = tail(r_arr[~inside])
     return out if out.shape else out[()]
 
 

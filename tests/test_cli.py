@@ -10,9 +10,10 @@ import pytest
 
 import nlsbump.analysis
 import nlsbump.cli
-from nlsbump.cli import _base_ansatz, main
+from nlsbump.cli import _base_ansatz, _row, _write_csv, main
 from nlsbump.config import load_config, problem_at
 from nlsbump.fieldio import read_field
+from nlsbump.radial import RadialProfile
 from nlsbump.solver import build_ansatz, newton_solve
 
 SMOKE = """
@@ -74,6 +75,44 @@ def test_groundstate_prints_the_closed_form_peak(tmp_path, capsys):
     table = read_rows(tmp_path / "profile_va1_p4_dim1.csv")
     assert set(table[0]) == {"r", "u", "du"}
     assert float(table[0]["u"]) == pytest.approx(2.0 ** 0.5, abs=1e-6)
+
+
+def write_reference_table(path: Path, profile) -> None:
+    """The profile table as the generic CSV writer prints it."""
+    rows = [_row(r, u, du) for r, u, du in
+            zip(profile.r_nodes, profile.values, profile.dvalues)]
+    _write_csv(path, ["r", "u", "du"], rows)
+
+
+def test_groundstate_table_matches_the_csv_writer(get_profile, tmp_path,
+                                                  capsys):
+    assert main(["groundstate", "--va", "1", "--p", "4", "--dim", "1",
+                 "--out", str(tmp_path)]) == 0
+    write_reference_table(tmp_path / "ref.csv", get_profile(1.0, 4.0, 1))
+    assert ((tmp_path / "profile_va1_p4_dim1.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_groundstate_table_prints_edge_floats_like_the_csv_writer(
+        tmp_path, monkeypatch, capsys):
+    # Signed zero, the smallest subnormal, a tiny normal and integer-valued
+    # floats; the residual check only needs the first two radii distinct.
+    synthetic = RadialProfile(
+        v_a=1.0, p=4.0, dim=1,
+        r_nodes=np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+        values=np.array([2.0, -0.0, 5e-324, 1e-300, 1.0]),
+        dvalues=np.array([-0.0, 5e-324, -1e-300, 12345678.0, -3.0]),
+        decay_rate=1.0)
+    monkeypatch.setattr(nlsbump.cli, "solve_ground_state",
+                        lambda *args: synthetic)
+    assert main(["groundstate", "--va", "1", "--p", "4", "--dim", "1",
+                 "--out", str(tmp_path)]) == 0
+    write_reference_table(tmp_path / "ref.csv", synthetic)
+    table = (tmp_path / "profile_va1_p4_dim1.csv").read_bytes()
+    assert table == (tmp_path / "ref.csv").read_bytes()
+    assert table == (b"r,u,du\n0,2,-0\n1,-0,4.9406564584124654e-324\n"
+                     b"2,4.9406564584124654e-324,-1e-300\n"
+                     b"3,1e-300,12345678\n4,1,-3\n")
 
 
 def test_groundstate_decay_rate_near_one_in_dim3(tmp_path, capsys):

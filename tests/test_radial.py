@@ -9,6 +9,7 @@ test re-derives that formula numerically by substitution, so everything
 downstream leans on a verified oracle rather than on trust.
 """
 
+import collections
 import math
 import time
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlsbump.radial
 from nlsbump.errors import BracketError, ConvergenceError, DomainError
 from nlsbump.radial import (RadialProfile, ShootingConfig, decay_rate,
                             eval_profile, eval_profile_deriv, ode_residual,
@@ -210,3 +212,62 @@ def test_decay_window_errors(get_profile):
         decay_rate(prof, (6.0, 6.0005))
     with pytest.raises(DomainError):
         eval_profile(prof, -0.5)
+
+
+def count_trials(monkeypatch):
+    """Count _classify calls (bisection trials) per step size."""
+    counts = collections.Counter()
+    classify = nlsbump.radial._classify
+
+    def counted(c, v_a, p, dim, h, r_max):
+        counts[h] += 1
+        return classify(c, v_a, p, dim, h, r_max)
+
+    monkeypatch.setattr(nlsbump.radial, "_classify", counted)
+    return counts
+
+
+def test_refinement_bisects_only_at_the_kept_step(monkeypatch):
+    # (1,5,3) fails its residual target at every step down to h_min; the
+    # refined steps are judged with the u(0) carried from h = 1e-3, so no
+    # trial runs at 6.25e-5 or 1.5625e-5 and the message is unchanged.
+    counts = count_trials(monkeypatch)
+    with pytest.raises(ConvergenceError) as info:
+        solve_ground_state(1.0, 5.0, 3)
+    assert str(info.value) == (
+        "table residual 1.2e-05 still over target 5.22e-06 at ode_step "
+        "1.56e-05; auto refinement exhausted")
+    assert dict(counts) == {8e-3: 18, 1e-3: 37}
+
+
+def test_refinement_pins_the_kept_step_once(monkeypatch):
+    # (1,4,2) refines once; u(0) is bisected at the kept step 2.5e-4 from
+    # the same bracket around the carried value as when every step was
+    # bisected.
+    counts = count_trials(monkeypatch)
+    prof = solve_ground_state(1.0, 4.0, 2)
+    assert dict(counts) == {8e-3: 18, 1e-3: 37, 2.5e-4: 25}
+    assert prof.r_nodes[1] == 2.5e-4
+
+
+def test_carried_table_breakdown_pins_and_rebuilds(get_profile, monkeypatch):
+    # A carried u(0) whose table breaks down before the tail hand-off is
+    # bisected at that step and the table rebuilt: the result is the
+    # table of an undisturbed solve, bit for bit.
+    ref = get_profile(1.0, 4.0, 2)
+    attach = nlsbump.radial._attach_tail
+    steps = []
+
+    def breaks_once(r_nodes, *args):
+        steps.append(r_nodes[1])
+        if steps == [1e-3, 2.5e-4]:
+            raise ConvergenceError("broke down")
+        return attach(r_nodes, *args)
+
+    monkeypatch.setattr(nlsbump.radial, "_attach_tail", breaks_once)
+    counts = count_trials(monkeypatch)
+    prof = solve_ground_state(1.0, 4.0, 2)
+    assert steps == [1e-3, 2.5e-4, 2.5e-4]
+    assert dict(counts) == {8e-3: 18, 1e-3: 37, 2.5e-4: 25}
+    assert prof.values.tobytes() == ref.values.tobytes()
+    assert prof.dvalues.tobytes() == ref.dvalues.tobytes()
