@@ -3,7 +3,8 @@
 Subcommands
 -----------
 groundstate   solve the radial profile for one (v_a, p, dim), write it as
-              a CSV table (r, u, du), print a three-line summary.
+              a CSV table (r, u, du), streamed in blocks of rows, and
+              print a summary (u(0), decay rate, residual sup norm).
 solve         solve each eps from the ansatz, in schedule order; a failure
               ends the sweep.  One field file per solved eps, solve.csv.
 analyze       load the persisted fields, run the bump decomposition, the
@@ -39,11 +40,13 @@ locale), booleans as true/false, rows in schedule order; reruns of the
 same config produce byte-identical files.  Recorded per-item failures
 leave their numeric columns empty and put a message in the error column.
 
-Exit codes: 0 success; 2 configuration or usage; 3 domain or geometry;
-4 iteration failure (also: any sweep row that records a failure);
-5 malformed field file.  analyze and uniqueness run their eps on a thread
-pool sized by --jobs (default: the NLSB_THREADS environment variable, then
-1; --jobs does not apply to solve); rows are written in schedule order.
+Exit codes: 0 success; 2 configuration or usage (non-finite config
+numbers too); 3 domain or geometry (also: bad groundstate arguments,
+non-finite ones too); 4 iteration failure (also: any sweep row that
+records a failure); 5 malformed field file.  analyze and uniqueness run
+their eps on a thread pool sized by --jobs (default: the NLSB_THREADS
+environment variable, then 1; --jobs does not apply to solve); rows are
+written in schedule order.
 """
 
 import argparse
@@ -85,7 +88,8 @@ from .errors import (
     SpectralError,
 )
 from .fieldio import read_field, write_field
-from .radial import ShootingConfig, ode_residual, solve_ground_state
+from .radial import (TABLE_BLOCK, ShootingConfig, ode_residual,
+                     solve_ground_state)
 from .solver import AnsatzSpec, BumpSpec, build_ansatz, newton_solve
 
 EXIT_OK = 0
@@ -192,16 +196,19 @@ def cmd_groundstate(args) -> int:
     if args.tol is not None:
         shoot = ShootingConfig(r_max=shoot.r_max, bisect_tol=args.tol)
     profile = solve_ground_state(args.va, args.p, args.dim, shoot)
-    residual = float(np.abs(ode_residual(profile)).max())
+    residual = ode_residual(profile)
 
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"profile_va{args.va:g}_p{args.p:g}_dim{args.dim}.csv"
     with open(path, "w", newline="") as fh:
         fh.write("r,u,du\n")
-        fh.writelines(f"{r:.17g},{u:.17g},{du:.17g}\n" for r, u, du in zip(
-            profile.r_nodes.tolist(), profile.values.tolist(),
-            profile.dvalues.tolist()))
+        for s in range(0, len(profile.values), TABLE_BLOCK):
+            block = slice(s, s + TABLE_BLOCK)
+            fh.writelines(f"{r:.17g},{u:.17g},{du:.17g}\n" for r, u, du in zip(
+                profile.r_nodes[block].tolist(),
+                profile.values[block].tolist(),
+                profile.dvalues[block].tolist()))
 
     print(f"u(0) = {profile.values[0]:.6f}")
     print(f"decay_rate = {profile.decay_rate:.6f}")

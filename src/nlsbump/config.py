@@ -8,10 +8,12 @@ The format is line-oriented ``key = value`` with dotted section prefixes,
     schedule.eps = 0.4 0.3 0.25
 
 Floats serialize with 17 significant digits, so parse -> serialize ->
-parse is the identity.  Every violation of a module precondition is
-reported as a ConfigError naming the offending line or field.
+parse is the identity.  A number that is not finite (nan, inf) is
+rejected.  Every violation of a module precondition is reported as a
+ConfigError naming the offending line or field.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
@@ -56,9 +58,12 @@ def _fmt_vec(xs) -> str:
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, where: str) -> int:

@@ -17,6 +17,11 @@ step reuses u(0); it is bisected again only at the step whose table is kept.
 Because the connecting orbit is exponentially unstable, the final table is
 genuine integration out to a switch radius and an analytic exponential tail
 beyond it, joined with matching value and derivative.
+
+A table reaches about 1.3M nodes at the finest auto step, so every
+full-length pass over it (the tail, the residual check, the CSV writer)
+works on TABLE_BLOCK nodes at a time: the transient memory is a few blocks
+instead of several table lengths, and every node gets the same arithmetic.
 """
 
 from dataclasses import dataclass
@@ -43,6 +48,7 @@ _TURN_RATIO = 1e-6
 _TAIL_RATIO = 1e-5
 _RESIDUAL_TARGET = 1e-6  # relative to max(values), drives auto step refinement
 _OVERSHOOT, _UNDERSHOOT = 1, -1
+TABLE_BLOCK = 1 << 16  # nodes per block of every full pass over a table
 
 
 @dataclass
@@ -230,12 +236,11 @@ def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
         raise ConvergenceError(
             "tail hand-off slope is incompatible with exponential decay "
             f"near rate sqrt(v_a) = {kappa:.4g}") from exc
-    tail_r = r_nodes[i_sw:]
-    shape = _linear_tail_values(dim, kappa_t, tail_r)
-    scale = u_s / shape[0]
-    values[i_sw:] = scale * shape
-    dvalues[i_sw:] = values[i_sw:] * _linear_tail_logderiv(dim, kappa_t,
-                                                           tail_r)
+    scale = u_s / _linear_tail_values(dim, kappa_t, r_nodes[i_sw:i_sw + 1])[0]
+    for s in range(i_sw, len(values), TABLE_BLOCK):
+        r, u = r_nodes[s:s + TABLE_BLOCK], values[s:s + TABLE_BLOCK]
+        np.multiply(scale, _linear_tail_values(dim, kappa_t, r), out=u)
+        dvalues[s:s + TABLE_BLOCK] = u * _linear_tail_logderiv(dim, kappa_t, r)
     return kappa_t
 
 
@@ -254,9 +259,9 @@ def solve_ground_state(v_a: float, p: float, dim: int,
     A finer step is tried with the carried u(0), which is bisected again
     (and the table rebuilt) once that step's table passes or breaks down.
 
-    Raises DomainError for unsupported (v_a, p, dim), BracketError when the
-    bracket fails to straddle, and ConvergenceError when bisection or the
-    table construction cannot meet tolerance.
+    Raises DomainError for unsupported or non-finite inputs, BracketError
+    when the bracket fails to straddle, and ConvergenceError when bisection
+    or the table construction cannot meet tolerance.
     """
     if dim not in (1, 2, 3):
         raise DomainError(f"dim must be 1, 2, or 3, got {dim}")
@@ -269,6 +274,9 @@ def solve_ground_state(v_a: float, p: float, dim: int,
             f"p = {p} is supercritical in dim 3 (needs p < 6); no ground "
             "state exists")
     cfg = config if config is not None else ShootingConfig()
+    for name, value in dict(vars(cfg), v_a=v_a, p=p).items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     kappa = math.sqrt(v_a)
     r_max = cfg.r_max if cfg.r_max is not None else 10.0 / kappa + 10.0
     if r_max <= 0.0:
@@ -337,7 +345,8 @@ def solve_ground_state(v_a: float, p: float, dim: int,
     h_min, pinned, round_ = h / 64.0, True, 0
     while True:
         n_nodes = int(round(r_max / h)) + 1
-        r_nodes = np.arange(n_nodes) * h
+        r_nodes = np.arange(n_nodes, dtype=float)
+        r_nodes *= h
         values, dvalues = np.empty(n_nodes), np.empty(n_nodes)
         floor = _TAIL_RATIO * c
         u, d, _, i = _march(c, v_a, p, dim, h, n_nodes - 2, floor, values,
@@ -352,8 +361,7 @@ def solve_ground_state(v_a: float, p: float, dim: int,
                 raise
             c, pinned = pin(c, h), True
             continue
-        res = float(np.max(np.abs(profile_ode_residual(
-            r_nodes, values, v_a, p, dim))))
+        res = profile_ode_residual(r_nodes, values, v_a, p, dim)
         target = _RESIDUAL_TARGET * values[0]
         if not auto_step or res <= 0.8 * target:
             if pinned:
@@ -368,7 +376,7 @@ def solve_ground_state(v_a: float, p: float, dim: int,
         h = max(h / min(16, max(2, shrink)), h_min)
         pinned, round_ = False, round_ + 1
 
-    if np.any(values <= 0.0) or np.any(np.diff(values) >= 0.0):
+    if np.any(values <= 0.0) or np.any(values[1:] >= values[:-1]):
         raise ConvergenceError(
             "profile is not strictly positive and decreasing; shooting "
             "tolerance too loose for this (v_a, p, dim)")
@@ -380,19 +388,29 @@ def solve_ground_state(v_a: float, p: float, dim: int,
 
 
 def profile_ode_residual(r_nodes: np.ndarray, values: np.ndarray,
-                         v_a: float, p: float, dim: int) -> np.ndarray:
-    """Central-difference residual of the radial ODE at interior nodes."""
+                         v_a: float, p: float, dim: int) -> float:
+    """Sup norm of the central-difference residual of the radial ODE.
+
+    Taken over the interior nodes, TABLE_BLOCK nodes at a time with a
+    one-node halo, so a long table needs no full-length temporaries; each
+    node's residual is the same arithmetic as on the whole table, so the
+    sup is too.  NaN propagates.
+    """
     h = r_nodes[1] - r_nodes[0]
-    u = values
-    lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    first = (u[2:] - u[:-2]) / (2.0 * h)
-    r = r_nodes[1:-1]
-    um = u[1:-1]
-    return lap + (dim - 1.0) / r * first - v_a * um + power_map(p)(um)
+    sup = 0.0
+    for s in range(1, len(values) - 1, TABLE_BLOCK):
+        u = values[s - 1:s + TABLE_BLOCK + 1]
+        um = u[1:-1]
+        r = r_nodes[s:s + len(um)]
+        lap = (u[2:] - 2.0 * um + u[:-2]) / (h * h)
+        first = (u[2:] - u[:-2]) / (2.0 * h)
+        res = lap + (dim - 1.0) / r * first - v_a * um + power_map(p)(um)
+        sup = np.maximum(sup, np.max(np.abs(res)))
+    return float(sup)
 
 
-def ode_residual(profile: RadialProfile) -> np.ndarray:
-    """Residual of a profile's own table (see profile_ode_residual)."""
+def ode_residual(profile: RadialProfile) -> float:
+    """Residual sup norm of a profile's own table (profile_ode_residual)."""
     return profile_ode_residual(profile.r_nodes, profile.values,
                                 profile.v_a, profile.p, profile.dim)
 

@@ -13,7 +13,7 @@ import nlsbump.cli
 from nlsbump.cli import _base_ansatz, _row, _write_csv, main
 from nlsbump.config import load_config, problem_at
 from nlsbump.fieldio import read_field
-from nlsbump.radial import RadialProfile
+from nlsbump.radial import TABLE_BLOCK, RadialProfile
 from nlsbump.solver import build_ansatz, newton_solve
 
 SMOKE = """
@@ -113,6 +113,38 @@ def test_groundstate_table_prints_edge_floats_like_the_csv_writer(
     assert table == (b"r,u,du\n0,2,-0\n1,-0,4.9406564584124654e-324\n"
                      b"2,4.9406564584124654e-324,-1e-300\n"
                      b"3,1e-300,12345678\n4,1,-3\n")
+
+
+@pytest.mark.parametrize("rows", [TABLE_BLOCK - 1, TABLE_BLOCK,
+                                  TABLE_BLOCK + 1])
+def test_groundstate_table_is_whole_across_block_edges(rows, tmp_path,
+                                                       monkeypatch, capsys):
+    # The table is written TABLE_BLOCK rows at a time: no row may be lost
+    # or repeated at a block edge.
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 9, rows)
+    values[[0, rows // 2, -1]] = [2.0, -0.0, 5e-324]
+    synthetic = RadialProfile(
+        v_a=1.0, p=4.0, dim=1, r_nodes=np.arange(rows) * 1e-3,
+        values=values, dvalues=-np.cumsum(np.abs(values)), decay_rate=1.0)
+    monkeypatch.setattr(nlsbump.cli, "solve_ground_state",
+                        lambda *args: synthetic)
+    assert main(["groundstate", "--va", "1", "--p", "4", "--dim", "1",
+                 "--out", str(tmp_path)]) == 0
+    write_reference_table(tmp_path / "ref.csv", synthetic)
+    assert ((tmp_path / "profile_va1_p4_dim1.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+@pytest.mark.parametrize("flag,value", [("--rmax", "nan"), ("--rmax", "inf"),
+                                        ("--tol", "nan"), ("--tol", "inf")])
+def test_groundstate_non_finite_arguments_are_domain_errors(
+        flag, value, tmp_path, capsys):
+    code = main(["groundstate", "--va", "1", "--p", "4", "--dim", "1",
+                 flag, value, "--out", str(tmp_path)])
+    assert code == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_groundstate_decay_rate_near_one_in_dim3(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from nlsbump.config import (ExperimentConfig, grid_for, load_config,
                             make_potential, parse_config, problem_at,
                             save_config, serialize_config)
+from nlsbump.cli import main
 from nlsbump.errors import ConfigError
 
 BENCH = """
@@ -153,6 +154,22 @@ def test_module_preconditions_enforced():
     bad(BENCH + "solver.damping = 1.5\n", "solver")
     bad(BENCH + "analysis.uniqueness_amp = 0.5\n", "basin")
     bad(BENCH + "run.output_dir =\n", "nonempty")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("schedule.eps = 0.4 0.3 0.25 0.2 0.15", "schedule.eps = 0.4 nan"),
+    ("grid.lo = -4.25 -3.25", "grid.lo = -inf -3.25"),
+    ("problem.well.1.depth = 1.21", "problem.well.1.depth = inf")])
+def test_non_finite_numbers_are_config_errors(old, new, tmp_path, capsys):
+    # These once escaped as a ValueError or OverflowError traceback, or as
+    # a radial bracket error (exit 4); they are config errors (exit 2).
+    key = new.split(" = ")[0]
+    bad(BENCH.replace(old, new), f"{key}: expected a finite number")
+    path = tmp_path / "exp.cfg"
+    path.write_text(BENCH.replace(old, new))
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_supercritical_dim3_rejected():

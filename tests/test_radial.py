@@ -12,6 +12,7 @@ downstream leans on a verified oracle rather than on trust.
 import collections
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 import nlsbump.radial
 from nlsbump.errors import BracketError, ConvergenceError, DomainError
-from nlsbump.radial import (RadialProfile, ShootingConfig, decay_rate,
-                            eval_profile, eval_profile_deriv, ode_residual,
+from nlsbump.grid import power_map
+from nlsbump.radial import (TABLE_BLOCK, RadialProfile, ShootingConfig,
+                            decay_rate, eval_profile, eval_profile_deriv,
+                            ode_residual, profile_ode_residual,
                             radial_integral, solve_ground_state)
 
 
@@ -108,8 +111,12 @@ def test_profile_invariants(get_profile, v_a, p, dim):
     assert np.all(np.diff(prof.values) < 0.0)
     assert prof.dvalues[0] == 0.0
     assert prof.r_nodes[0] == 0.0
-    res = np.max(np.abs(ode_residual(prof)))
+    res = ode_residual(prof)
     assert res <= 1e-6 * prof.values[0]
+    # The blockwise sup is the whole-table one, bit for bit; (1, 4, 2) and
+    # (2.25, 4, 3) span more than one block.
+    assert res == np.max(np.abs(reference_residual(
+        prof.r_nodes, prof.values, v_a, p, dim)))
     kappa = math.sqrt(v_a)
     assert abs(prof.decay_rate - kappa) <= 0.02 * kappa
 
@@ -118,7 +125,7 @@ def test_residual_second_order_in_step():
     res = []
     for h in (2e-3, 1e-3, 5e-4):
         prof = solve_ground_state(1.0, 4.0, 1, ShootingConfig(ode_step=h))
-        res.append(np.max(np.abs(ode_residual(prof))))
+        res.append(ode_residual(prof))
     assert 3.3 < res[0] / res[1] < 4.7
     assert 3.3 < res[1] / res[2] < 4.7
 
@@ -179,6 +186,15 @@ def test_domain_errors():
         solve_ground_state(1.0, 2.0, 1)
     with pytest.raises(DomainError):
         solve_ground_state(1.0, 4.0, 1, ShootingConfig(r_max=-3.0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("r_max", math.nan), ("r_max", math.inf), ("ode_step", math.nan),
+    ("bisect_tol", math.nan), ("bisect_tol", math.inf),
+    ("bracket_lo", math.nan), ("bracket_hi", math.inf)])
+def test_non_finite_shooting_numbers_are_domain_errors(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        solve_ground_state(1.0, 4.0, 1, ShootingConfig(**{field: value}))
 
 
 def test_bracket_errors():
@@ -271,3 +287,80 @@ def test_carried_table_breakdown_pins_and_rebuilds(get_profile, monkeypatch):
     assert dict(counts) == {8e-3: 18, 1e-3: 37, 2.5e-4: 25}
     assert prof.values.tobytes() == ref.values.tobytes()
     assert prof.dvalues.tobytes() == ref.dvalues.tobytes()
+
+
+# A synthetic dim-3 table longer than 1M nodes: the decaying linear tail
+# exp(-r)/r of kappa = 1, which _attach_tail reproduces with kappa_t = 1.
+LONG_NODES = 16 * TABLE_BLOCK + 5
+
+
+def long_table():
+    r = np.arange(LONG_NODES, dtype=float) * (20.0 / (LONG_NODES - 1))
+    values = np.empty(LONG_NODES)
+    values[0] = 1.0
+    values[1:] = np.exp(-r[1:]) / r[1:]
+    dvalues = np.empty(LONG_NODES)
+    dvalues[0] = 0.0
+    dvalues[1:] = -(1.0 + 1.0 / r[1:]) * values[1:]
+    return r, values, dvalues
+
+
+def reference_residual(r_nodes, values, v_a, p, dim):
+    """The residual on the whole table at once, which the blockwise sup
+    must match bit for bit."""
+    h = r_nodes[1] - r_nodes[0]
+    u = values
+    lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+    first = (u[2:] - u[:-2]) / (2.0 * h)
+    r = r_nodes[1:-1]
+    um = u[1:-1]
+    return lap + (dim - 1.0) / r * first - v_a * um + power_map(p)(um)
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes allocated above the entry level) of fn(*args)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_residual_sup_streams_in_blocks():
+    # The whole-table residual allocated 4-5 table lengths (49 MB at the
+    # finest auto step); the blockwise sup needs a few blocks.
+    r, values, _ = long_table()
+    sup, peak = traced_peak(profile_ode_residual, r, values, 1.0, 4.0, 3)
+    assert peak <= 8 * 8 * TABLE_BLOCK
+    assert sup == np.max(np.abs(reference_residual(r, values, 1.0, 4.0, 3)))
+
+
+def test_attach_tail_streams_in_blocks():
+    # The switch node is 1000; the tail covers the other 16 blocks, which
+    # took about 5 table lengths of temporaries as whole arrays.
+    r, values, dvalues = long_table()
+    kappa_t, peak = traced_peak(nlsbump.radial._attach_tail, r, values,
+                                dvalues, 1001, 1.0, 3)
+    assert peak <= 8 * 8 * TABLE_BLOCK
+    assert abs(kappa_t - 1.0) < 1e-9
+    exact = np.exp(-r[1000:]) / r[1000:]
+    assert np.max(np.abs(values[1000:] - exact)) <= 1e-12 * exact[0]
+    dexact = -(1.0 + 1.0 / r[1000:]) * exact
+    assert np.max(np.abs(dvalues[1000:] - dexact)) <= 1e-12 * abs(dexact[0])
+
+
+@pytest.mark.parametrize("n", [3, TABLE_BLOCK + 1, TABLE_BLOCK + 2,
+                               TABLE_BLOCK + 3])
+def test_residual_sup_covers_every_interior_node(n):
+    # Block edges: the largest defect sits on the last interior node, the
+    # one a block boundary or a missing halo would drop; a NaN anywhere
+    # propagates.
+    r = np.arange(n, dtype=float)
+    values = np.zeros(n)
+    values[-2] = 1.0
+    assert profile_ode_residual(r, values, 1.0, 4.0, 1) == np.max(np.abs(
+        reference_residual(r, values, 1.0, 4.0, 1)))
+    values[n // 2] = math.nan
+    assert math.isnan(profile_ode_residual(r, values, 1.0, 4.0, 1))
