@@ -36,8 +36,7 @@ from .grid import (
     power_map,
 )
 from .potential import eval_potential, grad_potential
-from .radial import (RadialProfile, eval_profile, eval_profile_deriv,
-                     solve_ground_state)
+from .radial import RadialProfile, eval_profile, eval_profile_deriv
 from .solver import (
     AnsatzSpec,
     NewtonConfig,
@@ -49,19 +48,10 @@ from .solver import (
     newton_solve,
 )
 
-_profile_cache: dict = {}
 _DECOMPOSE_MAX_ITER = 50
 # LOBPCG's bound on the residual norm of each M-normalized eigenpair
 _LOBPCG_TOL = 1e-8
 _LOBPCG_MAX_ITER = 1000
-
-
-def ground_state_for(v_a: float, p: float, dim: int) -> RadialProfile:
-    """Memoized radial profile solve (profiles are pure functions of args)."""
-    key = (round(float(v_a), 12), round(float(p), 12), int(dim))
-    if key not in _profile_cache:
-        _profile_cache[key] = solve_ground_state(v_a, p, dim)
-    return _profile_cache[key]
 
 
 @dataclass
@@ -179,8 +169,7 @@ def bump_hessian_pairings(spec: ProblemSpec, profile: RadialProfile,
 
 
 def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
-              profiles: Optional[Sequence[RadialProfile]] = None
-              ) -> BumpDecomposition:
+              profiles: Sequence[RadialProfile]) -> BumpDecomposition:
     """Split u into amplitude-corrected bumps plus an orthogonal remainder.
 
     Finds centers x_j and corrections alpha_j so that
@@ -188,9 +177,10 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
         v = u - sum_j (1 + alpha_j) U_j((x - x_j)/eps)
 
     is energy-orthogonal to every bump U_j and every translation derivative
-    T_j,a = d_a U_j.  Newton's method solves that system for theta[j] =
-    (alpha_j, x_j) with the exact Jacobian: the eps-Gram matrix of the
-    basis [U_j, T_j,1..dim], its columns scaled by -1 and 1 + alpha_j
+    T_j,a = d_a U_j, where U_j is profiles[j], one per initial center.
+    Newton's method solves that system for theta[j] = (alpha_j, x_j) with
+    the exact Jacobian: the eps-Gram matrix of the basis
+    [U_j, T_j,1..dim], its columns scaled by -1 and 1 + alpha_j
     (dv/dalpha_j = -U_j, dv/dx_j = (1 + alpha_j) T_j), plus the motion of
     the basis, dU_j/dx_j = -T_j and dT_j,a/dx_j,b = -d_a d_b U_j
     (bump_hessian_pairings).
@@ -204,16 +194,12 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
         raise GeometryError("initial_centers must be k points of grid dim")
     wells = spec.potential.wells
     if wells:
-        owners = _owning_wells(spec, centers)
-        depths = [wells[o].depth for o in owners]
-        anchor = np.stack([wells[o].center for o in owners])
+        anchor = np.stack([wells[o].center
+                           for o in _owning_wells(spec, centers)])
         drift_limit = spec.potential.patch_radius
     else:
-        depths = [spec.potential.background] * k
         anchor = centers.copy()
         drift_limit = float(np.min(spec.grid.hi - spec.grid.lo))
-    if profiles is None:
-        profiles = [ground_state_for(d, spec.p, grid.dim) for d in depths]
     profiles = tuple(profiles)
     if len(profiles) != k:
         raise DomainError("need one profile per bump")

@@ -65,7 +65,6 @@ from .analysis import (
     decompose,
     default_ball_radius,
     fit_rate,
-    ground_state_for,
     overlap_integral,
     pohozaev_terms,
     uniqueness_probe,
@@ -88,8 +87,8 @@ from .errors import (
     SpectralError,
 )
 from .fieldio import read_field, write_field
-from .radial import (TABLE_BLOCK, ShootingConfig, ode_residual,
-                     solve_ground_state)
+from .radial import (TABLE_BLOCK, RadialProfile, ShootingConfig,
+                     ode_residual, solve_ground_state)
 from .solver import AnsatzSpec, BumpSpec, build_ansatz, newton_solve
 
 EXIT_OK = 0
@@ -180,13 +179,13 @@ def _note(args, message: str) -> None:
 
 
 def _base_ansatz(cfg: ExperimentConfig) -> AnsatzSpec:
-    """One unit-amplitude bump per well, profile solved at the well depth."""
-    bumps = []
-    for well in cfg.wells:
-        profile = ground_state_for(well.depth, cfg.p, cfg.dim)
-        bumps.append(BumpSpec(profile=profile, center=np.array(well.center),
-                              amplitude=1.0))
-    return AnsatzSpec(bumps=tuple(bumps))
+    """One unit-amplitude bump per well, profile solved at the well depth,
+    once per distinct depth."""
+    profiles = {depth: solve_ground_state(depth, cfg.p, cfg.dim)
+                for depth in dict.fromkeys(w.depth for w in cfg.wells)}
+    return AnsatzSpec(bumps=tuple(
+        BumpSpec(profile=profiles[w.depth], center=np.array(w.center))
+        for w in cfg.wells))
 
 
 def cmd_groundstate(args) -> int:
@@ -217,12 +216,12 @@ def cmd_groundstate(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     """Newton from the ansatz at each eps; later rows after a failure read
     "not attempted"."""
     cfg, out_dir, _ = _load_experiment(args)
     names = _solution_names(cfg)
-    ansatz = _base_ansatz(cfg)
+    ansatz = ansatz or _base_ansatz(cfg)
 
     rows = []
     for i, eps in enumerate(cfg.eps_schedule):
@@ -273,12 +272,12 @@ def _load_solution(cfg: ExperimentConfig, out_dir: Path, eps: float,
 
 
 def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
-                 name: str) -> Dict:
+                 name: str, profiles: Sequence[RadialProfile]) -> Dict:
     """All per-eps analysis; raises NlsbumpError on any failure."""
     spec, u = _load_solution(cfg, out_dir, eps, name)
     wells = cfg.wells
     centers = np.array([w.center for w in wells])
-    dec = decompose(spec, u, centers)
+    dec = decompose(spec, u, centers, profiles)
 
     # A ball centered on a bump integrates the near-odd flux integrand to
     # roundoff on both sides of the identity, leaving a noise-over-noise
@@ -340,15 +339,15 @@ def _rate_row(quantity: str, well: str, samples, expected: Optional[float],
     return _row(quantity, well, fit.slope, expected, fit.max_deviation, "")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     cfg, out_dir, jobs = _load_experiment(args)
     names = _solution_names(cfg)
-    for well in cfg.wells:
-        ground_state_for(well.depth, cfg.p, cfg.dim)
+    ansatz = ansatz or _base_ansatz(cfg)
+    profiles = [bump.profile for bump in ansatz.bumps]
 
     def run_one(eps: float):
         try:
-            record = _analyze_one(cfg, out_dir, eps, names[eps])
+            record = _analyze_one(cfg, out_dir, eps, names[eps], profiles)
             _note(args, f"analyze eps={eps:g}: done")
             return record
         except NlsbumpError as exc:
@@ -414,7 +413,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if n_bad == 0 else EXIT_ITERATION
 
 
-def cmd_uniqueness(args) -> int:
+def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     """Run the uniqueness probe on an amplitude pair and a shift pair per eps.
 
     rel_diff is the pair's sup_diff divided by the sup norm of the pair's
@@ -423,7 +422,7 @@ def cmd_uniqueness(args) -> int:
     fails records solver-failure with the solver's message.
     """
     cfg, out_dir, jobs = _load_experiment(args)
-    ansatz = _base_ansatz(cfg)
+    ansatz = ansatz or _base_ansatz(cfg)
 
     def run_one(eps: float):
         spec = problem_at(cfg, eps)
@@ -473,7 +472,10 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_all(args) -> int:
-    codes = [cmd_solve(args), cmd_analyze(args), cmd_uniqueness(args)]
+    """solve, analyze and uniqueness on one set of radial profiles."""
+    ansatz = _base_ansatz(_load_experiment(args)[0])
+    codes = [cmd(args, ansatz)
+             for cmd in (cmd_solve, cmd_analyze, cmd_uniqueness)]
     for code in codes:
         if code != EXIT_OK:
             return code

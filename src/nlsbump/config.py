@@ -153,8 +153,7 @@ def _collect_wells(entries: _Entries, dim: int) -> Tuple[WellSpec, ...]:
 
 def _solver_config(entries: _Entries) -> NewtonConfig:
     kwargs = {}
-    casts = {"max_newton": _parse_int, "krylov_max": _parse_int,
-             "max_backtracks": _parse_int, "max_regularizations": _parse_int}
+    casts = {"max_newton": _parse_int, "krylov_max": _parse_int}
     for fld in fields(NewtonConfig):
         key = f"solver.{fld.name}"
         raw = entries.take(key)
@@ -260,6 +259,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             "center basin, in units of eps)")
     if not cfg.uniqueness_rtol > 0.0:
         raise ConfigError("analysis.uniqueness_rtol: must be positive")
+    if cfg.seed < 0:
+        raise ConfigError("run.seed: must be nonnegative")
     if not cfg.output_dir:
         raise ConfigError("run.output_dir: must be nonempty")
 

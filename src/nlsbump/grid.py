@@ -1,13 +1,14 @@
 """Uniform tensor grids, sampled fields, and matrix-free operators.
 
-The discrete pieces fit together so that the energy inner product and the
-operator are exactly compatible: eps_inner uses forward differences on cell
-edges, which makes it adjoint to the central second-difference stencil of
-apply_linear under the plain node quadrature, up to roundoff, for fields
-vanishing on the boundary ring.  Quadrature over balls uses a smooth
-cell-coverage profile whose zeroth and first moments match the sharp
-indicator, and sphere integrals use product rules that resolve smooth
-surface data to spectral accuracy in angle.
+eps_inner assembles the energy inner product from forward differences on
+cell edges, which makes it the exact adjoint pairing of the central
+second-difference stencil under the plain node quadrature: for fields
+vanishing on the boundary ring, eps_inner(u, v) = cell_volume * u_int .
+(M v_int) up to roundoff, M = solver.interior_operator(V_int, spacing,
+eps^2).  Quadrature over balls uses a smooth cell-coverage profile whose
+zeroth and first moments match the sharp indicator, and sphere integrals
+use product rules that resolve smooth surface data to spectral accuracy in
+angle.
 """
 
 import math
@@ -78,9 +79,6 @@ class ScalarField:
     grid: TensorGrid
     values: np.ndarray
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 def make_field(grid: TensorGrid, values) -> ScalarField:
     values = np.asarray(values, dtype=float)
@@ -140,8 +138,7 @@ def make_problem(eps: float, p: float, potential: PotentialModel,
     return spec
 
 
-def _check_same_grid(a: ScalarField, b) -> None:
-    grid = b.grid if isinstance(b, ScalarField) else b
+def _check_same_grid(a: ScalarField, grid: TensorGrid) -> None:
     if a.grid is not grid and (tuple(a.grid.counts) != tuple(grid.counts)
                                or np.any(a.grid.lo != grid.lo)
                                or np.any(a.grid.hi != grid.hi)):
@@ -165,15 +162,6 @@ def neg_weighted_laplacian(values: np.ndarray, spacing,
     return out
 
 
-def apply_linear(spec: ProblemSpec, u: ScalarField) -> ScalarField:
-    """-eps^2 (discrete Laplacian) u + V u, homogeneous Dirichlet outside."""
-    _check_same_grid(u, spec.grid)
-    out = neg_weighted_laplacian(u.values, spec.grid.spacing,
-                                 spec.eps ** 2)
-    out += spec.potential_values() * u.values
-    return ScalarField(grid=u.grid, values=out)
-
-
 def power_map(p: float) -> Callable:
     """Return u -> |u|^(p-2) u, for a float or elementwise on an array.
 
@@ -189,12 +177,6 @@ def power_map(p: float) -> Callable:
     if em == 1.0:
         return lambda u: abs(u) * u
     return lambda u: abs(u) ** em * u
-
-
-def pde_residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
-    out = apply_linear(spec, u)
-    out.values -= power_map(spec.p)(u.values)
-    return out
 
 
 def _trap_vector(n: int) -> np.ndarray:
@@ -224,8 +206,8 @@ def eps_inner(spec: ProblemSpec, u: ScalarField, v: ScalarField) -> float:
 
     The gradient term is assembled from forward differences on cell edges
     (one midpoint sample per edge, trapezoid weights across the transverse
-    axes).  With that choice the form is exactly the adjoint pairing of
-    apply_linear for boundary-zero fields, not just up to O(h^2).
+    axes).  With that choice it pairs exactly with the stencil for
+    boundary-zero fields (module docstring), not just up to O(h^2).
     """
     _check_same_grid(u, spec.grid)
     _check_same_grid(v, spec.grid)

@@ -10,7 +10,7 @@ exponentially negligible there).  Each Newton step linearizes
 and solves J dv = -F(u) matrix-free on the interior nodes with MINRES.
 MINRES rather than conjugate gradients because J is indefinite near a bump
 (one negative eigenvalue), which CG does not tolerate.  Steps are accepted
-only on strict sup-norm residual decrease, with geometric backtracking.
+only on strict residual decrease, with geometric backtracking.
 
 The preconditioner is the exact inverse of P = -eps^2 lap_h + c, c = min V
 on the interior, which the type-I sine transform diagonalizes (Buzbee,
@@ -20,9 +20,10 @@ preconditioned MINRES (Paige and Saunders 1975) needs, and it still
 minimizes a residual, in the P^-1 norm, in steps that no longer grow in
 number as the grid refines.
 
-The same two pieces serve the coercivity estimate in analysis:
-interior_operator applies both its Hessian and its energy metric, and the
-DST-I inverse preconditions its LOBPCG eigensolve.
+One stencil, interior_operator (-eps^2 lap_h + diag on the interior
+unknowns), applies F, J and the coercivity estimate's Hessian and metric
+in analysis; the DST-I inverse also preconditions that estimate's LOBPCG
+eigensolve.
 """
 
 import math
@@ -45,7 +46,7 @@ from .grid import (
     ScalarField,
     make_field,
     neg_weighted_laplacian,
-    pde_residual,
+    power_map,
 )
 from .potential import eval_potential
 from .radial import RadialProfile, eval_profile
@@ -67,31 +68,13 @@ class AnsatzSpec:
 class NewtonConfig:
     tol_residual: float = 1e-10
     max_newton: int = 40
-    krylov_tol: float = 1e-8
     krylov_max: int = 1500
-    damping: float = 1.0
-    backtrack: float = 0.5
-    max_backtracks: int = 12
-    regularization_growth: float = 10.0
-    max_regularizations: int = 10
 
     def validate(self) -> None:
         if not self.tol_residual > 0.0:
             raise DomainError("tol_residual must be positive")
         if self.max_newton < 1 or self.krylov_max < 1:
             raise DomainError("iteration limits must be at least 1")
-        if not self.krylov_tol > 0.0:
-            raise DomainError("krylov_tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise DomainError("damping must lie in (0, 1]")
-        if not 0.0 < self.backtrack < 1.0:
-            raise DomainError("backtrack factor must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise DomainError("max_backtracks must be at least 1")
-        if not self.regularization_growth > 1.0:
-            raise DomainError("regularization growth must exceed 1")
-        if self.max_regularizations < 1:
-            raise DomainError("max_regularizations must be at least 1")
 
 
 @dataclass
@@ -110,9 +93,14 @@ class SolveReport:
 
 
 _TRIVIAL_RATIO = 1e-8
-# Translation modes of flat wells make the Jacobian nearly singular; pushing
-# the inner solve below this buys nothing but stagnation.
-_KRYLOV_TOL_FLOOR = 1e-10
+# MINRES rtol.  Translation modes of flat wells make the Jacobian nearly
+# singular; pushing the inner solve further buys nothing but stagnation.
+_KRYLOV_TOL = 1e-8
+# Line search from the full step, then shift growth, per Newton step
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 12
+_REGULARIZATION_GROWTH = 10.0
+_MAX_REGULARIZATIONS = 10
 
 
 def bump_field(spec: ProblemSpec, profile: RadialProfile,
@@ -239,18 +227,19 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
         raise DomainError("initial iterate does not live on the spec's grid")
 
     inner = tuple(slice(1, -1) for _ in grid.counts)
-    ring = np.ones(grid.counts, dtype=bool)
-    ring[inner] = False
     v_int = spec.potential_values()[inner]
     e2 = spec.eps ** 2
+    apply_l = interior_operator(v_int, grid.spacing, e2)
+    power = power_map(spec.p)
 
     def residual(u: np.ndarray) -> np.ndarray:
-        r = pde_residual(spec, ScalarField(grid, u)).values
-        r[ring] = 0.0
+        u_int = u[inner].ravel()
+        r = np.zeros(grid.counts)
+        r[inner] = (apply_l(u_int) - power(u_int)).reshape(v_int.shape)
         return r
 
-    u = u0.values.copy()
-    u[ring] = 0.0
+    u = np.zeros(grid.counts)
+    u[inner] = u0.values[inner]
     sup_u0 = float(np.abs(u).max())
 
     cell = grid.cell_volume
@@ -263,7 +252,6 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
     sup_res = float(np.abs(res).max())
     m_res = merit(res)
     history = [m_res]
-    rtol = max(cfg.krylov_tol, _KRYLOV_TOL_FLOOR)
     precond = dirichlet_inverse(
         dirichlet_symbol(v_int.shape, grid.spacing, e2, float(v_int.min())))
     krylov_iterations, backtracks, shifts = [], [], []
@@ -303,7 +291,7 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
         backtracks.append(0)
 
         accepted = False
-        for _ in range(cfg.max_regularizations):
+        for _ in range(_MAX_REGULARIZATIONS):
             shift = lam
             apply_j = interior_operator(base_diag + shift, grid.spacing, e2)
 
@@ -313,16 +301,16 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
 
             op = LinearOperator((v_int.size,) * 2, matvec=matvec, dtype=float)
             rhs = -res[inner].ravel()
-            step_flat, info = minres(op, rhs, rtol=rtol,
+            step_flat, info = minres(op, rhs, rtol=_KRYLOV_TOL,
                                      maxiter=cfg.krylov_max, M=precond)
             if info < 0:
                 raise KrylovError(f"MINRES breakdown (info={info})")
             krylov_short += int(info > 0)
             dv = step_flat.reshape(v_int.shape)
 
-            step = cfg.damping
+            step = 1.0
             backtracks_used = 0
-            for _ in range(cfg.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 u_try = u.copy()
                 u_try[inner] += step * dv
                 res_try = residual(u_try)
@@ -332,12 +320,12 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
                     sup_res = float(np.abs(res).max())
                     accepted = True
                     break
-                step *= cfg.backtrack
+                step *= _BACKTRACK
                 backtracks_used += 1
             backtracks[-1] += backtracks_used
             if accepted:
                 break
-            lam = lam_seed if lam == 0.0 else cfg.regularization_growth * lam
+            lam = lam_seed if lam == 0.0 else _REGULARIZATION_GROWTH * lam
         shifts.append(shift)
         if not accepted:
             raise fail("no residual decrease along any damped or regularized "
@@ -349,8 +337,7 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
         if backtracks_used == 0:
             lam = 0.0 if lam < 4.0 * lam_seed else 0.25 * lam
         elif backtracks_used >= 3:
-            lam = lam_seed if lam == 0.0 \
-                else cfg.regularization_growth * lam
+            lam = lam_seed if lam == 0.0 else _REGULARIZATION_GROWTH * lam
         history.append(m_res)
 
     return make_field(grid, u), make_report(True, it)

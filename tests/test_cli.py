@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line harness on a small single well."""
 
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import nlsbump.analysis
 import nlsbump.cli
 from nlsbump.cli import _base_ansatz, _row, _write_csv, main
-from nlsbump.config import load_config, problem_at
+from nlsbump.config import load_config, parse_config, problem_at
 from nlsbump.fieldio import read_field
 from nlsbump.radial import TABLE_BLOCK, RadialProfile
 from nlsbump.solver import build_ansatz, newton_solve
@@ -167,10 +168,14 @@ def test_groundstate_supercritical_exit_code(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package this process imported, installed or
+    # not (pytest's pythonpath setting does not reach a child process)
+    src = str(Path(nlsbump.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nlsbump.cli", "groundstate",
          "--va", "1", "--p", "7", "--dim", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 3
     assert "supercritical" in proc.stderr
 
@@ -271,6 +276,56 @@ def test_rates_rows_report_short_sweeps(pipeline):
     assert alpha["expected"] == "2"
 
 
+TWO_WELLS = """
+problem.dim = 2
+problem.p = 4
+problem.exponent = 2
+problem.patch_radius = 0.4
+problem.well.0.center = -1 0
+problem.well.0.depth = 1
+problem.well.1.center = 1 0
+problem.well.1.depth = 1.21
+grid.lo = -4.25 -3.25
+grid.hi = 4.25 3.25
+schedule.eps = 0.4 0.3 0.25 0.2
+"""
+
+
+def counting_profiles(monkeypatch, solve):
+    """Route the CLI's radial solves through solve; returns their args."""
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(nlsbump.cli, "solve_ground_state", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("deep,solves", [("1.21", 2), ("1", 1)])
+def test_base_ansatz_solves_each_depth_once(deep, solves, monkeypatch):
+    calls = counting_profiles(monkeypatch, lambda *args: object())
+    cfg = parse_config(TWO_WELLS.replace("depth = 1.21", f"depth = {deep}"))
+    first, second = _base_ansatz(cfg).bumps
+    assert len(calls) == solves
+    assert calls[0] == (1.0, 4.0, 2) and calls[-1] == (float(deep), 4.0, 2)
+    assert (first.profile is second.profile) == (solves == 1)
+
+
+def test_analyze_solves_each_depth_once_per_sweep(pipeline, tmp_path,
+                                                  monkeypatch, get_profile):
+    # two eps, one well: one radial solve, not one per eps
+    cfg_path, out, _ = pipeline
+    for field in out.glob("solution_*.nlsb"):
+        (tmp_path / field.name).write_bytes(field.read_bytes())
+    calls = counting_profiles(monkeypatch, get_profile)
+    code = main(["analyze", "--config", str(cfg_path), "--out",
+                 str(tmp_path)])
+    assert code == 0
+    assert calls == [(1.0, 4.0, 2)]
+
+
 def test_uniqueness_rows_all_pass(pipeline):
     _, out, _ = pipeline
     rows = read_rows(out / "uniqueness.csv")
@@ -295,8 +350,11 @@ def test_uniqueness_solves_four_times_per_eps(pipeline, tmp_path,
 def test_rerun_is_byte_identical(pipeline, tmp_path, monkeypatch):
     cfg_path, out, _ = pipeline
     monkeypatch.setenv("NLSB_THREADS", "3")
+    calls = counting_profiles(monkeypatch, nlsbump.cli.solve_ground_state)
     code = main(["all", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 0
+    # solve, analyze and uniqueness share one radial solve per depth
+    assert calls == [(1.0, 4.0, 2)]
     names = sorted(p.name for p in out.iterdir())
     assert names == sorted(p.name for p in tmp_path.iterdir())
     for name in names:

@@ -63,7 +63,7 @@ run.output_dir = results
 
 
 def test_round_trip_is_identity():
-    cfg = parse_config(BENCH + "solver.krylov_tol = 3e-9\n"
+    cfg = parse_config(BENCH + "solver.krylov_max = 900\n"
                        "problem.background = 1.4700000000000002\n")
     twice = parse_config(serialize_config(cfg))
     assert serialize_config(twice) == serialize_config(cfg)
@@ -126,6 +126,7 @@ def test_syntax_diagnostics_carry_line_numbers():
 
 def test_unknown_and_missing_keys_are_rejected():
     bad(BENCH + "problem.wellz = 3\n", "unknown key")
+    bad(BENCH + "solver.damping = 1.5\n", "unknown key 'solver.damping'")
     bad(BENCH.replace("problem.p = 4\n", ""), "problem.p")
     bad(BENCH.replace("problem.well.1", "problem.well.2"), "without gaps")
 
@@ -151,9 +152,38 @@ def test_module_preconditions_enforced():
                             ("", "empty value")):
         bad(BENCH.replace("schedule.eps = 0.4 0.3 0.25 0.2 0.15",
                           f"schedule.eps = {schedule}"), match)
-    bad(BENCH + "solver.damping = 1.5\n", "solver")
     bad(BENCH + "analysis.uniqueness_amp = 0.5\n", "basin")
     bad(BENCH + "run.output_dir =\n", "nonempty")
+
+
+@pytest.mark.parametrize("key", [
+    "solver.krylov_tol", "solver.damping", "solver.backtrack",
+    "solver.max_backtracks", "solver.regularization_growth",
+    "solver.max_regularizations"])
+def test_removed_solver_keys_are_unknown(key, tmp_path, capsys):
+    # These Newton knobs are fixed constants of the solver now; setting one
+    # is a config error naming its line, not a silently ignored value.
+    text = BENCH.strip() + f"\n{key} = 1\n"
+    line = len(text.splitlines())
+    bad(text, f"line {line}: unknown key '{key}'")
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # A negative seed once passed validation, and analyze then died in
+    # numpy's random generator with a traceback.
+    text = BENCH.replace("run.seed = 777", "run.seed = -5")
+    bad(text, "run.seed")
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert main(["analyze", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "run.seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("old,new", [

@@ -11,8 +11,8 @@ import pytest
 
 from nlsbump.errors import ConsistencyError, ConvergenceError, DomainError, \
     GeometryError
-from nlsbump.grid import (apply_linear, make_field, make_grid, make_problem,
-                          pde_residual)
+import nlsbump.solver
+from nlsbump.grid import make_field, make_grid, make_problem
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.solver import (AnsatzSpec, BumpSpec, NewtonConfig, build_ansatz,
                             dirichlet_inverse, dirichlet_symbol,
@@ -115,23 +115,23 @@ def test_residual_history_monotone_with_quadratic_tail(well_solution):
 
 
 def test_jacobian_symmetry_and_fd_consistency(well_solution):
+    # F and J on the interior unknowns, both through interior_operator as
+    # newton_solve applies them (p = 4, so |u|^(p-2) u = u^3)
     spec, _, u, _ = well_solution
     rng = np.random.default_rng(7)
+    inner = (slice(1, -1), slice(1, -1))
+    v_int = spec.potential_values()[inner]
+    u_int = u.values[inner]
+    e2 = spec.eps ** 2
+    jmat = interior_operator(v_int - 3.0 * u_int ** 2, spec.grid.spacing, e2)
+    linear = interior_operator(v_int, spec.grid.spacing, e2)
+    u_int = u_int.ravel()
 
-    def jmat(v):
-        field = make_field(spec.grid, v)
-        out = apply_linear(spec, field).values
-        out -= 3.0 * u.values ** 2 * v
-        return out
+    def residual(w):
+        return linear(w) - w ** 3
 
-    def bz(a):
-        a = a.copy()
-        a[0, :] = a[-1, :] = 0.0
-        a[:, 0] = a[:, -1] = 0.0
-        return a
-
-    v = bz(rng.standard_normal(spec.grid.counts))
-    w = bz(rng.standard_normal(spec.grid.counts))
+    v = rng.standard_normal(u_int.size)
+    w = rng.standard_normal(u_int.size)
     lhs = float(np.sum(jmat(v) * w))
     rhs = float(np.sum(v * jmat(w)))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
@@ -139,11 +139,10 @@ def test_jacobian_symmetry_and_fd_consistency(well_solution):
     # finite differences of the full residual approach Jv at first order
     x = spec.grid.points()
     smooth = np.exp(-np.sum(x ** 2, axis=1)).reshape(spec.grid.counts)
+    smooth = smooth[inner].ravel()
     errs = []
     for t in (1e-4, 1e-5):
-        up = make_field(spec.grid, u.values + t * smooth)
-        fd = (pde_residual(spec, up).values
-              - pde_residual(spec, u).values) / t
+        fd = (residual(u_int + t * smooth) - residual(u_int)) / t
         errs.append(np.abs(fd - jmat(smooth)).max())
     assert errs[0] <= 1e-3
     assert errs[1] <= 0.2 * errs[0]
@@ -204,7 +203,7 @@ def test_report_records_backtracks_and_shifts(get_profile):
     for trials, shift in zip(rep.backtracks, rep.shifts):
         # more rejected trials than one attempt has means an attempt failed
         # and the step ended on a raised shift
-        if trials >= NewtonConfig().max_backtracks:
+        if trials >= nlsbump.solver._MAX_BACKTRACKS:
             assert shift > 0.0
 
 
@@ -281,10 +280,6 @@ def test_newton_config_validation():
                      make_field(const_spec.grid,
                                 np.zeros(const_spec.grid.counts)),
                      NewtonConfig(tol_residual=-1.0))
-    with pytest.raises(DomainError):
-        NewtonConfig(damping=1.5).validate()
-    with pytest.raises(DomainError):
-        NewtonConfig(krylov_tol=0.0).validate()
 
 
 def test_convergence_error_carries_partial_state(get_profile):
