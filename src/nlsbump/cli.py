@@ -342,8 +342,11 @@ def _rate_row(quantity: str, well: str, samples, expected: Optional[float],
 def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     cfg, out_dir, jobs = _load_experiment(args)
     names = _solution_names(cfg)
-    ansatz = ansatz or _base_ansatz(cfg)
-    profiles = [bump.profile for bump in ansatz.bumps]
+    # Without a single solution file every eps records its missing file,
+    # so no profile is solved for them.
+    if ansatz is None and any((out_dir / n).exists() for n in names.values()):
+        ansatz = _base_ansatz(cfg)
+    profiles = [] if ansatz is None else [b.profile for b in ansatz.bumps]
 
     def run_one(eps: float):
         try:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DomainError, GeometryError, GridMismatchError
 from .potential import PotentialModel, eval_potential
@@ -323,6 +322,9 @@ def make_sphere_quadrature(center, radius: float,
 
 def field_values_on(f: ScalarField, points) -> np.ndarray:
     """Multilinear interpolation of a field at arbitrary points in the box."""
+    # Imported here: only analyze's flux identity interpolates, so the other
+    # commands never load scipy.interpolate.
+    from scipy.interpolate import RegularGridInterpolator
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     interp = RegularGridInterpolator(f.grid.axes(), f.values,
                                      method="linear", bounds_error=True)
@@ -334,6 +336,7 @@ def field_values_on(f: ScalarField, points) -> np.ndarray:
 
 def field_gradient_on(f: ScalarField, points) -> np.ndarray:
     """Central-difference gradient of a field, interpolated at points."""
+    from scipy.interpolate import RegularGridInterpolator
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     grads = np.gradient(f.values, *f.grid.axes(), edge_order=2)
     if f.grid.dim == 1:

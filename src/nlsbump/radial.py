@@ -22,6 +22,9 @@ A table reaches about 1.3M nodes at the finest auto step, so every
 full-length pass over it (the tail, the residual check, the CSV writer)
 works on TABLE_BLOCK nodes at a time: the transient memory is a few blocks
 instead of several table lengths, and every node gets the same arithmetic.
+
+eval_profile and eval_profile_deriv evaluate the table's cubic Hermite
+interpolant directly from the two nodes around each radius; nothing is cached.
 """
 
 from dataclasses import dataclass
@@ -29,8 +32,6 @@ from typing import Optional, Tuple
 
 import math
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 from scipy.special import kv, kvp
 
 from .errors import BracketError, ConvergenceError, DomainError
@@ -75,8 +76,9 @@ class RadialProfile:
     """Tabulated ground-state profile on a uniform radial mesh.
 
     values[i] = U(r_nodes[i]), dvalues[i] = U'(r_nodes[i]); decay_rate is the
-    fitted exponential rate (close to sqrt(v_a)).  Treat instances as
-    read-only once returned by solve_ground_state.
+    fitted exponential rate (close to sqrt(v_a)).  It holds no cache: every
+    evaluation reads the table.  Treat instances as read-only once returned
+    by solve_ground_state.
     """
 
     v_a: float
@@ -87,20 +89,9 @@ class RadialProfile:
     dvalues: np.ndarray
     decay_rate: float
 
-    def __post_init__(self):
-        self._spline = None
-        self._dspline = None
-
     @property
     def r_max(self) -> float:
         return float(self.r_nodes[-1])
-
-    def _interpolants(self):
-        if self._spline is None:
-            self._spline = CubicHermiteSpline(self.r_nodes, self.values,
-                                              self.dvalues)
-            self._dspline = self._spline.derivative()
-        return self._spline, self._dspline
 
 
 def _linear_tail_logderiv(dim: int, kappa: float, r) -> np.ndarray:
@@ -230,12 +221,21 @@ def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
     def defect(k):
         return float(_linear_tail_logderiv(dim, k, r_s)) - target
 
-    try:
-        kappa_t = brentq(defect, 0.5 * kappa, 1.5 * kappa, xtol=1e-13)
-    except ValueError as exc:
+    # Bisect the defect on [kappa/2, 3 kappa/2] down to adjacent floats.
+    lo, hi = 0.5 * kappa, 1.5 * kappa
+    f_lo = defect(lo)
+    if not f_lo * defect(hi) <= 0.0:
         raise ConvergenceError(
             "tail hand-off slope is incompatible with exponential decay "
-            f"near rate sqrt(v_a) = {kappa:.4g}") from exc
+            f"near rate sqrt(v_a) = {kappa:.4g}")
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if defect(mid) * f_lo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    kappa_t = lo
     scale = u_s / _linear_tail_values(dim, kappa_t, r_nodes[i_sw:i_sw + 1])[0]
     for s in range(i_sw, len(values), TABLE_BLOCK):
         r, u = r_nodes[s:s + TABLE_BLOCK], values[s:s + TABLE_BLOCK]
@@ -467,14 +467,32 @@ def _evaluate(profile: RadialProfile, r, which: int, tail) -> np.ndarray:
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
         raise DomainError("radii must be nonnegative")
-    spline = profile._interpolants()[which]
     out = np.empty(r_arr.shape, dtype=float)
     inside = r_arr <= profile.r_max
     if np.any(inside):
-        out[inside] = spline(r_arr[inside])
+        out[inside] = _hermite(profile, r_arr[inside], which)
     if not np.all(inside):
         out[~inside] = tail(r_arr[~inside])
     return out if out.shape else out[()]
+
+
+def _hermite(profile: RadialProfile, r: np.ndarray, which: int) -> np.ndarray:
+    """Cubic Hermite interpolant (0: U, 1: U') on each r's node interval."""
+    x, u, du = profile.r_nodes, profile.values, profile.dvalues
+    # Uniform mesh: r / h is within one node of the i with x_i <= r < x_i+1.
+    last = len(x) - 2
+    i = np.minimum((r / (x[1] - x[0])).astype(np.intp), last)
+    i -= x[i] > r
+    i += (x[i + 1] <= r) & (i < last)
+    dx = x[i + 1] - x[i]
+    s = r - x[i]
+    d0 = du[i]
+    slope = (u[i + 1] - u[i]) / dx
+    t = (d0 + du[i + 1] - 2.0 * slope) / dx
+    c3, c2 = t / dx, (slope - d0) / dx - t
+    if which == 0:
+        return ((c3 * s + c2) * s + d0) * s + u[i]
+    return (3.0 * c3 * s + 2.0 * c2) * s + d0
 
 
 def _tail_values(profile: RadialProfile, r: np.ndarray) -> np.ndarray:

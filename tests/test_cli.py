@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,31 @@ def test_console_entry_point_runs():
     assert "supercritical" in proc.stderr
 
 
+def test_cli_keeps_scipy_optimize_and_interpolate_unloaded(tmp_path):
+    # Neither module is needed to import the CLI or to shoot a profile;
+    # each would add its import time and memory to every process.
+    src = str(Path(nlsbump.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = textwrap.dedent("""
+        import sys
+        import nlsbump.cli
+        def heavy():
+            return sorted(m for m in sys.modules if m.startswith(
+                ("scipy.optimize", "scipy.interpolate")))
+        print("import", heavy())
+        code = nlsbump.cli.main(
+            ["groundstate", "--va", "1", "--p", "4", "--dim", "1"])
+        print("groundstate", code, heavy())
+        """)
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import []"
+    assert lines[-1] == "groundstate 0 []"
+
+
 def test_solve_rows_monotone_and_converged(pipeline):
     _, out, _ = pipeline
     rows = read_rows(out / "solve.csv")
@@ -324,6 +350,29 @@ def test_analyze_solves_each_depth_once_per_sweep(pipeline, tmp_path,
                  str(tmp_path)])
     assert code == 0
     assert calls == [(1.0, 4.0, 2)]
+
+
+def test_analyze_without_solution_files_solves_no_profile(pipeline, tmp_path,
+                                                          monkeypatch,
+                                                          get_profile):
+    # Every eps records its missing file, so shooting a profile would be
+    # wasted; the three CSVs are written all the same.
+    cfg_path, _, _ = pipeline
+    calls = counting_profiles(monkeypatch, get_profile)
+    code = main(["analyze", "--config", str(cfg_path), "--out",
+                 str(tmp_path)])
+    assert code == 4
+    assert calls == []
+    missing = [f"missing solution file solution_eps{e}.nlsb"
+               for e in ("0.4", "0.3")]
+    for name in ("pohozaev.csv", "coercivity.csv"):
+        rows = read_rows(tmp_path / name)
+        assert [r["error"] for r in rows] == missing
+    rates = read_rows(tmp_path / "rates.csv")
+    assert [(r["quantity"], r["well"]) for r in rates] == [
+        ("alpha", "0"), ("w_norm", ""), ("drift_over_eps", "0")]
+    assert all(r["error"] == "only 0 samples above the fit floor"
+               for r in rates)
 
 
 def test_uniqueness_rows_all_pass(pipeline):

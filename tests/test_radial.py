@@ -17,6 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
 import nlsbump.radial
 from nlsbump.errors import BracketError, ConvergenceError, DomainError
@@ -161,6 +163,73 @@ def test_eval_profile_deriv_consistent(get_profile):
     fd = (eval_profile(prof, r + h) - eval_profile(prof, r - h)) / (2 * h)
     an = eval_profile_deriv(prof, r)
     assert np.max(np.abs(fd - an)) < 1e-6 * prof.values[0]
+
+
+@pytest.mark.parametrize("v_a,p,dim", [(1.0, 4.0, 1), (1.0, 4.0, 2)])
+def test_eval_matches_the_hermite_spline_of_the_table(get_profile, v_a, p,
+                                                      dim):
+    # scipy's CubicHermiteSpline on the same nodes, values and slopes is the
+    # reference: random radii, every node and r_max agree to roundoff, and
+    # beyond r_max both functions still return the exponential tail.
+    prof = get_profile(v_a, p, dim)
+    reference = CubicHermiteSpline(prof.r_nodes, prof.values, prof.dvalues)
+    h = prof.r_nodes[1] - prof.r_nodes[0]
+    u0 = prof.values[0]
+    r = np.concatenate([
+        np.random.default_rng(7).uniform(0.0, prof.r_max, 20000),
+        prof.r_nodes, [prof.r_max]])
+    assert np.max(np.abs(eval_profile(prof, r) - reference(r))) <= 1e-15 * u0
+    assert np.max(np.abs(eval_profile_deriv(prof, r)
+                         - reference.derivative()(r))) <= 1e-15 * u0 / h
+    assert np.max(np.abs(eval_profile(prof, prof.r_nodes)
+                         - prof.values)) <= 1e-15 * u0
+    beyond = prof.r_max + np.array([1e-9, 0.5, 3.0, 40.0])
+    beta = (dim - 1) / 2.0
+    tail = prof.values[-1] * np.exp(-prof.decay_rate * (beyond - prof.r_max))
+    tail *= (beyond / prof.r_max) ** (-beta)
+    np.testing.assert_array_equal(eval_profile(prof, beyond), tail)
+    np.testing.assert_array_equal(eval_profile_deriv(prof, beyond),
+                                  -(prof.decay_rate + beta / beyond) * tail)
+
+
+def tail_table(kappa, dim, n=2001, r_max=20.0):
+    """The exact decaying linear tail r^(-nu) K_nu(kappa r) as a table."""
+    r = np.arange(n, dtype=float) * (r_max / (n - 1))
+    values = np.ones(n)
+    values[1:] = nlsbump.radial._linear_tail_values(dim, kappa, r[1:])
+    dvalues = np.zeros(n)
+    dvalues[1:] = values[1:] * nlsbump.radial._linear_tail_logderiv(
+        dim, kappa, r[1:])
+    return r, values, dvalues
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_rate_is_bisected_to_adjacent_floats(dim):
+    # A table that is already the linear tail of rate 1.1 hands off at node
+    # 1000 (r = 10) with v_a = 1; the rate found must bracket the root of
+    # the log-derivative defect between itself and the next float.
+    r, values, dvalues = tail_table(1.1, dim)
+    r_s, target = r[1000], dvalues[1000] / values[1000]
+
+    def defect(k):
+        logderiv = nlsbump.radial._linear_tail_logderiv(dim, k, r_s)
+        return float(logderiv) - target
+
+    kappa_t = nlsbump.radial._attach_tail(r, values, dvalues, 1001, 1.0, dim)
+    assert defect(kappa_t) * defect(np.nextafter(kappa_t, np.inf)) <= 0.0
+    assert abs(kappa_t - brentq(defect, 0.5, 1.5, xtol=1e-15)) <= 1e-13
+    assert abs(kappa_t - 1.1) <= 1e-12
+
+
+@pytest.mark.parametrize("rate", [5.0, 0.1])
+def test_incompatible_hand_off_slope_is_a_convergence_error(rate):
+    # u'/u = -rate at the switch node: no decaying tail with a rate in
+    # [sqrt(v_a)/2, 3 sqrt(v_a)/2] matches it, too steep or too shallow.
+    r = np.arange(2001, dtype=float) * 0.01
+    values = np.exp(-rate * r)
+    with pytest.raises(ConvergenceError,
+                       match="tail hand-off slope is incompatible"):
+        nlsbump.radial._attach_tail(r, values, -rate * values, 1001, 1.0, 1)
 
 
 def test_radial_integral_against_closed_form(get_profile):
