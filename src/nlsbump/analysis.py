@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import lobpcg
 
 from .errors import (
+    ConvergenceError,
     DecompositionError,
     DomainError,
     GeometryError,
@@ -52,6 +53,8 @@ _DECOMPOSE_MAX_ITER = 50
 # LOBPCG's bound on the residual norm of each M-normalized eigenpair
 _LOBPCG_TOL = 1e-8
 _LOBPCG_MAX_ITER = 1000
+# Sphere quadrature resolution of the flux identity's boundary terms
+_POHOZAEV_RESOLUTION = 48
 
 
 @dataclass
@@ -272,8 +275,7 @@ def default_ball_radius(spec: ProblemSpec) -> float:
 
 
 def pohozaev_terms(spec: ProblemSpec, u: ScalarField, center,
-                   radius: float, direction: int,
-                   resolution: int = 48) -> PohozaevReport:
+                   radius: float, direction: int) -> PohozaevReport:
     """Volume and boundary terms of the flux identity on a ball.
 
     For a solution, the volume integral of (dV/dx_i) u^2 equals the sum of
@@ -288,7 +290,7 @@ def pohozaev_terms(spec: ProblemSpec, u: ScalarField, center,
                                   ).reshape(grid.counts) * u.values)
     lhs = ball_volume_integral(spec, integrand, center, radius)
 
-    quad = make_sphere_quadrature(center, radius, resolution)
+    quad = make_sphere_quadrature(center, radius, _POHOZAEV_RESOLUTION)
     uvals = field_values_on(u, quad.nodes)
     grads = field_gradient_on(u, quad.nodes)
     vvals = eval_potential(spec.potential, quad.nodes)
@@ -493,23 +495,31 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
 
     Each run starts from the ansatz with the tweak's scaled amplitudes and
     shifted centers (build_ansatz validates the unshifted bumps).  The
-    claim under test is that both runs land on the same solution; the
-    caller compares rel_diff (sup difference over the first solution's
-    sup) with its tolerance, the CLI with analysis.uniqueness_rtol.
+    claim under test is that both runs land on the same positive solution;
+    the caller compares rel_diff (sup difference over the first solution's
+    sup) with its tolerance, the CLI with its fixed 1e-8.  A run that
+    collapses to the trivial solution or is not positive on the interior
+    raises ConvergenceError: two such runs agreeing says nothing about
+    positive solutions.
     """
     if len(perturbations) != 2:
         raise DomainError("uniqueness probe compares exactly two runs")
     fields = []
-    for tweak in perturbations:
+    for run, tweak in enumerate(perturbations):
         shifts = _tweak_shifts(spec, len(ansatz.bumps), tweak)
         u0 = build_ansatz(spec, ansatz, tweak.amp_scale, shifts)
-        fields.append(newton_solve(spec, u0, cfg)[0])
+        u, report = newton_solve(spec, u0, cfg)
+        if report.trivial:
+            raise ConvergenceError(
+                f"probe run {run} collapsed to the trivial solution")
+        if not report.positivity:
+            raise ConvergenceError(f"probe run {run} is not positive")
+        fields.append(u)
     diff = fields[0].values - fields[1].values
     sup_diff = float(np.abs(diff).max())
-    sup_u = float(np.abs(fields[0].values).max())
-    rel_diff = (sup_diff / sup_u if sup_u > 0.0
-                else math.inf if sup_diff > 0.0 else 0.0)
+    sup_u = float(np.abs(fields[0].values).max())  # > 0: the run is positive
     xi = None
-    if sup_diff > 1e-12 * sup_u and sup_diff > 0.0:
+    if sup_diff > 1e-12 * sup_u:
         xi = make_field(spec.grid, diff / sup_diff)
-    return UniquenessReport(sup_diff=sup_diff, rel_diff=rel_diff, xi_field=xi)
+    return UniquenessReport(sup_diff=sup_diff, rel_diff=sup_diff / sup_u,
+                            xi_field=xi)

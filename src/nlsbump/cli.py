@@ -40,18 +40,26 @@ locale), booleans as true/false, rows in schedule order; reruns of the
 same config produce byte-identical files.  Recorded per-item failures
 leave their numeric columns empty and put a message in the error column.
 
+Fixed numerical policy (constants, not settings): each flux identity
+uses a ball of radius min(default_ball_radius, 1.5 patch_radius) and a
+boundary quadrature of resolution 48 (analysis.pohozaev_terms: 192 nodes
+on a circle, 48 x 96 on a sphere).  Rate fits use every eps whose value
+is above the fit floor 1e-12.  The uniqueness probe's amplitude pair
+starts from 0.9 and 1.1 times the ansatz, its shift pair from every bump
+moved by +0.3 eps and -0.3 eps along axis 0; a pair passes when
+rel_diff <= 1e-8.  A probe run that collapses to u = 0 or is not
+positive is a solver-failure.
+
 Exit codes: 0 success; 2 configuration or usage (non-finite config
 numbers too); 3 domain or geometry (also: bad groundstate arguments,
 non-finite ones too); 4 iteration failure (also: any sweep row that
 records a failure); 5 malformed field file.  analyze and uniqueness run
-their eps on a thread pool sized by --jobs (default: the NLSB_THREADS
-environment variable, then 1; --jobs does not apply to solve); rows are
-written in schedule order.
+their eps on a thread pool of --jobs threads (default 1; --jobs does not
+apply to solve); rows are written in schedule order.
 """
 
 import argparse
 import csv
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -69,12 +77,7 @@ from .analysis import (
     pohozaev_terms,
     uniqueness_probe,
 )
-from .config import (
-    ExperimentConfig,
-    fmt_float,
-    load_config,
-    problem_at,
-)
+from .config import ExperimentConfig, load_config, problem_at
 from .errors import (
     BracketError,
     ConfigError,
@@ -87,8 +90,9 @@ from .errors import (
     SpectralError,
 )
 from .fieldio import read_field, write_field
-from .radial import (TABLE_BLOCK, RadialProfile, ShootingConfig,
-                     ode_residual, solve_ground_state)
+from .grid import same_grid
+from .radial import (TABLE_BLOCK, RadialProfile, ode_residual,
+                     solve_ground_state)
 from .solver import AnsatzSpec, BumpSpec, build_ansatz, newton_solve
 
 EXIT_OK = 0
@@ -100,6 +104,14 @@ EXIT_FORMAT = 5
 # Fitted quantities below this are indistinguishable from roundoff and are
 # dropped before log-log fits rather than fitted as noise.
 _FIT_FLOOR = 1e-12
+
+# The uniqueness probe: amplitude pair 1 -/+ _UNIQUENESS_AMP, shift pair
+# +/- _UNIQUENESS_SHIFT * eps along axis 0, both inside the basins that
+# analysis.AnsatzTweak accepts; a pair passes at rel_diff <= _UNIQUENESS_RTOL
+# (perfbench/workloads.py's UNIQUENESS_RTOL mirrors it).
+_UNIQUENESS_AMP = 0.1
+_UNIQUENESS_SHIFT = 0.3
+_UNIQUENESS_RTOL = 1e-8
 
 _ITERATION_ERRORS = (BracketError, ConvergenceError, KrylovError,
                      SpectralError, DecompositionError)
@@ -134,27 +146,12 @@ def _cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
-        return fmt_float(value)
+        return f"{float(value):.17g}"
     return str(value)
 
 
 def _row(*cells) -> List[str]:
     return [_cell(c) for c in cells]
-
-
-def _resolve_jobs(args) -> int:
-    """--jobs, else NLSB_THREADS, else 1; either must be an integer >= 1."""
-    source, raw = "--jobs", args.jobs
-    if raw is None:
-        source = "NLSB_THREADS"
-        raw = os.environ.get(source, "").strip() or "1"
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ConfigError(f"{source} must be an integer, got {raw!r}")
-    if jobs < 1:
-        raise ConfigError(f"{source} must be at least 1, got {raw}")
-    return jobs
 
 
 def _map_jobs(fn, items, jobs: int):
@@ -165,12 +162,13 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _load_experiment(args) -> Tuple[ExperimentConfig, Path, int]:
-    jobs = _resolve_jobs(args)
+def _load_experiment(args) -> Tuple[ExperimentConfig, Path]:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir, jobs
+    return cfg, out_dir
 
 
 def _note(args, message: str) -> None:
@@ -189,12 +187,7 @@ def _base_ansatz(cfg: ExperimentConfig) -> AnsatzSpec:
 
 
 def cmd_groundstate(args) -> int:
-    shoot = ShootingConfig()
-    if args.rmax is not None:
-        shoot = ShootingConfig(r_max=args.rmax)
-    if args.tol is not None:
-        shoot = ShootingConfig(r_max=shoot.r_max, bisect_tol=args.tol)
-    profile = solve_ground_state(args.va, args.p, args.dim, shoot)
+    profile = solve_ground_state(args.va, args.p, args.dim)
     residual = ode_residual(profile)
 
     out_dir = Path(args.out) if args.out else Path(".")
@@ -219,7 +212,7 @@ def cmd_groundstate(args) -> int:
 def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     """Newton from the ansatz at each eps; later rows after a failure read
     "not attempted"."""
-    cfg, out_dir, _ = _load_experiment(args)
+    cfg, out_dir = _load_experiment(args)
     names = _solution_names(cfg)
     ansatz = ansatz or _base_ansatz(cfg)
 
@@ -263,9 +256,7 @@ def _load_solution(cfg: ExperimentConfig, out_dir: Path, eps: float,
     if abs(p_file - cfg.p) > 1e-12:
         raise FormatError(f"{name} stores p={p_file!r}, expected {cfg.p!r}")
     spec = problem_at(cfg, eps)
-    grid = spec.grid
-    if (tuple(u.grid.counts) != tuple(grid.counts)
-            or np.any(u.grid.lo != grid.lo) or np.any(u.grid.hi != grid.hi)):
+    if not same_grid(u.grid, spec.grid):
         raise FormatError(
             f"{name} does not match the grid of the configured spacing rule")
     return spec, u
@@ -285,17 +276,14 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
     # radius and keeping the ball small enough to clip the patch keeps
     # every term at solution scale, so the rel_residual column stays
     # meaningful for symmetric geometries too.
-    radius = cfg.ball_radius
-    if radius is None:
-        radius = min(default_ball_radius(spec), 1.5 * cfg.patch_radius)
+    radius = min(default_ball_radius(spec), 1.5 * cfg.patch_radius)
     offset = np.array([0.75 * cfg.patch_radius / 2.0 ** i
                        for i in range(cfg.dim)])
     pohozaev = []
     for j in range(len(wells)):
         ball_center = dec.centers[j] + offset
         for direction in range(cfg.dim):
-            rep = pohozaev_terms(spec, u, ball_center, radius, direction,
-                                 resolution=cfg.pohozaev_resolution)
+            rep = pohozaev_terms(spec, u, ball_center, radius, direction)
             scale = max(abs(rep.lhs_volume), abs(rep.i1), abs(rep.i2),
                         abs(rep.i3))
             rel = abs(rep.residual) / scale if scale > 0.0 else 0.0
@@ -322,11 +310,10 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
     }
 
 
-def _fit_samples(records: List[Dict], key, cfg: ExperimentConfig):
-    """(eps, value) pairs above the fit floor, largest eps dropped first."""
+def _fit_samples(records: List[Dict], key):
+    """(eps, value) pairs above the fit floor, largest eps first."""
     samples = sorted(((rec["eps"], key(rec)) for rec in records),
                      key=lambda s: -s[0])
-    samples = samples[cfg.fit_drop:]
     return [(e, v) for e, v in samples if v > _FIT_FLOOR]
 
 
@@ -340,7 +327,7 @@ def _rate_row(quantity: str, well: str, samples, expected: Optional[float],
 
 
 def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
-    cfg, out_dir, jobs = _load_experiment(args)
+    cfg, out_dir = _load_experiment(args)
     names = _solution_names(cfg)
     # Without a single solution file every eps records its missing file,
     # so no profile is solved for them.
@@ -357,7 +344,7 @@ def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
             _note(args, f"analyze eps={eps:g}: {exc}")
             return {"eps": eps, "error": str(exc)}
 
-    records = _map_jobs(run_one, list(cfg.eps_schedule), jobs)
+    records = _map_jobs(run_one, list(cfg.eps_schedule), args.jobs)
 
     pohozaev_rows = []
     coercivity_rows = []
@@ -383,17 +370,17 @@ def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     m = cfg.exponent
     rate_rows = []
     for j in range(len(cfg.wells)):
-        samples = _fit_samples(good, lambda r: float(r["alphas"][j]), cfg)
+        samples = _fit_samples(good, lambda r: float(r["alphas"][j]))
         rate_rows.append(_rate_row("alpha", str(j), samples, m))
-    samples = _fit_samples(good, lambda r: float(r["w_norm"]), cfg)
+    samples = _fit_samples(good, lambda r: float(r["w_norm"]))
     rate_rows.append(_rate_row("w_norm", "", samples, m + cfg.dim / 2.0))
     for j in range(len(cfg.wells)):
-        samples = _fit_samples(good, lambda r: float(r["drifts"][j]) / r["eps"],
-                               cfg)
+        samples = _fit_samples(good,
+                               lambda r: float(r["drifts"][j]) / r["eps"])
         rate_rows.append(_rate_row("drift_over_eps", str(j), samples, None))
     for j in range(len(cfg.wells)):
         for l in range(j + 1, len(cfg.wells)):
-            samples = _fit_samples(good, lambda r: r["overlaps"][(j, l)], cfg)
+            samples = _fit_samples(good, lambda r: r["overlaps"][(j, l)])
             sep = float(np.linalg.norm(np.array(cfg.wells[j].center)
                                        - np.array(cfg.wells[l].center)))
             expected = -min(np.sqrt(cfg.wells[j].depth),
@@ -421,21 +408,20 @@ def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
 
     rel_diff is the pair's sup_diff divided by the sup norm of the pair's
     own first solution (UniquenessReport.rel_diff); a pair passes when it
-    is at or below analysis.uniqueness_rtol.  A pair whose Newton solve
-    fails records solver-failure with the solver's message.
+    is at or below _UNIQUENESS_RTOL.  A pair whose Newton solve fails, or
+    lands on a trivial or non-positive field, records solver-failure with
+    the probe's message.
     """
-    cfg, out_dir, jobs = _load_experiment(args)
+    cfg, out_dir = _load_experiment(args)
     ansatz = ansatz or _base_ansatz(cfg)
 
     def run_one(eps: float):
         spec = problem_at(cfg, eps)
         step = np.zeros(cfg.dim)
-        step[0] = cfg.uniqueness_shift * eps
-        # Zero-magnitude perturbations degenerate into identical pairs,
-        # whose two runs must agree bitwise.
+        step[0] = _UNIQUENESS_SHIFT * eps
         pairs = (
-            ("amplitude", (AnsatzTweak(amp_scale=1.0 - cfg.uniqueness_amp),
-                           AnsatzTweak(amp_scale=1.0 + cfg.uniqueness_amp))),
+            ("amplitude", (AnsatzTweak(amp_scale=1.0 - _UNIQUENESS_AMP),
+                           AnsatzTweak(amp_scale=1.0 + _UNIQUENESS_AMP))),
             ("shift", (AnsatzTweak(center_shifts=step),
                        AnsatzTweak(center_shifts=-step))),
         )
@@ -451,7 +437,7 @@ def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
                 rows.append(_row(eps, pair_name, None, None, "error",
                                  str(exc)))
                 continue
-            if report.rel_diff <= cfg.uniqueness_rtol:
+            if report.rel_diff <= _UNIQUENESS_RTOL:
                 result = "pass"
             else:
                 result = "uniqueness-failure"
@@ -463,7 +449,7 @@ def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
             _note(args, f"uniqueness eps={eps:g} {pair_name}: {result}")
         return rows
 
-    groups = _map_jobs(run_one, list(cfg.eps_schedule), jobs)
+    groups = _map_jobs(run_one, list(cfg.eps_schedule), args.jobs)
     rows = [row for group in groups for row in group]
     _write_csv(out_dir / "uniqueness.csv",
                ["eps", "pair", "sup_diff", "rel_diff", "result", "error"],
@@ -499,12 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="nonlinearity power")
     gs.add_argument("--dim", type=int, required=True,
                     help="space dimension (1, 2, or 3)")
-    gs.add_argument("--rmax", type=float, default=None,
-                    help="radial integration range override")
-    gs.add_argument("--tol", type=float, default=None,
-                    help="shooting bisection tolerance override")
     gs.add_argument("--out", default=None, help="output directory")
-    gs.add_argument("--verbose", action="store_true")
     gs.set_defaults(func=cmd_groundstate)
 
     for name, func, blurb in (
@@ -519,9 +500,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True,
                          help="experiment config file")
-        cmd.add_argument("--jobs", type=int, default=None,
+        cmd.add_argument("--jobs", type=int, default=1,
                          help="worker threads for analyze/uniqueness, not "
-                              "solve (default: NLSB_THREADS, then 1)")
+                              "solve (default: 1)")
         cmd.add_argument("--out", default=None,
                          help="output directory (default: run.output_dir)")
         cmd.add_argument("--verbose", action="store_true",

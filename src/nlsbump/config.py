@@ -1,4 +1,4 @@
-"""Experiment configuration: parsing, validation, serialization.
+"""Experiment configuration: parsing and validation.
 
 The format is line-oriented ``key = value`` with dotted section prefixes,
 ``#`` comments, and space-separated numbers for vectors:
@@ -7,10 +7,9 @@ The format is line-oriented ``key = value`` with dotted section prefixes,
     problem.well.0.center = -1 0
     schedule.eps = 0.4 0.3 0.25
 
-Floats serialize with 17 significant digits, so parse -> serialize ->
-parse is the identity.  A number that is not finite (nan, inf) is
-rejected.  Every violation of a module precondition is reported as a
-ConfigError naming the offending line or field.
+A number that is not finite (nan, inf) is rejected.  Every violation of
+a module precondition is reported as a ConfigError naming the offending
+line or field.
 """
 
 import math
@@ -38,22 +37,8 @@ class ExperimentConfig:
     background: Optional[float] = None
     spacing_divisor: float = 6.0
     solver: NewtonConfig = field(default_factory=NewtonConfig)
-    ball_radius: Optional[float] = None
-    pohozaev_resolution: int = 48
-    fit_drop: int = 0
-    uniqueness_amp: float = 0.1
-    uniqueness_shift: float = 0.3
-    uniqueness_rtol: float = 1e-8
     seed: int = 12345
     output_dir: str = "out"
-
-
-def fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _fmt_vec(xs) -> str:
-    return " ".join(fmt_float(x) for x in xs)
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -183,7 +168,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"{key}: expected {dim} coordinates, got {len(vec)}")
     background = entries.take("problem.background")
-    ball = entries.take("analysis.ball_radius")
     out_dir = entries.take("run.output_dir")
     cfg = ExperimentConfig(
         dim=dim,
@@ -201,13 +185,6 @@ def parse_config(text: str) -> ExperimentConfig:
         else _parse_float(background, "problem.background"),
         spacing_divisor=opt_float("grid.spacing_divisor", 6.0),
         solver=_solver_config(entries),
-        ball_radius=None if ball is None
-        else _parse_float(ball, "analysis.ball_radius"),
-        pohozaev_resolution=opt_int("analysis.pohozaev_resolution", 48),
-        fit_drop=opt_int("analysis.fit_drop", 0),
-        uniqueness_amp=opt_float("analysis.uniqueness_amp", 0.1),
-        uniqueness_shift=opt_float("analysis.uniqueness_shift", 0.3),
-        uniqueness_rtol=opt_float("analysis.uniqueness_rtol", 1e-8),
         seed=opt_int("run.seed", 12345),
         output_dir="out" if out_dir is None else out_dir,
     )
@@ -243,70 +220,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         cfg.solver.validate()
     except NlsbumpError as exc:
         raise ConfigError(f"solver: {exc}") from exc
-    if cfg.ball_radius is not None and not cfg.ball_radius > 0.0:
-        raise ConfigError("analysis.ball_radius: must be positive")
-    if cfg.pohozaev_resolution < 2:
-        raise ConfigError("analysis.pohozaev_resolution: must be at least 2")
-    if cfg.fit_drop < 0:
-        raise ConfigError("analysis.fit_drop: must be nonnegative")
-    if not 0.0 <= cfg.uniqueness_amp <= 0.2:
-        raise ConfigError(
-            "analysis.uniqueness_amp: must lie in [0, 0.2] (the probe's "
-            "amplitude basin)")
-    if not 0.0 <= cfg.uniqueness_shift <= 0.5:
-        raise ConfigError(
-            "analysis.uniqueness_shift: must lie in [0, 0.5] (the probe's "
-            "center basin, in units of eps)")
-    if not cfg.uniqueness_rtol > 0.0:
-        raise ConfigError("analysis.uniqueness_rtol: must be positive")
     if cfg.seed < 0:
         raise ConfigError("run.seed: must be nonnegative")
     if not cfg.output_dir:
         raise ConfigError("run.output_dir: must be nonempty")
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [
-        f"problem.dim = {cfg.dim}",
-        f"problem.p = {fmt_float(cfg.p)}",
-        f"problem.exponent = {fmt_float(cfg.exponent)}",
-        f"problem.patch_radius = {fmt_float(cfg.patch_radius)}",
-    ]
-    if cfg.background is not None:
-        lines.append(f"problem.background = {fmt_float(cfg.background)}")
-    for j, w in enumerate(cfg.wells):
-        lines.append(f"problem.well.{j}.center = {_fmt_vec(w.center)}")
-        lines.append(f"problem.well.{j}.depth = {fmt_float(w.depth)}")
-        lines.append(f"problem.well.{j}.coeff = {fmt_float(w.coeff)}")
-    lines.append(f"grid.lo = {_fmt_vec(cfg.box_lo)}")
-    lines.append(f"grid.hi = {_fmt_vec(cfg.box_hi)}")
-    lines.append(f"grid.spacing_divisor = {fmt_float(cfg.spacing_divisor)}")
-    lines.append(f"schedule.eps = {_fmt_vec(cfg.eps_schedule)}")
-    for fld in fields(NewtonConfig):
-        value = getattr(cfg.solver, fld.name)
-        shown = str(value) if isinstance(value, int) else fmt_float(value)
-        lines.append(f"solver.{fld.name} = {shown}")
-    if cfg.ball_radius is not None:
-        lines.append(f"analysis.ball_radius = {fmt_float(cfg.ball_radius)}")
-    lines.append(
-        f"analysis.pohozaev_resolution = {cfg.pohozaev_resolution}")
-    lines.append(f"analysis.fit_drop = {cfg.fit_drop}")
-    lines.append(f"analysis.uniqueness_amp = {fmt_float(cfg.uniqueness_amp)}")
-    lines.append(f"analysis.uniqueness_shift = {fmt_float(cfg.uniqueness_shift)}")
-    lines.append(f"analysis.uniqueness_rtol = {fmt_float(cfg.uniqueness_rtol)}")
-    lines.append(f"run.seed = {cfg.seed}")
-    lines.append(f"run.output_dir = {cfg.output_dir}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_config(path, cfg: ExperimentConfig) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_config(cfg))
 
 
 def make_potential(cfg: ExperimentConfig) -> PotentialModel:

@@ -137,10 +137,15 @@ def make_problem(eps: float, p: float, potential: PotentialModel,
     return spec
 
 
+def same_grid(a: TensorGrid, b: TensorGrid) -> bool:
+    """Equal node counts and exactly equal box corners."""
+    return a is b or (tuple(a.counts) == tuple(b.counts)
+                      and np.array_equal(a.lo, b.lo)
+                      and np.array_equal(a.hi, b.hi))
+
+
 def _check_same_grid(a: ScalarField, grid: TensorGrid) -> None:
-    if a.grid is not grid and (tuple(a.grid.counts) != tuple(grid.counts)
-                               or np.any(a.grid.lo != grid.lo)
-                               or np.any(a.grid.hi != grid.hi)):
+    if not same_grid(a.grid, grid):
         raise GridMismatchError("fields live on different grids")
 
 

@@ -56,7 +56,6 @@ from .radial import RadialProfile, eval_profile
 class BumpSpec:
     profile: RadialProfile
     center: np.ndarray
-    amplitude: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,6 @@ def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
             raise GeometryError(f"bump {k} center has wrong dimension")
         if np.any(center <= grid.lo) or np.any(center >= grid.hi):
             raise GeometryError(f"bump {k} center lies outside the grid box")
-        if not bump.amplitude > 0.0:
-            raise DomainError(f"bump {k} amplitude must be positive")
         prof = bump.profile
         v_here = float(eval_potential(spec.potential, center))
         if abs(prof.v_a - v_here) > 1e-12:
@@ -146,7 +143,7 @@ def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
                 f"bump {k} profile is {prof.dim}-d on a {grid.dim}-d grid")
         if shifts is not None:
             center = center + shifts[k]
-        total += bump.amplitude * amp_scale * bump_field(spec, prof, center)
+        total += amp_scale * bump_field(spec, prof, center)
     return make_field(grid, total)
 
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line harness on a small single well."""
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,9 +13,11 @@ import pytest
 
 import nlsbump.analysis
 import nlsbump.cli
-from nlsbump.cli import _base_ansatz, _row, _write_csv, main
+from nlsbump.analysis import AnsatzTweak, uniqueness_probe
+from nlsbump.cli import _base_ansatz, _build_parser, _row, _write_csv, main
 from nlsbump.config import load_config, parse_config, problem_at
 from nlsbump.fieldio import read_field
+from nlsbump.grid import make_field
 from nlsbump.radial import TABLE_BLOCK, RadialProfile
 from nlsbump.solver import build_ansatz, newton_solve
 
@@ -29,8 +32,6 @@ grid.lo = -3 -3
 grid.hi = 3 3
 grid.spacing_divisor = 4
 schedule.eps = 0.4 0.3
-analysis.uniqueness_amp = 0.1
-analysis.uniqueness_shift = 0.3
 run.seed = 42
 """
 
@@ -138,14 +139,16 @@ def test_groundstate_table_is_whole_across_block_edges(rows, tmp_path,
             == (tmp_path / "ref.csv").read_bytes())
 
 
-@pytest.mark.parametrize("flag,value", [("--rmax", "nan"), ("--rmax", "inf"),
-                                        ("--tol", "nan"), ("--tol", "inf")])
-def test_groundstate_non_finite_arguments_are_domain_errors(
-        flag, value, tmp_path, capsys):
-    code = main(["groundstate", "--va", "1", "--p", "4", "--dim", "1",
-                 flag, value, "--out", str(tmp_path)])
-    assert code == 3
-    assert "must be finite" in capsys.readouterr().err
+@pytest.mark.parametrize("extra", ["--tol 1", "--rmax 20", "--verbose"])
+def test_removed_groundstate_flags_are_usage_errors(extra, tmp_path, capsys):
+    # The shooting range and tolerance are fixed and groundstate has no
+    # progress lines; passing any of these is a usage error, not a
+    # silently ignored or silently different run.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["groundstate", "--va", "1", "--p", "4", "--dim", "1",
+              *extra.split(), "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {extra}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -398,9 +401,9 @@ def test_uniqueness_solves_four_times_per_eps(pipeline, tmp_path,
 
 def test_rerun_is_byte_identical(pipeline, tmp_path, monkeypatch):
     cfg_path, out, _ = pipeline
-    monkeypatch.setenv("NLSB_THREADS", "3")
     calls = counting_profiles(monkeypatch, nlsbump.cli.solve_ground_state)
-    code = main(["all", "--config", str(cfg_path), "--out", str(tmp_path)])
+    code = main(["all", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--jobs", "3"])
     assert code == 0
     # solve, analyze and uniqueness share one radial solve per depth
     assert calls == [(1.0, 4.0, 2)]
@@ -410,18 +413,38 @@ def test_rerun_is_byte_identical(pipeline, tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
-def test_identical_perturbations_give_exact_zero(tmp_path):
-    cfg_path = write_config(
-        tmp_path, SMOKE,
-        **{"schedule.eps": "0.4",
-           "analysis.uniqueness_amp": "0",
-           "analysis.uniqueness_shift": "0",
-           "run.output_dir": str(tmp_path / "out")})
-    code = main(["uniqueness", "--config", str(cfg_path)])
-    rows = read_rows(tmp_path / "out" / "uniqueness.csv")
-    assert code == 0
-    assert [r["sup_diff"] for r in rows] == ["0", "0"]
-    assert all(r["result"] == "pass" for r in rows)
+def test_identical_perturbations_give_exact_zero():
+    # Two runs from the same start must agree bitwise.
+    cfg = parse_config(SMOKE)
+    spec = problem_at(cfg, 0.4)
+    report = uniqueness_probe(spec, _base_ansatz(cfg),
+                              (AnsatzTweak(), AnsatzTweak()), cfg.solver)
+    assert report.sup_diff == 0.0
+    assert report.xi_field is None
+
+
+@pytest.mark.parametrize("start,message", [
+    (np.zeros_like, "probe run 0 collapsed to the trivial solution"),
+    (np.negative, "probe run 0 is not positive")], ids=["zero", "negated"])
+def test_probe_runs_off_the_positive_branch_are_solver_failures(
+        start, message, tmp_path, monkeypatch):
+    # Newton from 0 stays at u = 0 and Newton from -u0 lands on the
+    # negative solution; in both cases the two runs of a pair agree, but
+    # the claim under test is about positive solutions.
+    def diverted_solve(spec, u0, cfg=None):
+        return newton_solve(spec, make_field(spec.grid, start(u0.values)),
+                            cfg)
+
+    monkeypatch.setattr(nlsbump.analysis, "newton_solve", diverted_solve)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, SMOKE, **{"schedule.eps": "0.4",
+                                                "run.output_dir": str(out)})
+    assert main(["uniqueness", "--config", str(cfg_path)]) == 4
+    rows = read_rows(out / "uniqueness.csv")
+    assert [(r["pair"], r["result"], r["error"]) for r in rows] == [
+        ("amplitude", "solver-failure", message),
+        ("shift", "solver-failure", message)]
+    assert all(r["sup_diff"] == r["rel_diff"] == "" for r in rows)
 
 
 def test_starved_solver_is_a_solver_failure(tmp_path):
@@ -451,14 +474,18 @@ def test_overlapping_wells_fail_before_any_solve(tmp_path):
 
 
 def test_bad_jobs_values_are_config_errors(tmp_path, monkeypatch, capsys):
-    cfg_path = write_config(tmp_path, SMOKE,
-                            **{"run.output_dir": str(tmp_path / "out")})
-    assert main(["solve", "--config", str(cfg_path), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
-    for value in ("many", "0", "-3"):
-        monkeypatch.setenv("NLSB_THREADS", value)
-        assert main(["solve", "--config", str(cfg_path)]) == 2
-        assert "NLSB_THREADS" in capsys.readouterr().err
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, SMOKE, **{"run.output_dir": str(out)})
+    for value in ("0", "-3"):
+        assert main(["solve", "--config", str(cfg_path),
+                     "--jobs", value]) == 2
+        assert (f"--jobs must be at least 1, got {value}"
+                in capsys.readouterr().err)
+    assert not out.exists()
+    # The pool size comes from --jobs alone; the environment is not read.
+    monkeypatch.setenv("NLSB_THREADS", "many")
+    assert main(["analyze", "--config", str(cfg_path)]) == 4
+    assert capsys.readouterr().err == ""
 
 
 def test_analyze_without_solutions_records_missing_files(tmp_path):
@@ -488,3 +515,39 @@ def test_analyze_rejects_fields_from_another_eps(pipeline, tmp_path):
     bad = [r for r in rows if r["error"]]
     assert len(bad) == 1
     assert "stores eps" in bad[0]["error"]
+
+
+def test_verbose_progress_goes_to_stderr_only_when_asked(pipeline, tmp_path,
+                                                         capsys):
+    # A benchmark reports a failing command's last stderr line, so a quiet
+    # run must leave stderr empty.
+    cfg_path, _, _ = pipeline
+    quiet = tmp_path / "quiet"
+    for command in ("solve", "analyze", "uniqueness"):
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "loud"), "--verbose"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == ["solve eps=0.4",
+                                                  "solve eps=0.3"]
+
+
+def test_benchmark_command_lines_and_configs_parse(monkeypatch):
+    # A flag or key the benchmark passes must keep parsing; otherwise its
+    # child processes exit 2 and the run reports a failure, not a number.
+    # The workloads module is read in place, without a bytecode cache.
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    parser = _build_parser()
+    assert bench.WORKLOADS
+    for workload in bench.WORKLOADS.values():
+        parse_config(workload.config_text(bench.DEFAULT_SEED))
+        for command in workload.commands:
+            args = parser.parse_args(list(command.argv))
+            assert args.command == command.kind

@@ -243,9 +243,6 @@ def test_build_ansatz_validates_center_and_floor(get_profile):
     with pytest.raises(GeometryError):
         build_ansatz(spec, AnsatzSpec(bumps=(
             BumpSpec(prof, np.array([3.0, 0.0])),)))
-    with pytest.raises(DomainError):
-        build_ansatz(spec, AnsatzSpec(bumps=(
-            BumpSpec(prof, np.zeros(2), amplitude=-1.0),)))
     # profile floor 1.0 but V at the off-center point is 1 + 0.25
     with pytest.raises(ConsistencyError):
         build_ansatz(spec, AnsatzSpec(bumps=(
