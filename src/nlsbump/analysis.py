@@ -40,7 +40,6 @@ from .potential import eval_potential, grad_potential
 from .radial import RadialProfile, eval_profile, eval_profile_deriv
 from .solver import (
     AnsatzSpec,
-    NewtonConfig,
     build_ansatz,
     bump_field,
     dirichlet_inverse,
@@ -489,8 +488,8 @@ def _tweak_shifts(spec: ProblemSpec, k: int,
 
 
 def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
-                     perturbations: Tuple[AnsatzTweak, AnsatzTweak],
-                     cfg: Optional[NewtonConfig] = None) -> UniquenessReport:
+                     perturbations: Tuple[AnsatzTweak, AnsatzTweak]
+                     ) -> UniquenessReport:
     """Solve twice from perturbed initializations and compare sup norms.
 
     Each run starts from the ansatz with the tweak's scaled amplitudes and
@@ -508,7 +507,7 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
     for run, tweak in enumerate(perturbations):
         shifts = _tweak_shifts(spec, len(ansatz.bumps), tweak)
         u0 = build_ansatz(spec, ansatz, tweak.amp_scale, shifts)
-        u, report = newton_solve(spec, u0, cfg)
+        u, report = newton_solve(spec, u0)
         if report.trivial:
             raise ConvergenceError(
                 f"probe run {run} collapsed to the trivial solution")

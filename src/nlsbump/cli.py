@@ -40,11 +40,16 @@ locale), booleans as true/false, rows in schedule order; reruns of the
 same config produce byte-identical files.  Recorded per-item failures
 leave their numeric columns empty and put a message in the error column.
 
-Fixed numerical policy (constants, not settings): each flux identity
-uses a ball of radius min(default_ball_radius, 1.5 patch_radius) and a
-boundary quadrature of resolution 48 (analysis.pohozaev_terms: 192 nodes
-on a circle, 48 x 96 on a sphere).  Rate fits use every eps whose value
-is above the fit floor 1e-12.  The uniqueness probe's amplitude pair
+Fixed numerical policy (constants, not settings): a radial profile is
+tabulated on [0, 10/sqrt(v_a) + 10] from a first step of
+1e-3/max(1, sqrt(v_a)), refined until its residual meets the target, with
+u(0) bisected to a bracket width of 1e-13 (radial.solve_ground_state).
+Newton stops at a residual sup norm of 1e-10, within 40 steps of at most
+1500 MINRES iterations each.  Each flux identity uses a ball of radius
+min(default_ball_radius, 1.5 patch_radius) and a boundary quadrature of
+resolution 48 (analysis.pohozaev_terms: 192 nodes on a circle, 48 x 96 on
+a sphere).  Rate fits use every eps whose value is above the fit floor
+1e-12.  The uniqueness probe's amplitude pair
 starts from 0.9 and 1.1 times the ansatz, its shift pair from every bump
 moved by +0.3 eps and -0.3 eps along axis 0; a pair passes when
 rel_diff <= 1e-8.  A probe run that collapses to u = 0 or is not
@@ -220,8 +225,7 @@ def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     for i, eps in enumerate(cfg.eps_schedule):
         spec = problem_at(cfg, eps)
         try:
-            u, report = newton_solve(spec, build_ansatz(spec, ansatz),
-                                     cfg.solver)
+            u, report = newton_solve(spec, build_ansatz(spec, ansatz))
         except ConvergenceError as exc:
             report = exc.report
             rows.append(_row(eps, report.iterations, report.final_residual,
@@ -428,7 +432,7 @@ def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
         rows = []
         for pair_name, tweaks in pairs:
             try:
-                report = uniqueness_probe(spec, ansatz, tweaks, cfg.solver)
+                report = uniqueness_probe(spec, ansatz, tweaks)
             except _ITERATION_ERRORS as exc:
                 rows.append(_row(eps, pair_name, None, None,
                                  "solver-failure", str(exc)))

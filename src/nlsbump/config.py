@@ -13,7 +13,7 @@ line or field.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConfigError, NlsbumpError
 from .grid import ProblemSpec, TensorGrid, make_grid, make_problem
 from .potential import PotentialModel, WellSpec, make_multiwell
-from .solver import NewtonConfig
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class ExperimentConfig:
     eps_schedule: Tuple[float, ...]
     background: Optional[float] = None
     spacing_divisor: float = 6.0
-    solver: NewtonConfig = field(default_factory=NewtonConfig)
     seed: int = 12345
     output_dir: str = "out"
 
@@ -136,17 +134,6 @@ def _collect_wells(entries: _Entries, dim: int) -> Tuple[WellSpec, ...]:
     return tuple(wells)
 
 
-def _solver_config(entries: _Entries) -> NewtonConfig:
-    kwargs = {}
-    casts = {"max_newton": _parse_int, "krylov_max": _parse_int}
-    for fld in fields(NewtonConfig):
-        key = f"solver.{fld.name}"
-        raw = entries.take(key)
-        if raw is not None:
-            kwargs[fld.name] = casts.get(fld.name, _parse_float)(raw, key)
-    return NewtonConfig(**kwargs)
-
-
 def parse_config(text: str) -> ExperimentConfig:
     entries = _Entries(text)
     dim = _parse_int(entries.require("problem.dim"), "problem.dim")
@@ -184,7 +171,6 @@ def parse_config(text: str) -> ExperimentConfig:
         background=None if background is None
         else _parse_float(background, "problem.background"),
         spacing_divisor=opt_float("grid.spacing_divisor", 6.0),
-        solver=_solver_config(entries),
         seed=opt_int("run.seed", 12345),
         output_dir="out" if out_dir is None else out_dir,
     )
@@ -216,10 +202,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("schedule.eps: must be strictly decreasing")
     if not cfg.spacing_divisor >= 1.0:
         raise ConfigError("grid.spacing_divisor: must be at least 1")
-    try:
-        cfg.solver.validate()
-    except NlsbumpError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
     if cfg.seed < 0:
         raise ConfigError("run.seed: must be nonnegative")
     if not cfg.output_dir:

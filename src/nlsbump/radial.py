@@ -18,6 +18,10 @@ Because the connecting orbit is exponentially unstable, the final table is
 genuine integration out to a switch radius and an analytic exponential tail
 beyond it, joined with matching value and derivative.
 
+The policy is fixed: the table spans [0, 10/sqrt(v_a) + 10], and the
+step starts at 1e-3/max(1, sqrt(v_a)) and shrinks until the table's
+finite-difference residual meets its target.
+
 A table reaches about 1.3M nodes at the finest auto step, so every
 full-length pass over it (the tail, the residual check, the CSV writer)
 works on TABLE_BLOCK nodes at a time: the transient memory is a few blocks
@@ -48,37 +52,18 @@ _TURN_RATIO = 1e-6
 # accumulated amplification of the bisection error would pollute the values.
 _TAIL_RATIO = 1e-5
 _RESIDUAL_TARGET = 1e-6  # relative to max(values), drives auto step refinement
+_BISECT_TOL = 1e-13  # bracket width at which bisection on u(0) stops
 _OVERSHOOT, _UNDERSHOOT = 1, -1
 TABLE_BLOCK = 1 << 16  # nodes per block of every full pass over a table
 
 
-@dataclass
-class ShootingConfig:
-    """Knobs for the shooting solve.
-
-    r_max and ode_step default to None, which means: pick r_max as
-    10/sqrt(v_a) + 10 and start from step 1e-3/max(1, sqrt(v_a)), shrinking
-    it until the finite-difference residual of the table meets the target;
-    u(0) is carried across and bisected again only at the kept step.  An
-    explicit ode_step is honored exactly (no refinement), which is what the
-    step-halving convergence tests rely on.
-    """
-
-    r_max: Optional[float] = None
-    ode_step: Optional[float] = None
-    bracket_lo: Optional[float] = None
-    bracket_hi: Optional[float] = None
-    bisect_tol: float = 1e-13
-
-
-@dataclass
+@dataclass(frozen=True)
 class RadialProfile:
     """Tabulated ground-state profile on a uniform radial mesh.
 
     values[i] = U(r_nodes[i]), dvalues[i] = U'(r_nodes[i]); decay_rate is the
-    fitted exponential rate (close to sqrt(v_a)).  It holds no cache: every
-    evaluation reads the table.  Treat instances as read-only once returned
-    by solve_ground_state.
+    exponential rate fitted over 0.3 r_max <= r <= 0.5 r_max (close to
+    sqrt(v_a)).  It holds no cache: every evaluation reads the table.
     """
 
     v_a: float
@@ -131,10 +116,10 @@ def _march(c: float, v_a: float, p: float, dim: int, h: float,
            ) -> Tuple[float, float, float, int]:
     """RK4 from the series start at r = h, for at most n_steps steps of h.
 
-    Stops after the first step that ends with u < floor or u' > 0.  Given
-    arrays, writes node i (r = i h) of the trajectory into values[i] and
-    dvalues[i] for every node it reaches.  Returns (u, u', r, i) at the
-    node it ends on.
+    Stops after the first step that ends with u < floor or u' > 0, and
+    raises ConvergenceError if the state overflows.  Given arrays, writes
+    node i (r = i h) of the trajectory into values[i] and dvalues[i] for
+    every node it reaches.  Returns (u, u', r, i) at the node it ends on.
     """
     nl = power_map(p)
     nm1 = dim - 1.0
@@ -146,31 +131,38 @@ def _march(c: float, v_a: float, p: float, dim: int, h: float,
     i = 1
     half = 0.5 * h
     sixth = h / 6.0
-    for i in range(2, n_steps + 2):
-        k1u = d
-        k1d = v_a * u - nl(u) - nm1 / r * d
-        rm = r + half
-        u2 = u + half * k1u
-        d2 = d + half * k1d
-        k2u = d2
-        k2d = v_a * u2 - nl(u2) - nm1 / rm * d2
-        u3 = u + half * k2u
-        d3 = d + half * k2d
-        k3u = d3
-        k3d = v_a * u3 - nl(u3) - nm1 / rm * d3
-        r4 = r + h
-        u4 = u + h * k3u
-        d4 = d + h * k3d
-        k4u = d4
-        k4d = v_a * u4 - nl(u4) - nm1 / r4 * d4
-        u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-        d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
-        r = r4
-        if values is not None:
-            values[i] = u
-            dvalues[i] = d
-        if u < floor or d > 0.0:
-            break
+    # A trajectory far above the orbit can outgrow a float: abs(u) ** em
+    # raises where a product would give inf.
+    try:
+        for i in range(2, n_steps + 2):
+            k1u = d
+            k1d = v_a * u - nl(u) - nm1 / r * d
+            rm = r + half
+            u2 = u + half * k1u
+            d2 = d + half * k1d
+            k2u = d2
+            k2d = v_a * u2 - nl(u2) - nm1 / rm * d2
+            u3 = u + half * k2u
+            d3 = d + half * k2d
+            k3u = d3
+            k3d = v_a * u3 - nl(u3) - nm1 / rm * d3
+            r4 = r + h
+            u4 = u + h * k3u
+            d4 = d + h * k3d
+            k4u = d4
+            k4d = v_a * u4 - nl(u4) - nm1 / r4 * d4
+            u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
+            r = r4
+            if values is not None:
+                values[i] = u
+                dvalues[i] = d
+            if u < floor or d > 0.0:
+                break
+    except OverflowError:
+        raise ConvergenceError(
+            f"shooting trial from u(0) = {c:.6g} overflowed at ode_step "
+            f"{h:.3g}") from None
     return u, d, r, i
 
 
@@ -212,8 +204,7 @@ def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
         i_sw = max(2, i_stop - int(math.ceil(5.0 / (kappa * h))))
     if i_sw < 2 or values[i_sw] <= 0.0 or dvalues[i_sw] >= 0.0:
         raise ConvergenceError(
-            "shooting trajectory broke down before a clean tail hand-off; "
-            "tighten bisect_tol or shrink r_max")
+            "shooting trajectory broke down before a clean tail hand-off")
     r_s = r_nodes[i_sw]
     u_s = values[i_sw]
     target = dvalues[i_sw] / u_s
@@ -251,20 +242,24 @@ def _default_bracket(v_a: float, p: float) -> Tuple[float, float]:
     return 0.3 * g, 12.0 * g
 
 
-def solve_ground_state(v_a: float, p: float, dim: int,
-                       config: Optional[ShootingConfig] = None
-                       ) -> RadialProfile:
+def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
     """Shoot for the positive decreasing radial ground state.
 
-    A finer step is tried with the carried u(0), which is bisected again
-    (and the table rebuilt) once that step's table passes or breaks down.
+    The table spans [0, r_max], r_max = 10/sqrt(v_a) + 10, and starts at
+    step 1e-3/max(1, sqrt(v_a)).  While its finite-difference residual
+    misses the target the step shrinks, by at most 64 in total; a finer
+    step is tried with the carried u(0), which is bisected again (and the
+    table rebuilt) once that step's table passes or breaks down.
 
     Raises DomainError for unsupported or non-finite inputs, BracketError
-    when the bracket fails to straddle, and ConvergenceError when bisection
-    or the table construction cannot meet tolerance.
+    when the bracket fails to straddle, and ConvergenceError when a trial
+    overflows or bisection or the table construction cannot meet tolerance.
     """
     if dim not in (1, 2, 3):
         raise DomainError(f"dim must be 1, 2, or 3, got {dim}")
+    for name, value in (("v_a", v_a), ("p", p)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not v_a > 0.0:
         raise DomainError(f"v_a must be positive, got {v_a}")
     if not p > 2.0:
@@ -273,29 +268,10 @@ def solve_ground_state(v_a: float, p: float, dim: int,
         raise DomainError(
             f"p = {p} is supercritical in dim 3 (needs p < 6); no ground "
             "state exists")
-    cfg = config if config is not None else ShootingConfig()
-    for name, value in dict(vars(cfg), v_a=v_a, p=p).items():
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
     kappa = math.sqrt(v_a)
-    r_max = cfg.r_max if cfg.r_max is not None else 10.0 / kappa + 10.0
-    if r_max <= 0.0:
-        raise DomainError(f"r_max must be positive, got {r_max}")
-    lo, hi = cfg.bracket_lo, cfg.bracket_hi
-    d_lo, d_hi = _default_bracket(v_a, p)
-    if lo is None:
-        lo = d_lo
-    if hi is None:
-        hi = d_hi
-    if not 0.0 < lo < hi:
-        raise BracketError(f"need 0 < bracket_lo < bracket_hi, got ({lo}, {hi})")
-    if cfg.bisect_tol <= 0.0:
-        raise DomainError("bisect_tol must be positive")
-
-    auto_step = cfg.ode_step is None
-    h = (1e-3 / max(1.0, kappa)) if auto_step else float(cfg.ode_step)
-    if h <= 0.0 or h > r_max / 16.0:
-        raise DomainError(f"ode_step {h} unusable for r_max {r_max}")
+    r_max = 10.0 / kappa + 10.0
+    h = 1e-3 / max(1.0, kappa)
+    lo, hi = _default_bracket(v_a, p)
 
     def bisect(lo, hi, step, tol):
         f_lo = _classify(lo, v_a, p, dim, step, r_max)
@@ -320,21 +296,22 @@ def solve_ground_state(v_a: float, p: float, dim: int,
 
     # Coarse pass narrows the bracket cheaply; the fine pass makes u(0)
     # consistent with the step the table is built with.
-    coarse_tol = max(cfg.bisect_tol, 1e-3 * d_lo)
+    coarse_tol = max(_BISECT_TOL, 1e-3 * lo)
     try:
         lo, hi = bisect(lo, hi, 8.0 * h, coarse_tol)
     except BracketError:
-        # A large explicit step makes 8h too coarse to classify the ends.
+        # At 8h the RK4 trial from the bracket top can go unstable and read
+        # as an undershoot where it overshoots at h, as at (1, 6, 1).
         lo, hi = bisect(lo, hi, h, coarse_tol)
     pad = 4.0 * max(abs(hi - lo), 1e-7 * max(abs(lo), abs(hi)))
-    lo, hi = bisect(min(lo, hi) - pad, max(lo, hi) + pad, h, cfg.bisect_tol)
+    lo, hi = bisect(min(lo, hi) - pad, max(lo, hi) + pad, h, _BISECT_TOL)
     c = 0.5 * (lo + hi)
 
     def pin(c, step):
         # u(0) moves by O(h^4), so a slim pad almost always straddles.
         for pad in (1e-7 * c, 1e-5 * c, 1e-3 * c):
             try:
-                lo, hi = bisect(c - pad, c + pad, step, cfg.bisect_tol)
+                lo, hi = bisect(c - pad, c + pad, step, _BISECT_TOL)
                 return 0.5 * (lo + hi)
             except BracketError:
                 continue
@@ -363,7 +340,7 @@ def solve_ground_state(v_a: float, p: float, dim: int,
             continue
         res = profile_ode_residual(r_nodes, values, v_a, p, dim)
         target = _RESIDUAL_TARGET * values[0]
-        if not auto_step or res <= 0.8 * target:
+        if res <= 0.8 * target:
             if pinned:
                 break
             c, pinned = pin(c, h), True
@@ -381,10 +358,9 @@ def solve_ground_state(v_a: float, p: float, dim: int,
             "profile is not strictly positive and decreasing; shooting "
             "tolerance too loose for this (v_a, p, dim)")
 
-    profile = RadialProfile(v_a=v_a, p=p, dim=dim, r_nodes=r_nodes,
-                            values=values, dvalues=dvalues, decay_rate=0.0)
-    decay_rate(profile, (0.3 * r_max, 0.5 * r_max))
-    return profile
+    return RadialProfile(v_a=v_a, p=p, dim=dim, r_nodes=r_nodes,
+                         values=values, dvalues=dvalues,
+                         decay_rate=_decay_rate(r_nodes, values, dim, r_max))
 
 
 def profile_ode_residual(r_nodes: np.ndarray, values: np.ndarray,
@@ -415,34 +391,19 @@ def ode_residual(profile: RadialProfile) -> float:
                                 profile.v_a, profile.p, profile.dim)
 
 
-def decay_rate(profile: RadialProfile,
-               window: Optional[Tuple[float, float]] = None) -> float:
-    """Fit the exponential decay rate over a radial window and store it.
+def _decay_rate(r_nodes: np.ndarray, values: np.ndarray, dim: int,
+                r_max: float) -> float:
+    """Exponential decay rate fitted over 0.3 r_max <= r <= 0.5 r_max.
 
     Least squares on log(U(r) r^((dim-1)/2)) against r; the magnitude of the
-    slope is the rate.  The window must lie inside the table and contain only
-    positive samples.
+    slope is the rate.  The window holds thousands of positive table nodes.
     """
-    r_hi = profile.r_max
-    if window is None:
-        window = (0.3 * r_hi, 0.5 * r_hi)
-    w0, w1 = window
-    if not 0.0 <= w0 < w1 <= r_hi:
-        raise DomainError(
-            f"fit window ({w0}, {w1}) must satisfy 0 <= w0 < w1 <= {r_hi}")
-    mask = (profile.r_nodes >= w0) & (profile.r_nodes <= w1)
-    if int(mask.sum()) < 4:
-        raise DomainError("fit window contains fewer than 4 table nodes")
-    r = profile.r_nodes[mask]
-    u = profile.values[mask]
-    if np.any(u <= 0.0):
-        raise DomainError("fit window contains nonpositive profile values")
-    beta = (profile.dim - 1) / 2.0
+    mask = (r_nodes >= 0.3 * r_max) & (r_nodes <= 0.5 * r_max)
+    r = r_nodes[mask]
+    u = values[mask]
+    beta = (dim - 1) / 2.0
     y = np.log(u * r ** beta) if beta else np.log(u)
-    slope = np.polyfit(r, y, 1)[0]
-    rate = float(abs(slope))
-    profile.decay_rate = rate
-    return rate
+    return float(abs(np.polyfit(r, y, 1)[0]))
 
 
 def eval_profile(profile: RadialProfile, r) -> np.ndarray:

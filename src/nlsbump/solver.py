@@ -63,19 +63,6 @@ class AnsatzSpec:
     bumps: Tuple[BumpSpec, ...]
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol_residual: float = 1e-10
-    max_newton: int = 40
-    krylov_max: int = 1500
-
-    def validate(self) -> None:
-        if not self.tol_residual > 0.0:
-            raise DomainError("tol_residual must be positive")
-        if self.max_newton < 1 or self.krylov_max < 1:
-            raise DomainError("iteration limits must be at least 1")
-
-
 @dataclass
 class SolveReport:
     converged: bool
@@ -91,6 +78,12 @@ class SolveReport:
     krylov_short: int = 0  # MINRES calls that stopped short (info > 0)
 
 
+# Newton stops at a residual sup norm of _TOL_RESIDUAL, within
+# _MAX_NEWTON steps of at most _KRYLOV_MAX MINRES iterations each
+# (perfbench/workloads.py's NEWTON_TOL and MAX_NEWTON mirror them).
+_TOL_RESIDUAL = 1e-10
+_MAX_NEWTON = 40
+_KRYLOV_MAX = 1500
 _TRIVIAL_RATIO = 1e-8
 # MINRES rtol.  Translation modes of flat wells make the Jacobian nearly
 # singular; pushing the inner solve further buys nothing but stagnation.
@@ -198,9 +191,8 @@ def interior_operator(diag: np.ndarray, spacing,
     return apply
 
 
-def newton_solve(spec: ProblemSpec, u0: ScalarField,
-                 cfg: Optional[NewtonConfig] = None,
-                 ) -> Tuple[ScalarField, SolveReport]:
+def newton_solve(spec: ProblemSpec,
+                 u0: ScalarField) -> Tuple[ScalarField, SolveReport]:
     """Solve F(u) = 0 from the initial iterate u0.
 
     Returns the solution field and a report.  The positivity flag refers to
@@ -216,9 +208,6 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
     runs out of iterations or backtracking cannot find a descent step, and
     KrylovError if MINRES breaks down.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
-    cfg.validate()
     grid = spec.grid
     if u0.values.shape != tuple(grid.counts):
         raise DomainError("initial iterate does not live on the spec's grid")
@@ -278,10 +267,10 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
     lam = 0.0
 
     it = 0
-    while sup_res > cfg.tol_residual:
-        if it >= cfg.max_newton:
-            raise fail(f"Newton did not reach {cfg.tol_residual:g} in "
-                       f"{cfg.max_newton} iterations (residual {sup_res:g})")
+    while sup_res > _TOL_RESIDUAL:
+        if it >= _MAX_NEWTON:
+            raise fail(f"Newton did not reach {_TOL_RESIDUAL:g} in "
+                       f"{_MAX_NEWTON} iterations (residual {sup_res:g})")
         it += 1
         base_diag = v_int - (spec.p - 1.0) * np.abs(u[inner]) ** (spec.p - 2.0)
         krylov_iterations.append(0)
@@ -299,7 +288,7 @@ def newton_solve(spec: ProblemSpec, u0: ScalarField,
             op = LinearOperator((v_int.size,) * 2, matvec=matvec, dtype=float)
             rhs = -res[inner].ravel()
             step_flat, info = minres(op, rhs, rtol=_KRYLOV_TOL,
-                                     maxiter=cfg.krylov_max, M=precond)
+                                     maxiter=_KRYLOV_MAX, M=precond)
             if info < 0:
                 raise KrylovError(f"MINRES breakdown (info={info})")
             krylov_short += int(info > 0)

@@ -24,7 +24,7 @@ from nlsbump.grid import (eps_inner, eps_norm, make_field, make_grid,
                           make_problem)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
-from nlsbump.solver import (AnsatzSpec, BumpSpec, NewtonConfig, build_ansatz,
+from nlsbump.solver import (AnsatzSpec, BumpSpec, build_ansatz,
                             interior_operator, newton_solve)
 
 WELLS = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
@@ -556,16 +556,16 @@ def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
     assert sum(len(c) for c in samples) == 2 * len(ansatz.bumps)
 
 
-def test_probe_normalizes_the_difference_field(get_profile):
+def test_probe_normalizes_the_difference_field(get_profile, monkeypatch):
     # loose solver tolerance leaves the two runs visibly apart, which
     # must produce the normalized difference field
+    monkeypatch.setattr(nlsbump.solver, "_TOL_RESIDUAL", 1e-4)
     spec = single_well_problem(n=101)
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
                                         np.zeros(2)),))
     rep = uniqueness_probe(spec, ansatz,
                            (AnsatzTweak(amp_scale=0.9),
-                            AnsatzTweak(amp_scale=1.1)),
-                           NewtonConfig(tol_residual=1e-4))
+                            AnsatzTweak(amp_scale=1.1)))
     assert rep.sup_diff > 0.0
     assert np.abs(rep.xi_field.values).max() == 1.0
 
@@ -580,13 +580,13 @@ def test_probe_rel_diff_is_relative_to_the_first_solution(get_profile,
         return u, report
 
     monkeypatch.setattr(nlsbump.analysis, "newton_solve", recording_solve)
+    monkeypatch.setattr(nlsbump.solver, "_TOL_RESIDUAL", 1e-4)
     spec = single_well_problem(n=101)
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
                                         np.zeros(2)),))
     rep = uniqueness_probe(spec, ansatz,
                            (AnsatzTweak(amp_scale=0.9),
-                            AnsatzTweak(amp_scale=1.1)),
-                           NewtonConfig(tol_residual=1e-4))
+                            AnsatzTweak(amp_scale=1.1)))
     assert len(solutions) == 2
     assert rep.sup_diff > 0.0
     assert rep.rel_diff == rep.sup_diff / np.abs(solutions[0].values).max()

@@ -13,6 +13,7 @@ import pytest
 
 import nlsbump.analysis
 import nlsbump.cli
+import nlsbump.solver
 from nlsbump.analysis import AnsatzTweak, uniqueness_probe
 from nlsbump.cli import _base_ansatz, _build_parser, _row, _write_csv, main
 from nlsbump.config import load_config, parse_config, problem_at
@@ -163,6 +164,25 @@ def test_groundstate_decay_rate_near_one_in_dim3(tmp_path, capsys):
     assert abs(rate - 1.0) <= 0.02
 
 
+@pytest.mark.parametrize("p,dim", [(10, 1), (10, 2), (14, 1)])
+def test_overflowing_shooting_trial_is_an_iteration_failure(p, dim, tmp_path,
+                                                            capsys):
+    # abs(u) ** (p - 2) once overflowed inside the RK4 march, and the
+    # OverflowError escaped as a traceback.
+    code = main(["groundstate", "--va", "1", "--p", str(p), "--dim",
+                 str(dim), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: shooting trial from u(0) = ")
+    assert "overflowed at ode_step 0.008" in err
+    # The 2-D config's profile solve fails the same way.
+    cfg_path = write_config(tmp_path,
+                            SMOKE.replace("problem.p = 4", f"problem.p = {p}"))
+    assert main(["solve", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "out")]) == 4
+    assert "overflowed at ode_step" in capsys.readouterr().err
+
+
 def test_groundstate_supercritical_exit_code(tmp_path, capsys):
     code = main(["groundstate", "--va", "1", "--p", "7", "--dim", "3",
                  "--out", str(tmp_path)])
@@ -250,7 +270,7 @@ def test_solve_fields_are_cold_solves_from_the_ansatz(pipeline):
     ansatz = _base_ansatz(cfg)
     for eps in cfg.eps_schedule:
         spec = problem_at(cfg, eps)
-        cold, _ = newton_solve(spec, build_ansatz(spec, ansatz), cfg.solver)
+        cold, _ = newton_solve(spec, build_ansatz(spec, ansatz))
         written, eps_file, _ = read_field(out / f"solution_eps{eps:g}.nlsb")
         assert eps_file == eps
         assert np.array_equal(written.values, cold.values)
@@ -260,9 +280,8 @@ def test_solve_failure_ends_the_sweep(tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg_path = write_config(
         tmp_path, SMOKE,
-        **{"schedule.eps": "0.4 0.3",
-           "solver.max_newton": "1",
-           "run.output_dir": str(out)})
+        **{"schedule.eps": "0.4 0.3", "run.output_dir": str(out)})
+    monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 1)
     solved = counting_newton(monkeypatch, nlsbump.cli)
     code = main(["solve", "--config", str(cfg_path)])
     assert code == 4
@@ -418,7 +437,7 @@ def test_identical_perturbations_give_exact_zero():
     cfg = parse_config(SMOKE)
     spec = problem_at(cfg, 0.4)
     report = uniqueness_probe(spec, _base_ansatz(cfg),
-                              (AnsatzTweak(), AnsatzTweak()), cfg.solver)
+                              (AnsatzTweak(), AnsatzTweak()))
     assert report.sup_diff == 0.0
     assert report.xi_field is None
 
@@ -431,9 +450,8 @@ def test_probe_runs_off_the_positive_branch_are_solver_failures(
     # Newton from 0 stays at u = 0 and Newton from -u0 lands on the
     # negative solution; in both cases the two runs of a pair agree, but
     # the claim under test is about positive solutions.
-    def diverted_solve(spec, u0, cfg=None):
-        return newton_solve(spec, make_field(spec.grid, start(u0.values)),
-                            cfg)
+    def diverted_solve(spec, u0):
+        return newton_solve(spec, make_field(spec.grid, start(u0.values)))
 
     monkeypatch.setattr(nlsbump.analysis, "newton_solve", diverted_solve)
     out = tmp_path / "out"
@@ -447,12 +465,11 @@ def test_probe_runs_off_the_positive_branch_are_solver_failures(
     assert all(r["sup_diff"] == r["rel_diff"] == "" for r in rows)
 
 
-def test_starved_solver_is_a_solver_failure(tmp_path):
+def test_starved_solver_is_a_solver_failure(tmp_path, monkeypatch):
     cfg_path = write_config(
         tmp_path, SMOKE,
-        **{"schedule.eps": "0.4",
-           "solver.max_newton": "1",
-           "run.output_dir": str(tmp_path / "out")})
+        **{"schedule.eps": "0.4", "run.output_dir": str(tmp_path / "out")})
+    monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 1)
     code = main(["uniqueness", "--config", str(cfg_path)])
     rows = read_rows(tmp_path / "out" / "uniqueness.csv")
     assert code == 4
@@ -544,6 +561,11 @@ def test_benchmark_command_lines_and_configs_parse(monkeypatch):
     bench = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench)
     spec.loader.exec_module(bench)
+    # The output check reads residual columns against the program's own
+    # constants; a drifted copy would fail there as incorrect outputs.
+    assert bench.NEWTON_TOL == nlsbump.solver._TOL_RESIDUAL
+    assert bench.MAX_NEWTON == nlsbump.solver._MAX_NEWTON
+    assert bench.UNIQUENESS_RTOL == nlsbump.cli._UNIQUENESS_RTOL
     parser = _build_parser()
     assert bench.WORKLOADS
     for workload in bench.WORKLOADS.values():

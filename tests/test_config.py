@@ -39,20 +39,16 @@ def test_parse_reads_the_benchmark_config():
     # defaults
     assert cfg.background is None
     assert cfg.spacing_divisor == 6.0
-    assert cfg.solver.tol_residual == 1e-10
     assert cfg.output_dir == "out"
 
 
-def test_solver_and_analysis_overrides():
+def test_optional_key_overrides():
     text = BENCH + """
-solver.tol_residual = 1e-12
-solver.max_newton = 7
+grid.spacing_divisor = 4
 run.output_dir = results
 """
     cfg = parse_config(text)
-    assert cfg.solver.tol_residual == 1e-12
-    assert cfg.solver.max_newton == 7
-    assert cfg.solver.krylov_max == 1500
+    assert cfg.spacing_divisor == 4.0
     assert cfg.output_dir == "results"
 
 
@@ -128,6 +124,7 @@ def test_module_preconditions_enforced():
 
 
 @pytest.mark.parametrize("key", [
+    "solver.tol_residual", "solver.max_newton", "solver.krylov_max",
     "solver.krylov_tol", "solver.damping", "solver.backtrack",
     "solver.max_backtracks", "solver.regularization_growth",
     "solver.max_regularizations", "analysis.ball_radius",

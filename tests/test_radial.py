@@ -23,8 +23,7 @@ from scipy.optimize import brentq
 import nlsbump.radial
 from nlsbump.errors import BracketError, ConvergenceError, DomainError
 from nlsbump.grid import power_map
-from nlsbump.radial import (TABLE_BLOCK, RadialProfile, ShootingConfig,
-                            decay_rate, eval_profile, eval_profile_deriv,
+from nlsbump.radial import (TABLE_BLOCK, eval_profile, eval_profile_deriv,
                             ode_residual, profile_ode_residual,
                             radial_integral, solve_ground_state)
 
@@ -66,17 +65,9 @@ def test_dim1_center_values_exact(get_profile):
     assert abs(get_profile(4.0, 4.0, 1).values[0] - 2 * math.sqrt(2)) < 1e-8
 
 
-def test_dim3_center_value_pinned():
-    # Independent pinning: explicit step halved; u(0) must stabilize well
-    # below 1e-6 and agree with the frozen high-resolution value.
-    u0 = []
-    for h in (8e-4, 4e-4):
-        prof = solve_ground_state(1.0, 4.0, 3,
-                                  ShootingConfig(ode_step=h, bisect_tol=1e-14))
-        u0.append(prof.values[0])
-    assert abs(u0[0] - u0[1]) < 1e-6
-    for v in u0:
-        assert abs(v - 4.33738767998) < 1e-6
+def test_dim3_center_value_pinned(get_profile):
+    # The frozen value was stable to well below 1e-6 under step halving.
+    assert abs(get_profile(1.0, 4.0, 3).values[0] - 4.33738767998) < 1e-6
 
 
 def test_dim2_center_value_pinned(get_profile):
@@ -124,22 +115,21 @@ def test_profile_invariants(get_profile, v_a, p, dim):
 
 
 def test_residual_second_order_in_step():
+    # The residual check is a second-order stencil: on the exact sech
+    # profile it falls by 4 per halving of the table step.
     res = []
     for h in (2e-3, 1e-3, 5e-4):
-        prof = solve_ground_state(1.0, 4.0, 1, ShootingConfig(ode_step=h))
-        res.append(ode_residual(prof))
+        r = np.arange(int(round(20.0 / h)) + 1) * h
+        res.append(profile_ode_residual(r, soliton_1d(r, 4.0), 1.0, 4.0, 1))
     assert 3.3 < res[0] / res[1] < 4.7
     assert 3.3 < res[1] / res[2] < 4.7
 
 
 def test_decay_rate_windows(get_profile):
-    prof1 = get_profile(1.0, 4.0, 1)
-    rate = decay_rate(prof1, (4.0, 8.0))
-    assert abs(rate - 1.0) < 1e-3
-    assert prof1.decay_rate == rate
-    prof3 = get_profile(1.0, 4.0, 3)
-    rate3 = decay_rate(prof3, (6.0, 10.0))
-    assert abs(rate3 - 1.0) < 0.02
+    # Fitted over 0.3 r_max <= r <= 0.5 r_max; measured 0.9999990 at
+    # (1, 4, 1).
+    assert abs(get_profile(1.0, 4.0, 1).decay_rate - 1.0) < 1e-3
+    assert abs(get_profile(1.0, 4.0, 3).decay_rate - 1.0) < 0.02
 
 
 def test_eval_tail_beyond_table(get_profile):
@@ -253,50 +243,38 @@ def test_domain_errors():
         solve_ground_state(-1.0, 4.0, 1)
     with pytest.raises(DomainError):
         solve_ground_state(1.0, 2.0, 1)
-    with pytest.raises(DomainError):
-        solve_ground_state(1.0, 4.0, 1, ShootingConfig(r_max=-3.0))
 
 
 @pytest.mark.parametrize("field,value", [
-    ("r_max", math.nan), ("r_max", math.inf), ("ode_step", math.nan),
-    ("bisect_tol", math.nan), ("bisect_tol", math.inf),
-    ("bracket_lo", math.nan), ("bracket_hi", math.inf)])
+    ("v_a", math.nan), ("v_a", math.inf), ("p", math.nan), ("p", math.inf)])
 def test_non_finite_shooting_numbers_are_domain_errors(field, value):
+    args = {"v_a": 1.0, "p": 4.0, "dim": 1, field: value}
     with pytest.raises(DomainError, match=f"{field} must be finite"):
-        solve_ground_state(1.0, 4.0, 1, ShootingConfig(**{field: value}))
+        solve_ground_state(**args)
 
 
-def test_bracket_errors():
-    with pytest.raises(BracketError):
-        solve_ground_state(1.0, 4.0, 1,
-                           ShootingConfig(bracket_lo=5.0, bracket_hi=9.0))
-    with pytest.raises(BracketError):
-        solve_ground_state(1.0, 4.0, 1,
-                           ShootingConfig(bracket_lo=0.1, bracket_hi=0.9))
-    with pytest.raises(BracketError):
-        solve_ground_state(1.0, 4.0, 1,
-                           ShootingConfig(bracket_lo=2.0, bracket_hi=1.0))
+def test_default_step_falls_back_to_a_fine_coarse_pass(monkeypatch):
+    # At (1, 6, 1) the bracket top reads as an undershoot at 8h = 8e-3, so
+    # the coarse pass gives up after its 2 endpoint trials and bisects at
+    # h; u(0) still meets the closed form 3^(1/4).
+    counts = count_trials(monkeypatch)
+    prof = solve_ground_state(1.0, 6.0, 1)
+    assert counts[8e-3] == 2
+    assert abs(prof.values[0] - 3.0 ** 0.25) < 1e-12
 
 
-def test_explicit_coarse_step_still_brackets():
-    # Regression: the coarse pass marched at 8 * ode_step = 0.032, where
-    # both ends of the default bracket classified as undershoot, and the
-    # solve raised BracketError although the bracket straddles at the
-    # requested step.  u(0) moves by O(h^4) from the auto-refined value.
-    prof = solve_ground_state(1.0, 5.5, 2, ShootingConfig(ode_step=4e-3))
-    assert prof.r_nodes[1] == pytest.approx(4e-3)
-    assert np.all(np.diff(prof.values) < 0.0)
-    assert abs(prof.values[0] - 2.03939975936) < 1e-6
+@pytest.mark.xfail(strict=True, raises=BracketError)
+def test_large_p_center_value_meets_the_closed_form():
+    # RK4 is unstable at the bracket top 12 g for p = 8, at 8h and at h
+    # alike, so both endpoints read as undershoots; the closed form is
+    # u(0) = 4^(1/6).
+    prof = solve_ground_state(1.0, 8.0, 1)
+    assert abs(prof.values[0] - 4.0 ** (1.0 / 6.0)) < 1e-9
 
 
-def test_decay_window_errors(get_profile):
-    prof = get_profile(1.0, 4.0, 1)
+def test_negative_radius_is_a_domain_error(get_profile):
     with pytest.raises(DomainError):
-        decay_rate(prof, (8.0, 50.0))
-    with pytest.raises(DomainError):
-        decay_rate(prof, (6.0, 6.0005))
-    with pytest.raises(DomainError):
-        eval_profile(prof, -0.5)
+        eval_profile(get_profile(1.0, 4.0, 1), -0.5)
 
 
 def count_trials(monkeypatch):

@@ -14,7 +14,7 @@ from nlsbump.errors import ConsistencyError, ConvergenceError, DomainError, \
 import nlsbump.solver
 from nlsbump.grid import make_field, make_grid, make_problem
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
-from nlsbump.solver import (AnsatzSpec, BumpSpec, NewtonConfig, build_ansatz,
+from nlsbump.solver import (AnsatzSpec, BumpSpec, build_ansatz,
                             dirichlet_inverse, dirichlet_symbol,
                             interior_operator, newton_solve)
 
@@ -207,13 +207,15 @@ def test_report_records_backtracks_and_shifts(get_profile):
             assert shift > 0.0
 
 
-def test_minres_stopping_short_is_counted(get_profile):
+def test_minres_stopping_short_is_counted(get_profile, monkeypatch):
     spec = single_well_problem(n=101)
     prof = get_profile(1.0, 4.0, 2)
     u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    monkeypatch.setattr(nlsbump.solver, "_KRYLOV_MAX", 2)
+    monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 2)
+    monkeypatch.setattr(nlsbump.solver, "_TOL_RESIDUAL", 1e-14)
     with pytest.raises(ConvergenceError) as err:
-        newton_solve(spec, u0, NewtonConfig(krylov_max=2, max_newton=2,
-                                            tol_residual=1e-14))
+        newton_solve(spec, u0)
     rep = err.value.report
     assert rep.krylov_iterations == [2, 2]
     assert rep.krylov_short == 2
@@ -271,21 +273,14 @@ def test_build_ansatz_worked_values(get_profile):
     assert eval_profile(prof2, 8.0) <= np.exp(-0.5 * 8.0)
 
 
-def test_newton_config_validation():
-    with pytest.raises(DomainError):
-        newton_solve(const_spec := const_problem_1d(64),
-                     make_field(const_spec.grid,
-                                np.zeros(const_spec.grid.counts)),
-                     NewtonConfig(tol_residual=-1.0))
-
-
-def test_convergence_error_carries_partial_state(get_profile):
+def test_convergence_error_carries_partial_state(get_profile, monkeypatch):
     spec = single_well_problem(n=101)
     prof = get_profile(1.0, 4.0, 2)
     u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 1)
+    monkeypatch.setattr(nlsbump.solver, "_TOL_RESIDUAL", 1e-14)
     with pytest.raises(ConvergenceError) as err:
-        newton_solve(spec, u0, NewtonConfig(max_newton=1,
-                                            tol_residual=1e-14))
+        newton_solve(spec, u0)
     assert err.value.report.iterations == 1
     assert len(err.value.report.krylov_iterations) == 1
     assert not err.value.report.converged
