@@ -5,7 +5,10 @@ The decomposition writes a field as a sum of amplitude-corrected rescaled
 radial bumps plus a remainder that is energy-orthogonal to every bump and
 to each bump's translation derivatives.  Bump centers and amplitude
 corrections are the unknowns of that orthogonality system, solved by
-Newton's method with its exact Jacobian (see decompose).
+Newton's method with its exact Jacobian (see decompose).  One sampler,
+sample_bump, evaluates each bump's U and U' once per projection step; the
+bumps and translation fields decompose converged on are the ones
+coercivity_estimate and the CLI's overlap integrals read.
 """
 
 import math
@@ -27,7 +30,6 @@ from .grid import (
     ProblemSpec,
     ScalarField,
     ball_volume_integral,
-    box_integral,
     eps_inner,
     eps_norm,
     field_gradient_on,
@@ -41,7 +43,6 @@ from .radial import RadialProfile, eval_profile, eval_profile_deriv
 from .solver import (
     AnsatzSpec,
     build_ansatz,
-    bump_field,
     dirichlet_inverse,
     dirichlet_symbol,
     interior_operator,
@@ -65,7 +66,9 @@ class BumpDecomposition:
     w_norm: float
     v_norm: float
     projection_residuals: np.ndarray
-    profiles: Tuple[RadialProfile, ...]
+    # U_j and T_j,a = d_a U_j on the grid, sampled at centers
+    bumps: Tuple[np.ndarray, ...]
+    translations: Tuple[Tuple[np.ndarray, ...], ...]
     iterations: int = 0  # projection-Newton steps taken
 
 
@@ -106,27 +109,6 @@ class CoercivityReport:
     lobpcg_iterations: Tuple[int, int] = (0, 0)
 
 
-def bump_translation_fields(spec: ProblemSpec, profile: RadialProfile,
-                            center: np.ndarray) -> List[np.ndarray]:
-    """Spatial derivatives of the rescaled bump along each axis.
-
-    Computed from the profile's own derivative table, not by differencing
-    the grid, so no h-error enters the projection system.
-    """
-    pts = spec.grid.points()
-    rel = pts - center
-    dist = np.linalg.norm(rel, axis=1)
-    r = dist / spec.eps
-    du = eval_profile_deriv(profile, r)
-    out = []
-    safe = np.where(dist > 0.0, dist, 1.0)
-    for axis in range(spec.grid.dim):
-        comp = np.where(dist > 0.0, du * rel[:, axis] / (spec.eps * safe),
-                        0.0)
-        out.append(comp.reshape(spec.grid.counts))
-    return out
-
-
 def _owning_wells(spec: ProblemSpec, centers: np.ndarray) -> List[int]:
     wells = spec.potential.wells
     owners = []
@@ -143,31 +125,42 @@ def _owning_wells(spec: ProblemSpec, centers: np.ndarray) -> List[int]:
     return owners
 
 
-def bump_hessian_pairings(spec: ProblemSpec, profile: RadialProfile,
-                          center: np.ndarray, v: ScalarField) -> np.ndarray:
-    """The dim x dim pairings <v, d_a d_b U((x - center)/eps)>_eps.
+def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
+                ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], Callable]:
+    """(U, T, hessian): U((x - center)/eps) on the grid, T[a] = d_a U, and
+    hessian(v), the dim x dim pairings <v, d_a d_b U>_eps, all from one
+    evaluation each of the profile's U and U' tables (no h-error).
 
-    In y = (x - center)/eps, with r = |y| and q = U'/r, the Hessian is
-    ((U'' - q) y_a y_b / r^2 + q delta_ab) / eps^2.  U'' is read off the
+    With r = |x - center|/eps, e the unit vector and q = U'/r, the Hessian
+    is ((U'' - q) e_a e_b + q delta_ab) / eps^2.  U'' is read off the
     profile equation, U'' = v_a U - U^(p-1) - (dim-1) q, and at r = 0
     q = U''(0) = (v_a U(0) - U(0)^(p-1)) / dim, so no table is differenced.
     """
     grid = spec.grid
-    y = (grid.points() - center) / spec.eps
-    r = np.linalg.norm(y, axis=1)
-    safe = np.where(r > 0.0, r, 1.0)
+    rel = grid.points() - center
+    dist = np.linalg.norm(rel, axis=1)
+    r = dist / spec.eps
     u = eval_profile(profile, r)
-    source = profile.v_a * u - power_map(profile.p)(u)
-    q = np.where(r > 0.0, eval_profile_deriv(profile, r) / safe,
-                 source / grid.dim)
-    curv = source - grid.dim * q  # U'' - q
-    y /= safe[:, None]  # now y/r
-    out = np.empty((grid.dim, grid.dim))
-    for a in range(grid.dim):
-        for b in range(a, grid.dim):
-            hess = make_field(grid, curv * y[:, a] * y[:, b] + q * (a == b))
-            out[a, b] = out[b, a] = eps_inner(spec, v, hess) / spec.eps ** 2
-    return out
+    du = eval_profile_deriv(profile, r)
+    safe = np.where(dist > 0.0, dist, 1.0)
+    trans = tuple(np.where(dist > 0.0, du * rel[:, a] / (spec.eps * safe),
+                           0.0).reshape(grid.counts) for a in range(grid.dim))
+
+    def hessian(v: ScalarField) -> np.ndarray:
+        source = profile.v_a * u - power_map(profile.p)(u)
+        q = np.where(dist > 0.0, du / np.where(dist > 0.0, r, 1.0),
+                     source / grid.dim)
+        curv = source - grid.dim * q  # U'' - q
+        unit = rel / safe[:, None]
+        out = np.empty((grid.dim, grid.dim))
+        for a in range(grid.dim):
+            for b in range(a, grid.dim):
+                hess = make_field(grid, curv * unit[:, a] * unit[:, b]
+                                  + q * (a == b))
+                out[a, b] = out[b, a] = eps_inner(spec, v, hess)
+        return out / spec.eps ** 2
+
+    return u.reshape(grid.counts), trans, hessian
 
 
 def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
@@ -184,8 +177,9 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
     the exact Jacobian: the eps-Gram matrix of the basis
     [U_j, T_j,1..dim], its columns scaled by -1 and 1 + alpha_j
     (dv/dalpha_j = -U_j, dv/dx_j = (1 + alpha_j) T_j), plus the motion of
-    the basis, dU_j/dx_j = -T_j and dT_j,a/dx_j,b = -d_a d_b U_j
-    (bump_hessian_pairings).
+    the basis, dU_j/dx_j = -T_j and dT_j,a/dx_j,b = -d_a d_b U_j, from one
+    sample_bump per bump per step.  The result keeps the U_j and T_j it
+    converged on, sampled at its centers.
     Also returns w = u - sum_j U_j((x - x_j)/eps), the remainder against
     the uncorrected unit-amplitude sum.
     """
@@ -212,12 +206,10 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
     theta = np.column_stack([np.zeros(k), centers])
     iterations = 0
     while True:
-        bumps = [bump_field(spec, profiles[j], theta[j, 1:]) for j in range(k)]
-        basis = []
-        for j in range(k):
-            basis.append(make_field(grid, bumps[j]))
-            basis.extend(make_field(grid, t) for t in bump_translation_fields(
-                spec, profiles[j], theta[j, 1:]))
+        bumps, translations, hessians = zip(*(
+            sample_bump(spec, profiles[j], theta[j, 1:]) for j in range(k)))
+        basis = [make_field(grid, f) for bump, ts in zip(bumps, translations)
+                 for f in (bump, *ts)]
         vvals = u.values - sum((1.0 + theta[j, 0]) * bumps[j] for j in range(k))
         vfield = make_field(grid, vvals)
         g = np.array([eps_inner(spec, vfield, b) for b in basis])
@@ -239,8 +231,7 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
         for j in range(k):
             trans = slice(j * n_per + 1, (j + 1) * n_per)
             jac[j * n_per, trans] -= g[trans]
-            jac[trans, trans] -= bump_hessian_pairings(
-                spec, profiles[j], theta[j, 1:], vfield)
+            jac[trans, trans] -= hessians[j](vfield)
         try:
             delta = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
@@ -255,8 +246,8 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
     return BumpDecomposition(
         centers=theta[:, 1:], amplitudes=theta[:, 0], remainder_w=wfield,
         remainder_v=vfield, w_norm=eps_norm(spec, wfield), v_norm=v_norm,
-        projection_residuals=np.abs(g), profiles=profiles,
-        iterations=iterations)
+        projection_residuals=np.abs(g), bumps=bumps,
+        translations=translations, iterations=iterations)
 
 
 def default_ball_radius(spec: ProblemSpec) -> float:
@@ -337,15 +328,6 @@ def fit_rate(samples: Sequence[Tuple[float, float]],
                    intercept=float(intercept), max_deviation=dev)
 
 
-def overlap_integral(spec: ProblemSpec, profile_a: RadialProfile, center_a,
-                     profile_b: RadialProfile, center_b) -> float:
-    """Box integral of U_a((x-c_a)/eps) U_b((x-c_b)/eps)."""
-    ca = np.atleast_1d(np.asarray(center_a, dtype=float))
-    cb = np.atleast_1d(np.asarray(center_b, dtype=float))
-    return box_integral(spec.grid, bump_field(spec, profile_a, ca)
-                        * bump_field(spec, profile_b, cb))
-
-
 def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):
     """Smallest pencil eigenvalues by preconditioned LOBPCG.
 
@@ -422,31 +404,21 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
     grid = spec.grid
     inner = tuple(slice(1, -1) for _ in grid.counts)
     e2 = spec.eps ** 2
-    bumps = [bump_field(spec, prof, c)
-             for prof, c in zip(dec.profiles, dec.centers)]
-    weight = (spec.p - 1.0) * sum(b ** (spec.p - 2.0) for b in bumps)
+    weight = (spec.p - 1.0) * sum(b ** (spec.p - 2.0) for b in dec.bumps)
     v_int = spec.potential_values()[inner]
     h_op = interior_operator(v_int - weight[inner], grid.spacing, e2)
     m_op = interior_operator(v_int, grid.spacing, e2)
     precond = dirichlet_inverse(dirichlet_symbol(
         v_int.shape, grid.spacing, e2, float(v_int.min())))
 
-    cols = []
-    trans_cols = []
-    for j, bump in enumerate(bumps):
-        cols.append(bump[inner].ravel())
-        for t in bump_translation_fields(spec, dec.profiles[j],
-                                         dec.centers[j]):
-            col = t[inner].ravel()
-            cols.append(col)
-            trans_cols.append(col)
-    constraints = np.stack(cols, axis=1)
-
+    constraints = np.stack(
+        [f[inner].ravel() for bump, trans in zip(dec.bumps, dec.translations)
+         for f in (bump, *trans)], axis=1)
     tq = []
-    for col in trans_cols:
-        hq = float(col @ h_op(col))
-        mq = float(col @ m_op(col))
-        tq.append(hq / mq)
+    for trans in dec.translations:
+        for t in trans:
+            col = t[inner].ravel()
+            tq.append(float(col @ h_op(col)) / float(col @ m_op(col)))
 
     un_vals, un_iters = _smallest_eigs(h_op, m_op, precond, v_int.size, 2,
                                        seed)

@@ -78,7 +78,6 @@ from .analysis import (
     decompose,
     default_ball_radius,
     fit_rate,
-    overlap_integral,
     pohozaev_terms,
     uniqueness_probe,
 )
@@ -95,7 +94,7 @@ from .errors import (
     SpectralError,
 )
 from .fieldio import read_field, write_field
-from .grid import same_grid
+from .grid import box_integral, same_grid
 from .radial import (TABLE_BLOCK, RadialProfile, ode_residual,
                      solve_ground_state)
 from .solver import AnsatzSpec, BumpSpec, build_ansatz, newton_solve
@@ -167,13 +166,15 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _load_experiment(args) -> Tuple[ExperimentConfig, Path]:
+def _load_experiment(args) -> Tuple[ExperimentConfig, Path, Dict[float, str]]:
+    """Config, output directory (created) and solution file names."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
+    names = _solution_names(cfg)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    return cfg, out_dir, names
 
 
 def _note(args, message: str) -> None:
@@ -217,8 +218,7 @@ def cmd_groundstate(args) -> int:
 def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     """Newton from the ansatz at each eps; later rows after a failure read
     "not attempted"."""
-    cfg, out_dir = _load_experiment(args)
-    names = _solution_names(cfg)
+    cfg, out_dir, names = _load_experiment(args)
     ansatz = ansatz or _base_ansatz(cfg)
 
     rows = []
@@ -298,8 +298,7 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
     overlaps = {}
     for j in range(len(wells)):
         for l in range(j + 1, len(wells)):
-            raw = overlap_integral(spec, dec.profiles[j], dec.centers[j],
-                                   dec.profiles[l], dec.centers[l])
+            raw = box_integral(spec.grid, dec.bumps[j] * dec.bumps[l])
             overlaps[(j, l)] = raw * spec.eps ** (-cfg.dim)
 
     drifts = np.linalg.norm(dec.centers - centers, axis=1)
@@ -331,8 +330,7 @@ def _rate_row(quantity: str, well: str, samples, expected: Optional[float],
 
 
 def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
-    cfg, out_dir = _load_experiment(args)
-    names = _solution_names(cfg)
+    cfg, out_dir, names = _load_experiment(args)
     # Without a single solution file every eps records its missing file,
     # so no profile is solved for them.
     if ansatz is None and any((out_dir / n).exists() for n in names.values()):
@@ -416,7 +414,7 @@ def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     lands on a trivial or non-positive field, records solver-failure with
     the probe's message.
     """
-    cfg, out_dir = _load_experiment(args)
+    cfg, out_dir, _ = _load_experiment(args)
     ansatz = ansatz or _base_ansatz(cfg)
 
     def run_one(eps: float):

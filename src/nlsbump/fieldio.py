@@ -7,6 +7,7 @@ exactly the product of the counts.  Reading back reproduces every byte of
 the payload, so written fields round-trip bit-exactly.
 """
 
+import math
 import struct
 from typing import Tuple
 
@@ -76,7 +77,7 @@ def read_field(path) -> Tuple[ScalarField, float, float]:
         raise FormatError("header contains non-finite numbers")
     if np.any(hi <= lo):
         raise FormatError("box corners must satisfy lo < hi")
-    n = int(np.prod(counts))
+    n = math.prod(counts.tolist())  # exact: an int64 product can wrap to 0
     raw, off = _take(buf, off, 8 * n, "the payload")
     if off != len(buf):
         raise FormatError(

@@ -13,18 +13,16 @@ import scipy.linalg
 
 import nlsbump.analysis
 import nlsbump.solver
-from nlsbump.analysis import (AnsatzTweak, BumpDecomposition, bump_field,
-                              bump_hessian_pairings, bump_translation_fields,
+from nlsbump.analysis import (AnsatzTweak, BumpDecomposition,
                               coercivity_estimate, decompose, fit_rate,
-                              overlap_integral, pohozaev_terms,
-                              uniqueness_probe)
+                              pohozaev_terms, sample_bump, uniqueness_probe)
 from nlsbump.errors import (ConsistencyError, DomainError, GeometryError,
                             SpectralError)
-from nlsbump.grid import (eps_inner, eps_norm, make_field, make_grid,
-                          make_problem)
+from nlsbump.grid import (box_integral, eps_inner, eps_norm, make_field,
+                          make_grid, make_problem)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
-from nlsbump.solver import (AnsatzSpec, BumpSpec, build_ansatz,
+from nlsbump.solver import (AnsatzSpec, BumpSpec, build_ansatz, bump_field,
                             interior_operator, newton_solve)
 
 WELLS = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
@@ -143,8 +141,8 @@ def test_decompose_puts_perturbation_into_remainder(two_bump_case):
                     / 0.6 ** 2).reshape(grid.counts)
     basis = []
     for prof, c in zip(profs, CENTERS):
-        basis.append(bump_field(spec, prof, c))
-        basis.extend(bump_translation_fields(spec, prof, c))
+        bump, trans, _ = sample_bump(spec, prof, c)
+        basis += [bump, *trans]
     gram = np.array([[eps_inner(spec, make_field(grid, a),
                                 make_field(grid, b)) for b in basis]
                      for a in basis])
@@ -161,13 +159,11 @@ def test_decompose_puts_perturbation_into_remainder(two_bump_case):
     assert abs(dec.v_norm / pert_norm - 1.0) <= 0.01
 
     # both reconstruction identities hold pointwise
-    bumps = [bump_field(spec, p, c) for p, c in zip(dec.profiles,
-                                                    dec.centers)]
     sup = np.abs(u.values).max()
-    rec_v = sum((1.0 + a) * b for a, b in zip(dec.amplitudes, bumps))
+    rec_v = sum((1.0 + a) * b for a, b in zip(dec.amplitudes, dec.bumps))
     assert np.abs(rec_v + dec.remainder_v.values - u.values).max() \
         <= 1e-12 * sup
-    assert np.abs(sum(bumps) + dec.remainder_w.values - u.values).max() \
+    assert np.abs(sum(dec.bumps) + dec.remainder_w.values - u.values).max() \
         <= 1e-12 * sup
 
     # remainder orthogonality at the documented tolerance
@@ -184,14 +180,15 @@ def test_decompose_counts_projection_steps_on_benchmark_grid(
     # samples each of its k bumps once per projection step plus once for
     # the final check: 4 and 3 basis builds at these eps, where the
     # finite-difference Jacobian rebuilt the basis 2k(N+1) = 12 more
-    # times per step.
+    # times per step.  One sample_bump call gives a bump, its translation
+    # fields and its Hessian pairings.
     spec = double_well_problem(eps=eps, counts=counts)
     profs = (get_profile(1.0, 4.0, 2), get_profile(1.21, 4.0, 2))
     ansatz = AnsatzSpec(bumps=tuple(BumpSpec(prof, c)
                                     for prof, c in zip(profs, CENTERS)))
     u, rep = newton_solve(spec, build_ansatz(spec, ansatz))
     assert rep.converged
-    samples = count_calls(monkeypatch, nlsbump.analysis, "bump_field")
+    samples = count_calls(monkeypatch, nlsbump.analysis, "sample_bump")
     dec = decompose(spec, u, CENTERS, profiles=profs)
     assert dec.iterations == steps
     assert len(samples) == len(profs) * (steps + 1)
@@ -212,18 +209,34 @@ def test_bump_hessian_pairings_match_differenced_translations(get_profile,
     center = np.zeros(dim)
     x0 = np.array([0.3, 0.2, -0.25])[:dim]
     v = make_field(grid, np.exp(-np.sum((grid.points() - x0) ** 2, axis=1)))
-    got = bump_hessian_pairings(spec, prof, center, v)
+    got = sample_bump(spec, prof, center)[2](v)
     h = 1e-4 * spec.eps
     want = np.empty((dim, dim))
     for b in range(dim):
         step = h * np.eye(dim)[b]
-        plus = bump_translation_fields(spec, prof, center + step)
-        minus = bump_translation_fields(spec, prof, center - step)
+        plus = sample_bump(spec, prof, center + step)[1]
+        minus = sample_bump(spec, prof, center - step)[1]
         for a in range(dim):
             want[a, b] = -eps_inner(
                 spec, v, make_field(grid, (plus[a] - minus[a]) / (2.0 * h)))
     assert np.array_equal(got, got.T)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_decomposition_keeps_the_basis_it_converged_on(two_bump_case):
+    # Off the ansatz, so the returned basis comes from a moved center.
+    spec, profs, _, _ = two_bump_case
+    shift = np.array([0.2 * spec.eps, 0.1 * spec.eps])
+    u = make_field(spec.grid, bump_field(spec, profs[0], CENTERS[0] + shift)
+                   + bump_field(spec, profs[1], CENTERS[1] - shift))
+    dec = decompose(spec, u, CENTERS, profiles=profs)
+    assert dec.iterations > 0
+    for j, prof in enumerate(profs):
+        bump, trans, _ = sample_bump(spec, prof, dec.centers[j])
+        assert np.array_equal(dec.bumps[j], bump)
+        assert len(dec.translations[j]) == spec.grid.dim
+        for got, want in zip(dec.translations[j], trans):
+            assert np.array_equal(got, want)
 
 
 def test_decompose_on_converged_solution(well_case):
@@ -234,7 +247,8 @@ def test_decompose_on_converged_solution(well_case):
     assert 0.0 < dec.w_norm < 0.5
 
 
-def test_decompose_rejects_bad_geometry(two_bump_case, well_case):
+def test_decompose_rejects_bad_geometry(two_bump_case, well_case,
+                                       get_profile):
     spec, profs, _, u0 = two_bump_case
     with pytest.raises(GeometryError, match="beyond patch_radius"):
         decompose(spec, u0, np.array([[-1.0, 0.0], [1.45, 0.0]]),
@@ -245,12 +259,12 @@ def test_decompose_rejects_bad_geometry(two_bump_case, well_case):
     with pytest.raises(DomainError, match="one profile per bump"):
         decompose(spec, u0, CENTERS, profiles=(profs[0],))
 
-    wspec, _, _, wdec = well_case
+    wspec = well_case[0]
+    prof = get_profile(1.0, 4.0, 2)
     stray = make_field(wspec.grid,
-                       bump_field(wspec, wdec.profiles[0],
-                                  np.array([0.45, 0.0])))
+                       bump_field(wspec, prof, np.array([0.45, 0.0])))
     with pytest.raises(GeometryError, match="drifted"):
-        decompose(wspec, stray, np.zeros((1, 2)), profiles=wdec.profiles)
+        decompose(wspec, stray, np.zeros((1, 2)), profiles=(prof,))
 
 
 # --- flux identity ---
@@ -343,19 +357,26 @@ def test_rate_fit_input_validation():
 
 # --- interaction integrals ---
 
+def sampled_overlap(spec, profile_a, center_a, profile_b, center_b):
+    """Box integral of two sampled bumps, as the CLI forms its overlaps."""
+    bump_a = sample_bump(spec, profile_a, np.asarray(center_a))[0]
+    bump_b = sample_bump(spec, profile_b, np.asarray(center_b))[0]
+    return box_integral(spec.grid, bump_a * bump_b)
+
+
 def overlap_at(eps, get_profile):
     h = eps / 6.0
     counts = (2 * int(round(4.25 / h)) + 1, 2 * int(round(3.25 / h)) + 1)
     spec = double_well_problem(eps=eps, counts=counts)
-    return overlap_integral(spec, get_profile(1.0, 4.0, 2), CENTERS[0],
-                            get_profile(1.21, 4.0, 2), CENTERS[1])
+    return sampled_overlap(spec, get_profile(1.0, 4.0, 2), CENTERS[0],
+                           get_profile(1.21, 4.0, 2), CENTERS[1])
 
 
 def test_overlap_at_one_center_matches_radial_oracle(get_profile):
     spec = double_well_problem()
     u1 = get_profile(1.0, 4.0, 2)
     u2 = get_profile(1.21, 4.0, 2)
-    val = overlap_integral(spec, u1, [0.0, 0.0], u2, [0.0, 0.0])
+    val = sampled_overlap(spec, u1, [0.0, 0.0], u2, [0.0, 0.0])
     oracle = spec.eps ** 2 * radial_integral(
         u1, lambda v: v * eval_profile(u2, u1.r_nodes))
     # measured: 1.5e-8 relative
@@ -446,15 +467,17 @@ def test_projected_coercivity_positive_at_a_flat_well(well_case):
     assert 1 <= projected <= 90
 
 
-def hand_decomposition(profiles, centers):
+def hand_decomposition(spec, profiles, centers):
+    """Unit bumps at the given centers, their basis from the sampler."""
     k = len(profiles)
-    dim = np.shape(centers)[1]
+    centers = np.asarray(centers, dtype=float)
+    bumps, translations, _ = zip(*(sample_bump(spec, prof, c)
+                                   for prof, c in zip(profiles, centers)))
     return BumpDecomposition(
-        centers=np.asarray(centers, dtype=float),
-        amplitudes=np.zeros(k), remainder_w=None, remainder_v=None,
-        w_norm=0.0, v_norm=0.0,
-        projection_residuals=np.zeros((dim + 1) * k),
-        profiles=tuple(profiles))
+        centers=centers, amplitudes=np.zeros(k), remainder_w=None,
+        remainder_v=None, w_norm=0.0, v_norm=0.0,
+        projection_residuals=np.zeros((spec.grid.dim + 1) * k),
+        bumps=bumps, translations=translations)
 
 
 def smallest_one_dimensional_problem():
@@ -475,12 +498,13 @@ def test_coercivity_matches_dense_pencils(case, get_profile):
         spec = smallest_one_dimensional_problem()
         prof = get_profile(4.0, 4.0, 1)
     center = np.zeros(spec.grid.dim)
-    co = coercivity_estimate(spec, hand_decomposition((prof,), [center]))
+    co = coercivity_estimate(spec,
+                             hand_decomposition(spec, (prof,), [center]))
 
     # the same pencils, assembled densely from the shared stencil
     inner = tuple(slice(1, -1) for _ in spec.grid.counts)
     v_int = spec.potential_values()[inner]
-    bump = bump_field(spec, prof, center)
+    bump, trans, _ = sample_bump(spec, prof, center)
     weight = (spec.p - 1.0) * bump ** (spec.p - 2.0)
     eye = np.eye(v_int.size)
     e2 = spec.eps ** 2
@@ -488,9 +512,8 @@ def test_coercivity_matches_dense_pencils(case, get_profile):
                               e2)(eye)
     m_mat = interior_operator(v_int, spec.grid.spacing, e2)(eye)
     unprojected = scipy.linalg.eigh(h_mat, m_mat, eigvals_only=True)
-    cons = np.stack([bump[inner].ravel()] + [
-        t[inner].ravel()
-        for t in bump_translation_fields(spec, prof, center)], axis=1)
+    cons = np.stack([bump[inner].ravel()] + [t[inner].ravel()
+                                             for t in trans], axis=1)
     my = m_mat @ cons
     lift = 10.0 * (1.0 + abs(unprojected[0]))
     pen = h_mat + lift * my @ np.linalg.solve(cons.T @ my, my.T)
@@ -517,9 +540,10 @@ def test_lobpcg_iteration_cap_is_a_spectral_error(well_case, monkeypatch):
 
 # --- uniqueness probe ---
 
-def test_identical_initializations_reproduce_bitwise(well_case):
-    spec, _, _, dec = well_case
-    ansatz = AnsatzSpec(bumps=(BumpSpec(dec.profiles[0], np.zeros(2)),))
+def test_identical_initializations_reproduce_bitwise(well_case, get_profile):
+    spec = well_case[0]
+    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
+                                        np.zeros(2)),))
     rep = uniqueness_probe(spec, ansatz, (AnsatzTweak(amp_scale=1.05),
                                           AnsatzTweak(amp_scale=1.05)))
     assert rep.sup_diff == 0.0
@@ -544,8 +568,7 @@ def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
         BumpSpec(get_profile(1.21, 4.0, 2), CENTERS[1])))
     u, _ = newton_solve(spec, build_ansatz(spec, ansatz))
     shift = 0.3 * spec.eps
-    samples = (count_calls(monkeypatch, nlsbump.solver, "bump_field"),
-               count_calls(monkeypatch, nlsbump.analysis, "bump_field"))
+    samples = count_calls(monkeypatch, nlsbump.solver, "bump_field")
     rep = uniqueness_probe(
         spec, ansatz,
         (AnsatzTweak(center_shifts=np.array([shift, 0.0])),
@@ -553,7 +576,7 @@ def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
     # measured: 9.1e-14 relative
     assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
     # each run samples every bump once, at its shifted center
-    assert sum(len(c) for c in samples) == 2 * len(ansatz.bumps)
+    assert len(samples) == 2 * len(ansatz.bumps)
 
 
 def test_probe_normalizes_the_difference_field(get_profile, monkeypatch):
@@ -601,8 +624,9 @@ def test_probe_rejects_a_profile_solved_at_another_depth(get_profile):
 
 
 def test_probe_rejects_out_of_basin_tweaks(well_case, get_profile):
-    spec, _, _, dec = well_case
-    ansatz = AnsatzSpec(bumps=(BumpSpec(dec.profiles[0], np.zeros(2)),))
+    spec = well_case[0]
+    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
+                                        np.zeros(2)),))
     ok = AnsatzTweak()
     with pytest.raises(DomainError, match="basin"):
         uniqueness_probe(spec, ansatz, (AnsatzTweak(amp_scale=0.79), ok))

@@ -14,11 +14,13 @@ import pytest
 import nlsbump.analysis
 import nlsbump.cli
 import nlsbump.solver
-from nlsbump.analysis import AnsatzTweak, uniqueness_probe
-from nlsbump.cli import _base_ansatz, _build_parser, _row, _write_csv, main
+from nlsbump.analysis import (AnsatzTweak, decompose, sample_bump,
+                              uniqueness_probe)
+from nlsbump.cli import (_analyze_one, _base_ansatz, _build_parser, _row,
+                         _solution_name, _write_csv, main)
 from nlsbump.config import load_config, parse_config, problem_at
 from nlsbump.fieldio import read_field
-from nlsbump.grid import make_field
+from nlsbump.grid import box_integral, make_field
 from nlsbump.radial import TABLE_BLOCK, RadialProfile
 from nlsbump.solver import build_ansatz, newton_solve
 
@@ -374,6 +376,90 @@ def test_analyze_solves_each_depth_once_per_sweep(pipeline, tmp_path,
     assert calls == [(1.0, 4.0, 2)]
 
 
+TWO_WELLS_1D = """
+problem.dim = 1
+problem.p = 4
+problem.exponent = 2
+problem.patch_radius = 0.4
+problem.well.0.center = -1
+problem.well.0.depth = 1
+problem.well.1.center = 1
+problem.well.1.depth = 1.21
+grid.lo = -4.25
+grid.hi = 4.25
+grid.spacing_divisor = 4
+schedule.eps = 0.3 0.25
+"""
+
+
+@pytest.fixture(scope="module")
+def two_wells_1d(tmp_path_factory):
+    """Solution files of a 1-D two-well sweep, for analyze runs that have
+    an overlap row."""
+    root = tmp_path_factory.mktemp("two_wells_1d")
+    out = root / "out"
+    cfg_path = write_config(root, TWO_WELLS_1D,
+                            **{"run.output_dir": str(out)})
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    return cfg_path, out
+
+
+def test_analyze_samples_each_bump_once_per_decomposition_step(
+        two_wells_1d, tmp_path, monkeypatch, get_profile):
+    # decompose evaluates U and U' once per bump per projection step (plus
+    # the final check), and coercivity and the overlaps read that basis:
+    # neither evaluates a profile again.
+    cfg_path, out = two_wells_1d
+    for field in out.glob("solution_*.nlsb"):
+        (tmp_path / field.name).write_bytes(field.read_bytes())
+    counting_profiles(monkeypatch, get_profile)
+    where = ["outside"]
+    evaluations = []
+    for module, name in ((nlsbump.analysis, "eval_profile"),
+                         (nlsbump.analysis, "eval_profile_deriv"),
+                         (nlsbump.solver, "eval_profile")):
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            evaluations.append((where[0], _name))
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    steps = []
+
+    def tracked_decompose(*args, **kwargs):
+        where[0] = "decompose"
+        dec = nlsbump.analysis.decompose(*args, **kwargs)
+        where[0] = "outside"
+        steps.append(dec.iterations + 1)
+        return dec
+
+    monkeypatch.setattr(nlsbump.cli, "decompose", tracked_decompose)
+    assert main(["analyze", "--config", str(cfg_path), "--out",
+                 str(tmp_path)]) == 0
+    assert len(steps) == 2
+    per_profile = 2 * sum(steps)  # two bumps
+    assert evaluations.count(("decompose", "eval_profile")) == per_profile
+    assert (evaluations.count(("decompose", "eval_profile_deriv"))
+            == per_profile)
+    assert len(evaluations) == 2 * per_profile
+
+
+def test_analyze_overlap_is_the_box_integral_of_the_sampled_bumps(
+        two_wells_1d, get_profile):
+    cfg_path, out = two_wells_1d
+    cfg = load_config(cfg_path)
+    profiles = [get_profile(1.0, 4.0, 1), get_profile(1.21, 4.0, 1)]
+    centers = np.array([w.center for w in cfg.wells])
+    for eps in cfg.eps_schedule:
+        name = _solution_name(eps)
+        record = _analyze_one(cfg, out, eps, name, profiles)
+        spec = problem_at(cfg, eps)
+        dec = decompose(spec, read_field(out / name)[0], centers, profiles)
+        bumps = [sample_bump(spec, prof, c)[0]
+                 for prof, c in zip(profiles, dec.centers)]
+        raw = box_integral(spec.grid, bumps[0] * bumps[1])
+        assert raw > 0.0
+        assert record["overlaps"] == {(0, 1): raw * eps ** -1}
+
+
 def test_analyze_without_solution_files_solves_no_profile(pipeline, tmp_path,
                                                           monkeypatch,
                                                           get_profile):
@@ -487,6 +573,25 @@ def test_overlapping_wells_fail_before_any_solve(tmp_path):
            "run.output_dir": str(out)})
     code = main(["solve", "--config", str(cfg_path)])
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "uniqueness", "all"])
+def test_colliding_eps_schedule_is_rejected_before_any_solve(
+        command, tmp_path, monkeypatch, capsys):
+    # 0.3000001 and 0.3 both name solution_eps0.3.nlsb (and the same
+    # uniqueness xi files); every sweep command refuses the schedule.
+    def no_solve(*args):
+        raise AssertionError("a radial profile was solved")
+
+    monkeypatch.setattr(nlsbump.cli, "solve_ground_state", no_solve)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, SMOKE,
+                            **{"schedule.eps": "0.3000001 0.3",
+                               "run.output_dir": str(out)})
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert ("eps schedule entries collide in the solution file naming "
+            "scheme" in capsys.readouterr().err)
     assert not out.exists()
 
 

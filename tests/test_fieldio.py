@@ -110,3 +110,16 @@ def test_mismatched_values_shape_is_rejected(tmp_path):
                            values=field.values[:-1, :])
     with pytest.raises(GridMismatchError):
         write_field(tmp_path / "u.nlsb", squeezed, eps=0.3, p=4.0)
+
+
+def test_header_counts_whose_product_wraps_are_rejected(tmp_path):
+    # 2^31 nodes on each of three axes: an int64 product of the counts
+    # wraps to 0, which would let an empty payload pass the length check.
+    path = tmp_path / "u.nlsb"
+    path.write_bytes(struct.pack("<4sII", MAGIC, FORMAT_VERSION, 3)
+                     + np.full(3, 2 ** 31, dtype="<u4").tobytes()
+                     + np.full(3, -1.0, dtype="<f8").tobytes()
+                     + np.full(3, 1.0, dtype="<f8").tobytes()
+                     + struct.pack("<dd", 0.3, 4.0))
+    with pytest.raises(FormatError, match="truncated inside the payload"):
+        read_field(path)
