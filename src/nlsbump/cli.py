@@ -231,14 +231,18 @@ def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
             rows.append(_row(eps, report.iterations, report.final_residual,
                              report.positivity, False,
                              "newton did not converge"))
-            rows += [_row(e, None, None, None, None, "not attempted")
-                     for e in cfg.eps_schedule[i + 1:]]
-            break
-        write_field(out_dir / names[eps], u, eps, cfg.p)
-        rows.append(_row(eps, report.iterations, report.final_residual,
-                         report.positivity, True, ""))
-        _note(args, f"solve eps={eps:g}: {report.iterations} iterations, "
-                    f"residual {report.final_residual:.3e}")
+        except KrylovError as exc:
+            rows.append(_row(eps, None, None, None, False, str(exc)))
+        else:
+            write_field(out_dir / names[eps], u, eps, cfg.p)
+            rows.append(_row(eps, report.iterations, report.final_residual,
+                             report.positivity, True, ""))
+            _note(args, f"solve eps={eps:g}: {report.iterations} iterations, "
+                        f"residual {report.final_residual:.3e}")
+            continue
+        rows += [_row(e, None, None, None, None, "not attempted")
+                 for e in cfg.eps_schedule[i + 1:]]
+        break
 
     _write_csv(out_dir / "solve.csv",
                ["eps", "iterations", "final_residual", "positivity",

@@ -4,7 +4,13 @@ Solves  u'' + (dim-1)/r u' = v_a u - u^(p-1)  on [0, r_max] with u'(0) = 0,
 looking for the positive decreasing solution that decays like
 exp(-sqrt(v_a) r) r^(-(dim-1)/2).  The shooting parameter is u(0): too large
 and the trajectory crosses zero (overshoot), too small and it turns back up
-(undershoot).  Bisection on u(0) pins the connecting orbit.
+(undershoot).  Bisection on u(0) pins the connecting orbit.  It remembers
+its trials (_bisect): a midpoint more than max(tol/8, 32 ulps) beyond the
+tightest undershoot or overshoot so far takes that kind unmarched.  The kind
+flips once (the ground state is unique) and RK4 roundoff blurs it only within
+a few ulps, so the bracket and every table are bitwise plain bisection's.
+Illinois regula falsi on the growing-mode amplitude, then a trial a quarter
+tolerance either side of its root, first make the remembered trials tight.
 
 One fixed-step RK4 stepper, _march, integrates every trajectory outward
 from a series start at r = h.  It stops after the first step that ends
@@ -123,17 +129,16 @@ def _march(c: float, v_a: float, p: float, dim: int, h: float,
     """
     nl = power_map(p)
     nm1 = dim - 1.0
-    u, d = _series_start(c, v_a, p, dim, nl, h)
-    if values is not None:
-        values[0], dvalues[0] = c, 0.0
-        values[1], dvalues[1] = u, d
-    r = h
-    i = 1
+    r, i = h, 1
     half = 0.5 * h
     sixth = h / 6.0
     # A trajectory far above the orbit can outgrow a float: abs(u) ** em
     # raises where a product would give inf.
     try:
+        u, d = _series_start(c, v_a, p, dim, nl, h)
+        if values is not None:
+            values[0], dvalues[0] = c, 0.0
+            values[1], dvalues[1] = u, d
         for i in range(2, n_steps + 2):
             k1u = d
             k1d = v_a * u - nl(u) - nm1 / r * d
@@ -167,19 +172,72 @@ def _march(c: float, v_a: float, p: float, dim: int, h: float,
 
 
 def _classify(c: float, v_a: float, p: float, dim: int, h: float,
-              r_max: float) -> int:
-    """Integrate one trial and report overshoot (+1) or undershoot (-1)."""
+              r_max: float) -> Tuple[int, float]:
+    """Integrate one trial; return overshoot (+1) or undershoot (-1) and the
+    growing-mode amplitude at the stop radius, positive for an undershoot."""
     n_steps = int(math.ceil((r_max - h) / h))
     u, d, r, _ = _march(c, v_a, p, dim, h, n_steps, _CLASSIFY_RATIO * c)
-    if u < 0.0:
-        return _OVERSHOOT
-    if d > 0.0 and u > _TURN_RATIO * c:
-        return _UNDERSHOOT
-    # Deep in the linear tail (or at r_max): compare u'/u against the exact
-    # decaying branch; a positive defect means the trajectory decays too
-    # slowly, i.e. carries a positive growing-mode amplitude (undershoot).
-    s = d - u * float(_linear_tail_logderiv(dim, math.sqrt(v_a), r))
-    return _UNDERSHOOT if s >= 0.0 else _OVERSHOOT
+    # In the linear tail the defect s of u'/u against the decaying branch
+    # decides; s r^(dim-1) times that branch is the growing-mode amplitude.
+    kappa = math.sqrt(v_a)
+    s = d - u * float(_linear_tail_logderiv(dim, kappa, r))
+    amp = s * r ** (dim - 1) * float(_linear_tail_values(dim, kappa, r))
+    kind = _UNDERSHOOT if s >= 0.0 else _OVERSHOOT
+    if u < 0.0 or (d > 0.0 and u > _TURN_RATIO * c):
+        kind = _OVERSHOOT if u < 0.0 else _UNDERSHOOT
+    return kind, math.copysign(amp, -kind)
+
+
+def _bisect(lo: float, hi: float, v_a: float, p: float, dim: int,
+            h: float, r_max: float, tol: float) -> Tuple[float, float]:
+    """Bisect u(0) on (lo, hi) at step h to width tol, remembering trials;
+    returns plain bisection's (lo, hi), lo an undershoot, bit for bit."""
+    f_lo, a_lo = _classify(lo, v_a, p, dim, h, r_max)
+    f_hi, a_hi = _classify(hi, v_a, p, dim, h, r_max)
+    if f_lo == f_hi:
+        kind = "overshoot" if f_lo == _OVERSHOOT else "undershoot"
+        raise BracketError(
+            f"bracket ({lo:.6g}, {hi:.6g}) does not straddle: both "
+            f"endpoints {kind}")
+    # tight[kind]: [u(0), amplitude] of the kind's trial nearest the flip.
+    tight = {f_lo: [lo, a_lo], f_hi: [hi, a_hi]}
+    if f_lo == _OVERSHOOT:
+        # Conventional orientation: lo undershoots, hi overshoots.
+        lo, hi = hi, lo
+    sign = 1.0 if hi > lo else -1.0
+    margin = max(0.125 * tol, 32.0 * math.ulp(max(abs(lo), abs(hi))))
+
+    def trial(x):
+        kind, amp = _classify(x, v_a, p, dim, h, r_max)
+        if kind * sign * (tight[kind][0] - x) > 0.0:
+            tight[kind] = [x, amp]
+        return kind
+
+    # At most 8 Illinois trials: a side kept twice has its amplitude halved.
+    kept, est = 0, lo
+    try:
+        for _ in range(8):
+            (u, a_u), (o, a_o) = tight[_UNDERSHOOT], tight[_OVERSHOOT]
+            x = (a_u * o - a_o * u) / (a_u - a_o)
+            if abs(x - est) <= 0.25 * tol or not 0.0 < (x - u) / (o - u) < 1.0:
+                break
+            est, kind = x, trial(x)
+            tight[-kind][1] *= 0.5 if kind == kept else 1.0
+            kept = kind
+        for x in (est - 0.25 * tol, est + 0.25 * tol):
+            trial(x)
+    except (ConvergenceError, ZeroDivisionError):
+        pass  # a seed that overflows or stalls only loses its information
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        known = [k for k in tight if k * sign * (mid - tight[k][0]) > margin]
+        if (known[0] if known else trial(mid)) == _OVERSHOOT:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
@@ -249,7 +307,9 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
     step 1e-3/max(1, sqrt(v_a)).  While its finite-difference residual
     misses the target the step shrinks, by at most 64 in total; a finer
     step is tried with the carried u(0), which is bisected again (and the
-    table rebuilt) once that step's table passes or breaks down.
+    table rebuilt) once that step's table passes or breaks down.  Each
+    bisection remembers its trials and replays them only where RK4 roundoff
+    cannot flip a midpoint, so about 8 trials give plain bisection's bits.
 
     Raises DomainError for unsupported or non-finite inputs, BracketError
     when the bracket fails to straddle, and ConvergenceError when a trial
@@ -273,45 +333,26 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
     h = 1e-3 / max(1.0, kappa)
     lo, hi = _default_bracket(v_a, p)
 
-    def bisect(lo, hi, step, tol):
-        f_lo = _classify(lo, v_a, p, dim, step, r_max)
-        f_hi = _classify(hi, v_a, p, dim, step, r_max)
-        if f_lo == f_hi:
-            kind = "overshoot" if f_lo == _OVERSHOOT else "undershoot"
-            raise BracketError(
-                f"bracket ({lo:.6g}, {hi:.6g}) does not straddle: both "
-                f"endpoints {kind}")
-        if f_lo == _OVERSHOOT:
-            # Conventional orientation: lo undershoots, hi overshoots.
-            lo, hi = hi, lo
-        while abs(hi - lo) > tol:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _classify(mid, v_a, p, dim, step, r_max) == _OVERSHOOT:
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
-
     # Coarse pass narrows the bracket cheaply; the fine pass makes u(0)
     # consistent with the step the table is built with.
     coarse_tol = max(_BISECT_TOL, 1e-3 * lo)
     try:
-        lo, hi = bisect(lo, hi, 8.0 * h, coarse_tol)
+        lo, hi = _bisect(lo, hi, v_a, p, dim, 8.0 * h, r_max, coarse_tol)
     except BracketError:
         # At 8h the RK4 trial from the bracket top can go unstable and read
         # as an undershoot where it overshoots at h, as at (1, 6, 1).
-        lo, hi = bisect(lo, hi, h, coarse_tol)
+        lo, hi = _bisect(lo, hi, v_a, p, dim, h, r_max, coarse_tol)
     pad = 4.0 * max(abs(hi - lo), 1e-7 * max(abs(lo), abs(hi)))
-    lo, hi = bisect(min(lo, hi) - pad, max(lo, hi) + pad, h, _BISECT_TOL)
+    lo, hi = _bisect(min(lo, hi) - pad, max(lo, hi) + pad, v_a, p, dim, h,
+                     r_max, _BISECT_TOL)
     c = 0.5 * (lo + hi)
 
     def pin(c, step):
         # u(0) moves by O(h^4), so a slim pad almost always straddles.
         for pad in (1e-7 * c, 1e-5 * c, 1e-3 * c):
             try:
-                lo, hi = bisect(c - pad, c + pad, step, _BISECT_TOL)
+                lo, hi = _bisect(c - pad, c + pad, v_a, p, dim, step, r_max,
+                                 _BISECT_TOL)
                 return 0.5 * (lo + hi)
             except BracketError:
                 continue

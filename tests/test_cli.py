@@ -166,11 +166,12 @@ def test_groundstate_decay_rate_near_one_in_dim3(tmp_path, capsys):
     assert abs(rate - 1.0) <= 0.02
 
 
-@pytest.mark.parametrize("p,dim", [(10, 1), (10, 2), (14, 1)])
+@pytest.mark.parametrize("p,dim", [(10, 1), (10, 2), (14, 1), (300, 1)])
 def test_overflowing_shooting_trial_is_an_iteration_failure(p, dim, tmp_path,
                                                             capsys):
     # abs(u) ** (p - 2) once overflowed inside the RK4 march, and the
-    # OverflowError escaped as a traceback.
+    # OverflowError escaped as a traceback; at p = 300 it overflows already
+    # in the series start of the first trial from the bracket top.
     code = main(["groundstate", "--va", "1", "--p", str(p), "--dim",
                  str(dim), "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -295,6 +296,33 @@ def test_solve_failure_ends_the_sweep(tmp_path, monkeypatch):
     assert second["error"] == "not attempted"
     assert second["iterations"] == second["converged"] == ""
     assert not list(out.glob("*.nlsb"))
+
+
+def test_minres_breakdown_is_a_recorded_solve_failure(tmp_path, monkeypatch):
+    # A KrylovError once left cmd_solve before solve.csv was written.
+    out = tmp_path / "out"
+    cfg_path = write_config(
+        tmp_path, SMOKE,
+        **{"schedule.eps": "0.4 0.3 0.25", "run.output_dir": str(out)})
+    solved = counting_newton(monkeypatch, nlsbump.cli)
+    minres = nlsbump.solver.minres
+
+    def breaks_after_the_first_eps(*args, **kwargs):
+        step, info = minres(*args, **kwargs)
+        return step, (-1 if len(solved) > 1 else info)
+
+    monkeypatch.setattr(nlsbump.solver, "minres", breaks_after_the_first_eps)
+    code = main(["solve", "--config", str(cfg_path)])
+    assert code == 4
+    assert solved == [0.4, 0.3]
+    first, second, third = read_rows(out / "solve.csv")
+    assert (first["converged"], first["error"]) == ("true", "")
+    assert (second["eps"], second["converged"], second["error"]) == (
+        "0.29999999999999999", "false", "MINRES breakdown (info=-1)")
+    assert second["iterations"] == second["final_residual"] \
+        == second["positivity"] == ""
+    assert (third["error"], third["converged"]) == ("not attempted", "")
+    assert [p.name for p in out.glob("*.nlsb")] == [_solution_name(0.4)]
 
 
 def test_pohozaev_rows_cover_the_sweep(pipeline):

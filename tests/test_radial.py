@@ -11,6 +11,7 @@ downstream leans on a verified oracle rather than on trust.
 
 import collections
 import math
+import re
 import time
 import tracemalloc
 
@@ -23,9 +24,10 @@ from scipy.optimize import brentq
 import nlsbump.radial
 from nlsbump.errors import BracketError, ConvergenceError, DomainError
 from nlsbump.grid import power_map
-from nlsbump.radial import (TABLE_BLOCK, eval_profile, eval_profile_deriv,
-                            ode_residual, profile_ode_residual,
-                            radial_integral, solve_ground_state)
+from nlsbump.radial import (_OVERSHOOT, TABLE_BLOCK, _classify, eval_profile,
+                            eval_profile_deriv, ode_residual,
+                            profile_ode_residual, radial_integral,
+                            solve_ground_state)
 
 
 def soliton_1d(r, p, v_a=1.0):
@@ -300,7 +302,7 @@ def test_refinement_bisects_only_at_the_kept_step(monkeypatch):
     assert str(info.value) == (
         "table residual 1.2e-05 still over target 5.22e-06 at ode_step "
         "1.56e-05; auto refinement exhausted")
-    assert dict(counts) == {8e-3: 18, 1e-3: 37}
+    assert dict(counts) == {8e-3: 9, 1e-3: 9}
 
 
 def test_refinement_pins_the_kept_step_once(monkeypatch):
@@ -309,7 +311,7 @@ def test_refinement_pins_the_kept_step_once(monkeypatch):
     # bisected.
     counts = count_trials(monkeypatch)
     prof = solve_ground_state(1.0, 4.0, 2)
-    assert dict(counts) == {8e-3: 18, 1e-3: 37, 2.5e-4: 25}
+    assert dict(counts) == {8e-3: 17, 1e-3: 9, 2.5e-4: 7}
     assert prof.r_nodes[1] == 2.5e-4
 
 
@@ -331,9 +333,83 @@ def test_carried_table_breakdown_pins_and_rebuilds(get_profile, monkeypatch):
     counts = count_trials(monkeypatch)
     prof = solve_ground_state(1.0, 4.0, 2)
     assert steps == [1e-3, 2.5e-4, 2.5e-4]
-    assert dict(counts) == {8e-3: 18, 1e-3: 37, 2.5e-4: 25}
+    assert dict(counts) == {8e-3: 17, 1e-3: 9, 2.5e-4: 7}
     assert prof.values.tobytes() == ref.values.tobytes()
     assert prof.dvalues.tobytes() == ref.dvalues.tobytes()
+
+
+def plain_bisect(lo, hi, v_a, p, dim, h, r_max, tol):
+    """Bisection that marches every midpoint, the reference for _bisect."""
+    f_lo = _classify(lo, v_a, p, dim, h, r_max)[0]
+    f_hi = _classify(hi, v_a, p, dim, h, r_max)[0]
+    if f_lo == f_hi:
+        kind = "overshoot" if f_lo == _OVERSHOOT else "undershoot"
+        raise BracketError(
+            f"bracket ({lo:.6g}, {hi:.6g}) does not straddle: both "
+            f"endpoints {kind}")
+    if f_lo == _OVERSHOOT:
+        lo, hi = hi, lo
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _classify(mid, v_a, p, dim, h, r_max)[0] == _OVERSHOOT:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def assert_bisections_match_plain(monkeypatch, v_a, p, dim):
+    """Solve once, recording every _bisect call and every trial; each call
+    must return plain bisection's bracket bit for bit (or raise the same
+    error), and each trial's amplitude must have its kind's sign."""
+    calls, trials = [], []
+    bisect = nlsbump.radial._bisect
+
+    def recorded_bisect(*args):
+        try:
+            calls.append((args, bisect(*args)))
+        except (BracketError, ConvergenceError) as exc:
+            calls.append((args, exc))
+            raise
+        return calls[-1][1]
+
+    def recorded_classify(*args):
+        trials.append(_classify(*args))
+        return trials[-1]
+
+    monkeypatch.setattr(nlsbump.radial, "_bisect", recorded_bisect)
+    monkeypatch.setattr(nlsbump.radial, "_classify", recorded_classify)
+    try:
+        solve_ground_state(v_a, p, dim)
+    except (BracketError, ConvergenceError):
+        pass
+    monkeypatch.undo()
+    assert calls
+    for args, out in calls:
+        if isinstance(out, Exception):
+            with pytest.raises(type(out), match=re.escape(str(out))):
+                plain_bisect(*args)
+        else:
+            assert [x.hex() for x in plain_bisect(*args)] == [
+                x.hex() for x in out]
+    for kind, amp in trials:
+        assert math.copysign(1.0, amp) == -kind, (kind, amp)
+
+
+@pytest.mark.parametrize("v_a,p,dim", [(1.0, 4.0, 1), (1.0, 4.0, 2),
+                                       (1.21, 4.0, 2)])
+def test_remembered_trials_bisect_bitwise_like_plain_bisection(
+        v_a, p, dim, monkeypatch):
+    assert_bisections_match_plain(monkeypatch, v_a, p, dim)
+
+
+@settings(max_examples=4, deadline=None)
+@given(v_a=st.floats(0.25, 4.0), p=st.floats(2.5, 6.5))
+def test_remembered_trials_match_plain_bisection_in_dim1(v_a, p):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_bisections_match_plain(monkeypatch, v_a, p, 1)
 
 
 # A synthetic dim-3 table longer than 1M nodes: the decaying linear tail
