@@ -14,7 +14,7 @@ coercivity_estimate and the CLI's overlap integrals read.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import lobpcg
@@ -49,7 +49,10 @@ from .solver import (
     newton_solve,
 )
 
+# Step cap of decompose and of the reduced solve; the reduced solve stops
+# at max |delta xi| <= _REDUCED_STEP_TOL * eps
 _DECOMPOSE_MAX_ITER = 50
+_REDUCED_STEP_TOL = 1e-6
 # LOBPCG's bound on the residual norm of each M-normalized eigenpair
 _LOBPCG_TOL = 1e-8
 _LOBPCG_MAX_ITER = 1000
@@ -92,11 +95,21 @@ class RateFit:
     max_deviation: float
 
 
+@dataclass(frozen=True)
+class ProbeRun:
+    """A probe run's Newton steps and, after a shifted start, its reduced
+    solve's steps and outcome ("converged" moved the start, "" no solve)."""
+    newton_iterations: int
+    reduced_iterations: int = 0
+    reduced_outcome: str = ""
+
+
 @dataclass
 class UniquenessReport:
     sup_diff: float
     rel_diff: float  # sup_diff / sup |u| of the first solution
     xi_field: Optional[ScalarField]  # diff / sup_diff, unless negligible
+    runs: Tuple[ProbeRun, ...] = ()
 
 
 @dataclass
@@ -109,8 +122,13 @@ class CoercivityReport:
     lobpcg_iterations: Tuple[int, int] = (0, 0)
 
 
-def _owning_wells(spec: ProblemSpec, centers: np.ndarray) -> List[int]:
+def _patch(spec: ProblemSpec, centers: np.ndarray
+           ) -> Tuple[np.ndarray, float]:
+    """(anchor, limit): each center may move at most limit from its anchor,
+    the one well whose patch holds it, or without wells its start."""
     wells = spec.potential.wells
+    if not wells:
+        return centers.copy(), float(np.min(spec.grid.hi - spec.grid.lo))
     owners = []
     for j, c in enumerate(centers):
         dists = [float(np.linalg.norm(c - w.center)) for w in wells]
@@ -122,14 +140,31 @@ def _owning_wells(spec: ProblemSpec, centers: np.ndarray) -> List[int]:
         owners.append(best)
     if len(set(owners)) != len(owners):
         raise GeometryError("two bump centers claim the same well")
-    return owners
+    return (np.stack([wells[o].center for o in owners]),
+            spec.potential.patch_radius)
+
+
+def _newton_update(theta: np.ndarray, jac: np.ndarray, g: np.ndarray,
+                   anchor: np.ndarray, limit: float) -> np.ndarray:
+    """theta + delta, jac delta = -g; the centers, theta's last columns,
+    must stay within limit of their anchors."""
+    try:
+        theta = theta + np.linalg.solve(jac, -g).reshape(theta.shape)
+    except np.linalg.LinAlgError:
+        raise DecompositionError("projection Jacobian is singular")
+    drift = np.linalg.norm(theta[:, -anchor.shape[1]:] - anchor, axis=1)
+    if np.any(drift > limit):
+        raise GeometryError(
+            "decomposition centers drifted out of their well patches")
+    return theta
 
 
 def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
                 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], Callable]:
     """(U, T, hessian): U((x - center)/eps) on the grid, T[a] = d_a U, and
-    hessian(v), the dim x dim pairings <v, d_a d_b U>_eps, all from one
-    evaluation each of the profile's U and U' tables (no h-error).
+    hessian(v, inner), the dim x dim pairings inner(spec, v, d_a d_b U)
+    (default: <v, d_a d_b U>_eps), all from one evaluation each of the
+    profile's U and U' tables (no h-error).
 
     With r = |x - center|/eps, e the unit vector and q = U'/r, the Hessian
     is ((U'' - q) e_a e_b + q delta_ab) / eps^2.  U'' is read off the
@@ -146,7 +181,7 @@ def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
     trans = tuple(np.where(dist > 0.0, du * rel[:, a] / (spec.eps * safe),
                            0.0).reshape(grid.counts) for a in range(grid.dim))
 
-    def hessian(v: ScalarField) -> np.ndarray:
+    def hessian(v: ScalarField, inner: Callable = eps_inner) -> np.ndarray:
         source = profile.v_a * u - power_map(profile.p)(u)
         q = np.where(dist > 0.0, du / np.where(dist > 0.0, r, 1.0),
                      source / grid.dim)
@@ -157,7 +192,7 @@ def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
             for b in range(a, grid.dim):
                 hess = make_field(grid, curv * unit[:, a] * unit[:, b]
                                   + q * (a == b))
-                out[a, b] = out[b, a] = eps_inner(spec, v, hess)
+                out[a, b] = out[b, a] = inner(spec, v, hess)
         return out / spec.eps ** 2
 
     return u.reshape(grid.counts), trans, hessian
@@ -188,14 +223,7 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
     k = centers.shape[0]
     if centers.shape != (k, grid.dim):
         raise GeometryError("initial_centers must be k points of grid dim")
-    wells = spec.potential.wells
-    if wells:
-        anchor = np.stack([wells[o].center
-                           for o in _owning_wells(spec, centers)])
-        drift_limit = spec.potential.patch_radius
-    else:
-        anchor = centers.copy()
-        drift_limit = float(np.min(spec.grid.hi - spec.grid.lo))
+    anchor, drift_limit = _patch(spec, centers)
     profiles = tuple(profiles)
     if len(profiles) != k:
         raise DomainError("need one profile per bump")
@@ -232,15 +260,7 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
             trans = slice(j * n_per + 1, (j + 1) * n_per)
             jac[j * n_per, trans] -= g[trans]
             jac[trans, trans] -= hessians[j](vfield)
-        try:
-            delta = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            raise DecompositionError("projection Jacobian is singular")
-        theta = theta + delta.reshape(k, n_per)
-        drift = np.linalg.norm(theta[:, 1:] - anchor, axis=1)
-        if np.any(drift > drift_limit):
-            raise GeometryError(
-                "decomposition centers drifted out of their well patches")
+        theta = _newton_update(theta, jac, g, anchor, drift_limit)
 
     wfield = make_field(grid, u.values - sum(bumps))
     return BumpDecomposition(
@@ -459,33 +479,99 @@ def _tweak_shifts(spec: ProblemSpec, k: int,
     return shifts
 
 
+def _reduced_system(spec: ProblemSpec, profiles: Sequence[RadialProfile],
+                    centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(dg/dxi, g) for the centre equations of the Lyapunov-Schmidt
+    reduction, g_{j,a} = <F(sum_l U_l), T_{j,a}> (cell-weighted, interior):
+    dU_l/dxi_l = -T_l gives -<J T_{l,b}, T_{j,a}> - delta_jl <F, d_a d_b U_j>,
+    from one sample_bump per bump and one product of J with all T."""
+    grid, e2, cell = spec.grid, spec.eps ** 2, spec.grid.cell_volume
+    inner = tuple(slice(1, -1) for _ in grid.counts)
+    bumps, translations, hessians = zip(*(
+        sample_bump(spec, prof, c) for prof, c in zip(profiles, centers)))
+    u, v_int = sum(bumps)[inner], spec.potential_values()[inner]
+    f = np.zeros(grid.counts)
+    f[inner] = (interior_operator(v_int, grid.spacing, e2)(u.ravel())
+                - power_map(spec.p)(u.ravel())).reshape(u.shape)
+    tt = np.stack([t[inner].ravel() for ts in translations for t in ts], 1)
+    j_op = interior_operator(v_int - (spec.p - 1.0) * np.abs(u) ** (
+        spec.p - 2.0), grid.spacing, e2)
+    jac = -cell * (tt.T @ j_op(tt))
+    for j, hessian in enumerate(hessians):
+        block = slice(j * grid.dim, (j + 1) * grid.dim)
+        jac[block, block] -= hessian(make_field(grid, f), lambda _, a, b: (
+            cell * float(np.vdot(a.values, b.values))))
+    return jac, cell * (tt.T @ f[inner].ravel())
+
+
+def _reduced_shifts(spec: ProblemSpec, ansatz: AnsatzSpec,
+                    shifts: np.ndarray) -> Tuple[np.ndarray, Tuple[int, str]]:
+    """Newton on _reduced_system from the shifted centers by decompose's
+    patch-bounded step: the shifts to its root once a step is at most
+    _REDUCED_STEP_TOL eps, else the given shifts; and (steps, outcome)."""
+    centers = np.array([np.atleast_1d(b.center) for b in ansatz.bumps],
+                       dtype=float)
+    if centers.shape != shifts.shape:  # build_ansatz says which bump
+        return shifts, (0, "")
+    xi, steps = centers + shifts, 0
+    try:
+        anchor, limit = _patch(spec, xi)
+        while steps < _DECOMPOSE_MAX_ITER:
+            steps += 1
+            jac, g = _reduced_system(spec, [b.profile for b in ansatz.bumps],
+                                     xi)
+            xi, last = _newton_update(xi, jac, g, anchor, limit), xi
+            if np.abs(xi - last).max() <= _REDUCED_STEP_TOL * spec.eps:
+                return xi - centers, (steps, "converged")
+    except GeometryError:
+        return shifts, (steps, "left its patch")
+    except DecompositionError:
+        return shifts, (steps, "singular Jacobian")
+    return shifts, (steps, "not converged")
+
+
 def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
                      perturbations: Tuple[AnsatzTweak, AnsatzTweak]
                      ) -> UniquenessReport:
     """Solve twice from perturbed initializations and compare sup norms.
 
     Each run starts from the ansatz with the tweak's scaled amplitudes and
-    shifted centers (build_ansatz validates the unshifted bumps).  The
-    claim under test is that both runs land on the same positive solution;
-    the caller compares rel_diff (sup difference over the first solution's
-    sup) with its tolerance, the CLI with its fixed 1e-8.  A run that
-    collapses to the trivial solution or is not positive on the interior
-    raises ConvergenceError: two such runs agreeing says nothing about
-    positive solutions.
+    shifted centers (build_ansatz validates the unshifted bumps); shifted
+    centers move to the root of the centre equations when the reduced
+    solve from them converges (_reduced_shifts).  The claim under test is
+    that both runs land on the same positive solution; the caller compares
+    rel_diff (sup difference over the first solution's sup) with its
+    tolerance, the CLI with its fixed 1e-8.  A run that collapses to the
+    trivial solution or is not positive on the interior raises
+    ConvergenceError: two such runs agreeing says nothing about positive
+    solutions.  The report's runs, or the error's .runs, say what each
+    run did.
     """
     if len(perturbations) != 2:
         raise DomainError("uniqueness probe compares exactly two runs")
-    fields = []
-    for run, tweak in enumerate(perturbations):
-        shifts = _tweak_shifts(spec, len(ansatz.bumps), tweak)
-        u0 = build_ansatz(spec, ansatz, tweak.amp_scale, shifts)
-        u, report = newton_solve(spec, u0)
-        if report.trivial:
-            raise ConvergenceError(
-                f"probe run {run} collapsed to the trivial solution")
-        if not report.positivity:
-            raise ConvergenceError(f"probe run {run} is not positive")
-        fields.append(u)
+    fields, runs = [], []
+    try:
+        for run, tweak in enumerate(perturbations):
+            shifts = _tweak_shifts(spec, len(ansatz.bumps), tweak)
+            reduced = ()
+            if tweak.center_shifts is not None:
+                shifts, reduced = _reduced_shifts(spec, ansatz, shifts)
+            u0 = build_ansatz(spec, ansatz, tweak.amp_scale, shifts)
+            try:
+                u, report = newton_solve(spec, u0)
+            except ConvergenceError as exc:
+                runs.append(ProbeRun(exc.report.iterations, *reduced))
+                raise
+            runs.append(ProbeRun(report.iterations, *reduced))
+            if report.trivial:
+                raise ConvergenceError(
+                    f"probe run {run} collapsed to the trivial solution")
+            if not report.positivity:
+                raise ConvergenceError(f"probe run {run} is not positive")
+            fields.append(u)
+    except ConvergenceError as exc:
+        exc.runs = tuple(runs)
+        raise
     diff = fields[0].values - fields[1].values
     sup_diff = float(np.abs(diff).max())
     sup_u = float(np.abs(fields[0].values).max())  # > 0: the run is positive
@@ -493,4 +579,4 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
     if sup_diff > 1e-12 * sup_u:
         xi = make_field(spec.grid, diff / sup_diff)
     return UniquenessReport(sup_diff=sup_diff, rel_diff=sup_diff / sup_u,
-                            xi_field=xi)
+                            xi_field=xi, runs=tuple(runs))

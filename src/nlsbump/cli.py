@@ -12,7 +12,8 @@ analyze       load the persisted fields, run the bump decomposition, the
               estimate per eps, fit decay rates across eps, and write
               rates.csv, pohozaev.csv, coercivity.csv.
 uniqueness    re-solve each eps from perturbed initializations (amplitude
-              pair, center-shift pair) and write uniqueness.csv.
+              pair, center-shift pair) and write uniqueness.csv; --verbose
+              prints each run's Newton and reduced steps.
 all           solve, then analyze, then uniqueness.
 
 CSV schemas (fixed column order, header row always present)
@@ -50,9 +51,14 @@ min(default_ball_radius, 1.5 patch_radius) and a boundary quadrature of
 resolution 48 (analysis.pohozaev_terms: 192 nodes on a circle, 48 x 96 on
 a sphere).  Rate fits use every eps whose value is above the fit floor
 1e-12.  The uniqueness probe's amplitude pair
-starts from 0.9 and 1.1 times the ansatz, its shift pair from every bump
-moved by +0.3 eps and -0.3 eps along axis 0; a pair passes when
-rel_diff <= 1e-8.  A probe run that collapses to u = 0 or is not
+starts from 0.9 and 1.1 times the ansatz.  Its shift pair moves every
+bump by +0.3 eps and -0.3 eps along axis 0, solves the k*N centre
+equations <F(sum_l U_l(. - xi_l)), d_a U_j(. - xi_j)> = 0 from there by
+patch-bounded Newton to a step of 1e-6 eps, and starts from the bumps at
+that root ("converged"); a reduced solve that leaves a patch, is singular
+or takes 50 steps leaves the shifted start.  So the pair tests the basin
+of the reduced equation plus Newton from its two roots.  A pair passes
+when rel_diff <= 1e-8.  A probe run that collapses to u = 0 or is not
 positive is a solver-failure.
 
 Exit codes: 0 success; 2 configuration or usage (non-finite config
@@ -410,14 +416,8 @@ def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
 
 
 def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
-    """Run the uniqueness probe on an amplitude pair and a shift pair per eps.
-
-    rel_diff is the pair's sup_diff divided by the sup norm of the pair's
-    own first solution (UniquenessReport.rel_diff); a pair passes when it
-    is at or below _UNIQUENESS_RTOL.  A pair whose Newton solve fails, or
-    lands on a trivial or non-positive field, records solver-failure with
-    the probe's message.
-    """
+    """Run the uniqueness probe on an amplitude pair and a shift pair per
+    eps; the module docstring gives the pairs, rel_diff and the results."""
     cfg, out_dir, _ = _load_experiment(args)
     ansatz = ansatz or _base_ansatz(cfg)
 
@@ -435,24 +435,29 @@ def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
         for pair_name, tweaks in pairs:
             try:
                 report = uniqueness_probe(spec, ansatz, tweaks)
-            except _ITERATION_ERRORS as exc:
-                rows.append(_row(eps, pair_name, None, None,
-                                 "solver-failure", str(exc)))
-                continue
             except NlsbumpError as exc:
-                rows.append(_row(eps, pair_name, None, None, "error",
+                result = ("solver-failure"
+                          if isinstance(exc, _ITERATION_ERRORS) else "error")
+                rows.append(_row(eps, pair_name, None, None, result,
                                  str(exc)))
-                continue
-            if report.rel_diff <= _UNIQUENESS_RTOL:
-                result = "pass"
+                runs = getattr(exc, "runs", ())
             else:
-                result = "uniqueness-failure"
-                if report.xi_field is not None:
-                    write_field(out_dir / f"xi_eps{eps:g}_{pair_name}.nlsb",
-                                report.xi_field, eps, cfg.p)
-            rows.append(_row(eps, pair_name, report.sup_diff,
-                             report.rel_diff, result, ""))
-            _note(args, f"uniqueness eps={eps:g} {pair_name}: {result}")
+                runs = report.runs
+                if report.rel_diff <= _UNIQUENESS_RTOL:
+                    result = "pass"
+                else:
+                    result = "uniqueness-failure"
+                    if report.xi_field is not None:
+                        write_field(
+                            out_dir / f"xi_eps{eps:g}_{pair_name}.nlsb",
+                            report.xi_field, eps, cfg.p)
+                rows.append(_row(eps, pair_name, report.sup_diff,
+                                 report.rel_diff, result, ""))
+            _note(args, f"uniqueness eps={eps:g} {pair_name}: {result}"
+                  + "".join(f"; run {i}: newton {r.newton_iterations}, "
+                            f"reduced {r.reduced_iterations} "
+                            f"{r.reduced_outcome or 'none'}"
+                            for i, r in enumerate(runs)))
         return rows
 
     groups = _map_jobs(run_one, list(cfg.eps_schedule), args.jobs)

@@ -14,10 +14,12 @@ import scipy.linalg
 import nlsbump.analysis
 import nlsbump.solver
 from nlsbump.analysis import (AnsatzTweak, BumpDecomposition,
-                              coercivity_estimate, decompose, fit_rate,
-                              pohozaev_terms, sample_bump, uniqueness_probe)
-from nlsbump.errors import (ConsistencyError, DomainError, GeometryError,
-                            SpectralError)
+                              _reduced_system, coercivity_estimate,
+                              decompose, fit_rate, pohozaev_terms,
+                              sample_bump, uniqueness_probe)
+from nlsbump.config import parse_config, problem_at
+from nlsbump.errors import (ConsistencyError, ConvergenceError, DomainError,
+                            GeometryError, SpectralError)
 from nlsbump.grid import (box_integral, eps_inner, eps_norm, make_field,
                           make_grid, make_problem)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
@@ -575,7 +577,7 @@ def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
          AnsatzTweak(center_shifts=np.array([-shift, 0.0]))))
     # measured: 9.1e-14 relative
     assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
-    # each run samples every bump once, at its shifted center
+    # each run samples every bump once, at the root of its reduced solve
     assert len(samples) == 2 * len(ansatz.bumps)
 
 
@@ -623,6 +625,17 @@ def test_probe_rejects_a_profile_solved_at_another_depth(get_profile):
         uniqueness_probe(spec, ansatz, (AnsatzTweak(), AnsatzTweak()))
 
 
+def test_probe_rejects_a_center_of_the_wrong_dimension(well_case,
+                                                       get_profile):
+    # A shifted run meets the bad center before build_ansatz does.
+    spec = well_case[0]
+    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
+                                        np.zeros(3)),))
+    shifted = AnsatzTweak(center_shifts=np.array([0.1 * spec.eps, 0.0]))
+    with pytest.raises(GeometryError, match="wrong dimension"):
+        uniqueness_probe(spec, ansatz, (shifted, AnsatzTweak()))
+
+
 def test_probe_rejects_out_of_basin_tweaks(well_case, get_profile):
     spec = well_case[0]
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
@@ -642,3 +655,98 @@ def test_probe_rejects_out_of_basin_tweaks(well_case, get_profile):
             (AnsatzTweak(center_shifts=np.zeros((3, 2))), ok))
     with pytest.raises(DomainError, match="two runs"):
         uniqueness_probe(spec, ansatz, (ok,))
+
+
+# --- the shift pair's reduced solve (centre equations before Newton) ---
+
+# The 1-D two-well sweep of the benchmark: production grid h = eps/6.
+TWO_WELL_1D = """
+problem.dim = 1
+problem.p = 4
+problem.exponent = 2
+problem.patch_radius = 0.4
+problem.well.0.center = -1
+problem.well.0.depth = 1
+problem.well.1.center = 1
+problem.well.1.depth = 1.21
+grid.lo = -4.25
+grid.hi = 4.25
+grid.spacing_divisor = 6
+schedule.eps = 0.4 0.1
+"""
+
+
+def two_well_1d(get_profile, eps):
+    cfg = parse_config(TWO_WELL_1D)
+    ansatz = AnsatzSpec(bumps=tuple(
+        BumpSpec(get_profile(w.depth, 4.0, 1), np.array(w.center))
+        for w in cfg.wells))
+    return problem_at(cfg, eps), ansatz
+
+
+def shift_pair(spec):
+    step = np.zeros(spec.grid.dim)
+    step[0] = 0.3 * spec.eps
+    return AnsatzTweak(center_shifts=step), AnsatzTweak(center_shifts=-step)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_reduced_jacobian_matches_differenced_centre_equations(get_profile,
+                                                               dim):
+    # dg/dxi from -<J T, T> - <F, d d U> against central differences of g
+    # at a start shifted off both wells; measured 5.6e-9 (1-D, eps 0.1)
+    # and 1.1e-8 (2-D, 86 x 66 nodes) relative.
+    if dim == 1:
+        spec, ansatz = two_well_1d(get_profile, 0.1)
+        profs = [b.profile for b in ansatz.bumps]
+    else:
+        spec = double_well_problem(counts=(86, 66))
+        profs = [get_profile(1.0, 4.0, 2), get_profile(1.21, 4.0, 2)]
+    xi = CENTERS[:, :dim] + 0.3 * spec.eps * np.array([1.0, 0.5])[:dim]
+    jac, g = _reduced_system(spec, profs, xi)
+    assert np.abs(g).max() > 1e-3  # the shifted start is not a root
+    h = 1e-4 * spec.eps
+    want = np.empty_like(jac)
+    for col in range(xi.size):
+        step = h * np.eye(xi.size)[col].reshape(xi.shape)
+        want[:, col] = (_reduced_system(spec, profs, xi + step)[1]
+                        - _reduced_system(spec, profs, xi - step)[1]) / (2 * h)
+    assert np.abs(jac - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_reduced_start_cuts_newton_steps_on_the_benchmark_geometry(
+        get_profile):
+    # 1-D eps 0.1: Newton from the +-0.3 eps shifted starts took 15 steps
+    # each; from the reduced solve's roots it takes 3.
+    spec, ansatz = two_well_1d(get_profile, 0.1)
+    rep = uniqueness_probe(spec, ansatz, shift_pair(spec))
+    assert rep.rel_diff <= 1e-8
+    assert [r.reduced_outcome for r in rep.runs] == ["converged"] * 2
+    assert all(r.newton_iterations <= 5 for r in rep.runs)
+
+
+def test_reduced_solve_leaving_its_patch_keeps_the_shifted_start(
+        get_profile, monkeypatch):
+    # 1-D eps 0.4 is past the fold of the two-bump branch: the reduced
+    # solve leaves the patch, and Newton runs from the shifted bumps
+    # themselves and fails as it did before there was a reduced solve.
+    spec, ansatz = two_well_1d(get_profile, 0.4)
+    tweaks = shift_pair(spec)
+    starts = []
+
+    def recording_solve(spec, u0):
+        starts.append(u0.values)
+        return newton_solve(spec, u0)
+
+    monkeypatch.setattr(nlsbump.analysis, "newton_solve", recording_solve)
+    with pytest.raises(ConvergenceError) as err:
+        uniqueness_probe(spec, ansatz, tweaks)
+    assert str(err.value) == ("no residual decrease along any damped or "
+                              "regularized step; iterate is at a stationary "
+                              "point of |F|")
+    (run,) = err.value.runs
+    assert run.reduced_outcome == "left its patch"
+    assert run.reduced_iterations >= 1
+    shifted = build_ansatz(spec, ansatz, 1.0, np.tile(
+        tweaks[0].center_shifts, (2, 1)))
+    assert np.array_equal(starts[0], shifted.values)

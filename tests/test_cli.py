@@ -684,6 +684,24 @@ def test_verbose_progress_goes_to_stderr_only_when_asked(pipeline, tmp_path,
                                                   "solve eps=0.3"]
 
 
+def test_verbose_uniqueness_reports_every_run(pipeline, tmp_path, capsys):
+    # Each pair's line gives both runs' Newton steps and reduced solves:
+    # none for the amplitude pair, a converged one for the shift pair.
+    cfg_path, _, _ = pipeline
+    assert main(["uniqueness", "--config", str(cfg_path), "--out",
+                 str(tmp_path), "--verbose"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        f"uniqueness eps={eps} {pair}" for eps in ("0.4", "0.3")
+        for pair in ("amplitude", "shift")]
+    for line in lines:
+        runs = line.split("; ")[1:]
+        assert [r.split(":")[0] for r in runs] == ["run 0", "run 1"]
+        reduced = ("none" if "amplitude" in line else "converged")
+        assert all(r.startswith("run ") and "newton " in r
+                   and r.endswith(reduced) for r in runs)
+
+
 def test_benchmark_command_lines_and_configs_parse(monkeypatch):
     # A flag or key the benchmark passes must keep parsing; otherwise its
     # child processes exit 2 and the run reports a failure, not a number.
