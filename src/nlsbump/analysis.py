@@ -24,6 +24,7 @@ from .errors import (
     DecompositionError,
     DomainError,
     GeometryError,
+    NlsbumpError,
     SpectralError,
 )
 from .grid import (
@@ -44,9 +45,10 @@ from .solver import (
     AnsatzSpec,
     build_ansatz,
     dirichlet_inverse,
-    dirichlet_symbol,
     interior_operator,
+    jacobian_diagonal,
     newton_solve,
+    residual,
 )
 
 # Step cap of decompose and of the reduced solve; the reduced solve stops
@@ -58,6 +60,10 @@ _LOBPCG_TOL = 1e-8
 _LOBPCG_MAX_ITER = 1000
 # Sphere quadrature resolution of the flux identity's boundary terms
 _POHOZAEV_RESOLUTION = 48
+# The uniqueness probe's pairs start from 1 -/+ _PROBE_AMP times the ansatz
+# ("amplitude") and from every bump moved +/- _PROBE_SHIFT eps on axis 0
+_PROBE_AMP = 0.1
+_PROBE_SHIFT = 0.3
 
 
 @dataclass
@@ -428,8 +434,7 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
     v_int = spec.potential_values()[inner]
     h_op = interior_operator(v_int - weight[inner], grid.spacing, e2)
     m_op = interior_operator(v_int, grid.spacing, e2)
-    precond = dirichlet_inverse(dirichlet_symbol(
-        v_int.shape, grid.spacing, e2, float(v_int.min())))
+    precond = dirichlet_inverse(spec)
 
     constraints = np.stack(
         [f[inner].ravel() for bump, trans in zip(dec.bumps, dec.translations)
@@ -453,49 +458,21 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
                             lobpcg_iterations=(un_iters, pr_iters))
 
 
-@dataclass(frozen=True)
-class AnsatzTweak:
-    """Initializer perturbation: amplitude scaling and per-bump shifts."""
-    amp_scale: float = 1.0
-    center_shifts: Optional[np.ndarray] = None
-
-
-def _tweak_shifts(spec: ProblemSpec, k: int,
-                  tweak: AnsatzTweak) -> np.ndarray:
-    if not 0.8 <= tweak.amp_scale <= 1.2:
-        raise DomainError(
-            f"amplitude scale {tweak.amp_scale} outside the basin [0.8, 1.2]")
-    dim = spec.grid.dim
-    if tweak.center_shifts is None:
-        return np.zeros((k, dim))
-    shifts = np.asarray(tweak.center_shifts, dtype=float)
-    if shifts.shape == (dim,):
-        shifts = np.tile(shifts, (k, 1))
-    if shifts.shape != (k, dim):
-        raise DomainError("center_shifts must be one vector per bump")
-    if np.any(np.linalg.norm(shifts, axis=1) > 0.5 * spec.eps + 1e-15):
-        raise DomainError(
-            "center shift exceeds half of eps; outside the basin")
-    return shifts
-
-
 def _reduced_system(spec: ProblemSpec, profiles: Sequence[RadialProfile],
                     centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(dg/dxi, g) for the centre equations of the Lyapunov-Schmidt
     reduction, g_{j,a} = <F(sum_l U_l), T_{j,a}> (cell-weighted, interior):
     dU_l/dxi_l = -T_l gives -<J T_{l,b}, T_{j,a}> - delta_jl <F, d_a d_b U_j>,
     from one sample_bump per bump and one product of J with all T."""
-    grid, e2, cell = spec.grid, spec.eps ** 2, spec.grid.cell_volume
+    grid, cell = spec.grid, spec.grid.cell_volume
     inner = tuple(slice(1, -1) for _ in grid.counts)
     bumps, translations, hessians = zip(*(
         sample_bump(spec, prof, c) for prof, c in zip(profiles, centers)))
-    u, v_int = sum(bumps)[inner], spec.potential_values()[inner]
-    f = np.zeros(grid.counts)
-    f[inner] = (interior_operator(v_int, grid.spacing, e2)(u.ravel())
-                - power_map(spec.p)(u.ravel())).reshape(u.shape)
+    u = sum(bumps)
+    f = residual(spec, u)
     tt = np.stack([t[inner].ravel() for ts in translations for t in ts], 1)
-    j_op = interior_operator(v_int - (spec.p - 1.0) * np.abs(u) ** (
-        spec.p - 2.0), grid.spacing, e2)
+    j_op = interior_operator(jacobian_diagonal(spec, u[inner]), grid.spacing,
+                             spec.eps ** 2)
     jac = -cell * (tt.T @ j_op(tt))
     for j, hessian in enumerate(hessians):
         block = slice(j * grid.dim, (j + 1) * grid.dim)
@@ -531,32 +508,34 @@ def _reduced_shifts(spec: ProblemSpec, ansatz: AnsatzSpec,
 
 
 def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
-                     perturbations: Tuple[AnsatzTweak, AnsatzTweak]
-                     ) -> UniquenessReport:
-    """Solve twice from perturbed initializations and compare sup norms.
-
-    Each run starts from the ansatz with the tweak's scaled amplitudes and
-    shifted centers (build_ansatz validates the unshifted bumps); shifted
-    centers move to the root of the centre equations when the reduced
-    solve from them converges (_reduced_shifts).  The claim under test is
-    that both runs land on the same positive solution; the caller compares
-    rel_diff (sup difference over the first solution's sup) with its
-    tolerance, the CLI with its fixed 1e-8.  A run that collapses to the
-    trivial solution or is not positive on the interior raises
-    ConvergenceError: two such runs agreeing says nothing about positive
-    solutions.  The report's runs, or the error's .runs, say what each
-    run did.
+                     pair: str) -> UniquenessReport:
+    """Solve twice from the named pair of perturbed ansatz starts (see
+    _PROBE_AMP) and compare.  A shifted start moves on to the root of the
+    centre equations when the reduced solve from it converges
+    (_reduced_shifts); build_ansatz validates the unshifted bumps.  The
+    claim under test is that both runs land on the same positive solution;
+    the caller compares rel_diff (sup difference over the first solution's
+    sup) with its tolerance, the CLI with its fixed 1e-8.  A run that
+    collapses to the trivial solution or is not positive on the interior
+    raises ConvergenceError: two such runs agreeing says nothing about
+    positive solutions.  The report's runs, or the .runs of any
+    NlsbumpError a run raises, say what each run did.
     """
-    if len(perturbations) != 2:
-        raise DomainError("uniqueness probe compares exactly two runs")
+    if pair == "amplitude":
+        starts = [(1.0 - _PROBE_AMP, None), (1.0 + _PROBE_AMP, None)]
+    elif pair == "shift":
+        step = np.zeros((len(ansatz.bumps), spec.grid.dim))
+        step[:, 0] = _PROBE_SHIFT * spec.eps
+        starts = [(1.0, step), (1.0, -step)]
+    else:
+        raise DomainError(f"unknown probe pair {pair!r}")
     fields, runs = [], []
     try:
-        for run, tweak in enumerate(perturbations):
-            shifts = _tweak_shifts(spec, len(ansatz.bumps), tweak)
+        for run, (amp_scale, shifts) in enumerate(starts):
             reduced = ()
-            if tweak.center_shifts is not None:
+            if shifts is not None:
                 shifts, reduced = _reduced_shifts(spec, ansatz, shifts)
-            u0 = build_ansatz(spec, ansatz, tweak.amp_scale, shifts)
+            u0 = build_ansatz(spec, ansatz, amp_scale, shifts)
             try:
                 u, report = newton_solve(spec, u0)
             except ConvergenceError as exc:
@@ -569,7 +548,7 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
             if not report.positivity:
                 raise ConvergenceError(f"probe run {run} is not positive")
             fields.append(u)
-    except ConvergenceError as exc:
+    except NlsbumpError as exc:
         exc.runs = tuple(runs)
         raise
     diff = fields[0].values - fields[1].values

@@ -61,12 +61,13 @@ of the reduced equation plus Newton from its two roots.  A pair passes
 when rel_diff <= 1e-8.  A probe run that collapses to u = 0 or is not
 positive is a solver-failure.
 
-Exit codes: 0 success; 2 configuration or usage (non-finite config
-numbers too); 3 domain or geometry (also: bad groundstate arguments,
-non-finite ones too); 4 iteration failure (also: any sweep row that
-records a failure); 5 malformed field file.  analyze and uniqueness run
-their eps on a thread pool of --jobs threads (default 1; --jobs does not
-apply to solve); rows are written in schedule order.
+Exit codes: 0 success; 2 configuration or usage (also: non-finite
+config numbers, an unreadable config, an output path that is a file);
+3 domain or geometry (also: bad groundstate arguments, non-finite ones
+too); 4 iteration failure (also: any sweep row that records a failure);
+5 malformed field file.  analyze and uniqueness run their eps on a
+thread pool of --jobs threads (default 1; --jobs does not apply to
+solve); rows are written in schedule order.
 """
 
 import argparse
@@ -79,7 +80,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import (
-    AnsatzTweak,
     coercivity_estimate,
     decompose,
     default_ball_radius,
@@ -115,12 +115,8 @@ EXIT_FORMAT = 5
 # dropped before log-log fits rather than fitted as noise.
 _FIT_FLOOR = 1e-12
 
-# The uniqueness probe: amplitude pair 1 -/+ _UNIQUENESS_AMP, shift pair
-# +/- _UNIQUENESS_SHIFT * eps along axis 0, both inside the basins that
-# analysis.AnsatzTweak accepts; a pair passes at rel_diff <= _UNIQUENESS_RTOL
+# A uniqueness pair passes at rel_diff <= _UNIQUENESS_RTOL
 # (perfbench/workloads.py's UNIQUENESS_RTOL mirrors it).
-_UNIQUENESS_AMP = 0.1
-_UNIQUENESS_SHIFT = 0.3
 _UNIQUENESS_RTOL = 1e-8
 
 _ITERATION_ERRORS = (BracketError, ConvergenceError, KrylovError,
@@ -172,14 +168,21 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
+def _output_dir(path) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from exc
+    return Path(path)
+
+
 def _load_experiment(args) -> Tuple[ExperimentConfig, Path, Dict[float, str]]:
     """Config, output directory (created) and solution file names."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     names = _solution_names(cfg)
-    out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out or cfg.output_dir)
     return cfg, out_dir, names
 
 
@@ -199,11 +202,9 @@ def _base_ansatz(cfg: ExperimentConfig) -> AnsatzSpec:
 
 
 def cmd_groundstate(args) -> int:
+    out_dir = _output_dir(args.out or ".")
     profile = solve_ground_state(args.va, args.p, args.dim)
     residual = ode_residual(profile)
-
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"profile_va{args.va:g}_p{args.p:g}_dim{args.dim}.csv"
     with open(path, "w", newline="") as fh:
         fh.write("r,u,du\n")
@@ -423,18 +424,10 @@ def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
 
     def run_one(eps: float):
         spec = problem_at(cfg, eps)
-        step = np.zeros(cfg.dim)
-        step[0] = _UNIQUENESS_SHIFT * eps
-        pairs = (
-            ("amplitude", (AnsatzTweak(amp_scale=1.0 - _UNIQUENESS_AMP),
-                           AnsatzTweak(amp_scale=1.0 + _UNIQUENESS_AMP))),
-            ("shift", (AnsatzTweak(center_shifts=step),
-                       AnsatzTweak(center_shifts=-step))),
-        )
         rows = []
-        for pair_name, tweaks in pairs:
+        for pair_name in ("amplitude", "shift"):
             try:
-                report = uniqueness_probe(spec, ansatz, tweaks)
+                report = uniqueness_probe(spec, ansatz, pair_name)
             except NlsbumpError as exc:
                 result = ("solver-failure"
                           if isinstance(exc, _ITERATION_ERRORS) else "error")

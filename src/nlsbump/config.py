@@ -209,8 +209,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{getattr(exc, 'strerror', exc)}") from exc
+    return parse_config(text)
 
 
 def make_potential(cfg: ExperimentConfig) -> PotentialModel:

@@ -21,9 +21,9 @@ minimizes a residual, in the P^-1 norm, in steps that no longer grow in
 number as the grid refines.
 
 One stencil, interior_operator (-eps^2 lap_h + diag on the interior
-unknowns), applies F, J and the coercivity estimate's Hessian and metric
-in analysis; the DST-I inverse also preconditions that estimate's LOBPCG
-eigensolve.
+unknowns), applies F (residual), J (on jacobian_diagonal) and the
+coercivity estimate's Hessian and metric in analysis; dirichlet_inverse
+also preconditions that estimate's LOBPCG eigensolve.
 """
 
 import math
@@ -140,14 +140,8 @@ def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
     return make_field(grid, total)
 
 
-def dirichlet_symbol(shape, spacing, e2: float, c: float) -> np.ndarray:
-    """DST-I eigenvalues of -e2 lap_h + c on interior nodes of this shape."""
-    symbol = np.full(shape, float(c))
-    for a, (n, h) in enumerate(zip(shape, spacing)):
-        k = np.arange(1, n + 1).reshape(
-            [n if b == a else 1 for b in range(len(shape))])
-        symbol += e2 * (2.0 * np.sin(0.5 * np.pi * k / (n + 1)) / h) ** 2
-    return symbol
+def _interior(spec: ProblemSpec) -> Tuple[slice, ...]:
+    return tuple(slice(1, -1) for _ in spec.grid.counts)
 
 
 def _columnwise(coef: np.ndarray, x: np.ndarray):
@@ -158,9 +152,17 @@ def _columnwise(coef: np.ndarray, x: np.ndarray):
                                                       + (1,) * len(tail))
 
 
-def dirichlet_inverse(symbol: np.ndarray) -> LinearOperator:
-    """Exact inverse of the operator dirichlet_symbol diagonalizes."""
-    axes = tuple(range(symbol.ndim))
+def dirichlet_inverse(spec: ProblemSpec) -> LinearOperator:
+    """Exact inverse of -eps^2 lap_h + c, c = min V on the interior, on the
+    interior unknowns: two DST-I passes around a division by its
+    eigenvalues."""
+    v_int = spec.potential_values()[_interior(spec)]
+    axes = tuple(range(v_int.ndim))
+    symbol = np.full(v_int.shape, float(v_int.min()))
+    for a, (n, h) in enumerate(zip(v_int.shape, spec.grid.spacing)):
+        k = np.arange(1, n + 1).reshape([n if b == a else 1 for b in axes])
+        symbol += spec.eps ** 2 * (2.0 * np.sin(0.5 * np.pi * k / (n + 1))
+                                   / h) ** 2
     inv_symbol = 1.0 / symbol
 
     def apply(flat: np.ndarray) -> np.ndarray:
@@ -191,6 +193,23 @@ def interior_operator(diag: np.ndarray, spacing,
     return apply
 
 
+def residual(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
+    """F(u) on the grid nodes (u a raw array over them), zero on the ring."""
+    inner = _interior(spec)
+    v_int, u_int = spec.potential_values()[inner], u[inner].ravel()
+    r = np.zeros(spec.grid.counts)
+    r[inner] = (interior_operator(v_int, spec.grid.spacing, spec.eps ** 2)(
+        u_int) - power_map(spec.p)(u_int)).reshape(v_int.shape)
+    return r
+
+
+def jacobian_diagonal(spec: ProblemSpec, u_int: np.ndarray) -> np.ndarray:
+    """V - (p-1)|u|^(p-2) on the interior unknowns: J[u] is
+    interior_operator of it."""
+    return (spec.potential_values()[_interior(spec)]
+            - (spec.p - 1.0) * np.abs(u_int) ** (spec.p - 2.0))
+
+
 def newton_solve(spec: ProblemSpec,
                  u0: ScalarField) -> Tuple[ScalarField, SolveReport]:
     """Solve F(u) = 0 from the initial iterate u0.
@@ -212,18 +231,7 @@ def newton_solve(spec: ProblemSpec,
     if u0.values.shape != tuple(grid.counts):
         raise DomainError("initial iterate does not live on the spec's grid")
 
-    inner = tuple(slice(1, -1) for _ in grid.counts)
-    v_int = spec.potential_values()[inner]
-    e2 = spec.eps ** 2
-    apply_l = interior_operator(v_int, grid.spacing, e2)
-    power = power_map(spec.p)
-
-    def residual(u: np.ndarray) -> np.ndarray:
-        u_int = u[inner].ravel()
-        r = np.zeros(grid.counts)
-        r[inner] = (apply_l(u_int) - power(u_int)).reshape(v_int.shape)
-        return r
-
+    inner = _interior(spec)
     u = np.zeros(grid.counts)
     u[inner] = u0.values[inner]
     sup_u0 = float(np.abs(u).max())
@@ -234,12 +242,11 @@ def newton_solve(spec: ProblemSpec,
         flat = r.ravel()
         return math.sqrt(cell * float(np.dot(flat, flat)))
 
-    res = residual(u)
+    res = residual(spec, u)
     sup_res = float(np.abs(res).max())
     m_res = merit(res)
     history = [m_res]
-    precond = dirichlet_inverse(
-        dirichlet_symbol(v_int.shape, grid.spacing, e2, float(v_int.min())))
+    precond = dirichlet_inverse(spec)
     krylov_iterations, backtracks, shifts = [], [], []
     krylov_short = 0
 
@@ -272,34 +279,35 @@ def newton_solve(spec: ProblemSpec,
             raise fail(f"Newton did not reach {_TOL_RESIDUAL:g} in "
                        f"{_MAX_NEWTON} iterations (residual {sup_res:g})")
         it += 1
-        base_diag = v_int - (spec.p - 1.0) * np.abs(u[inner]) ** (spec.p - 2.0)
+        base_diag = jacobian_diagonal(spec, u[inner])
         krylov_iterations.append(0)
         backtracks.append(0)
 
         accepted = False
         for _ in range(_MAX_REGULARIZATIONS):
             shift = lam
-            apply_j = interior_operator(base_diag + shift, grid.spacing, e2)
+            apply_j = interior_operator(base_diag + shift, grid.spacing,
+                                        spec.eps ** 2)
 
             def matvec(flat: np.ndarray) -> np.ndarray:
                 krylov_iterations[-1] += 1
                 return apply_j(flat)
 
-            op = LinearOperator((v_int.size,) * 2, matvec=matvec, dtype=float)
             rhs = -res[inner].ravel()
+            op = LinearOperator((rhs.size,) * 2, matvec=matvec, dtype=float)
             step_flat, info = minres(op, rhs, rtol=_KRYLOV_TOL,
                                      maxiter=_KRYLOV_MAX, M=precond)
             if info < 0:
                 raise KrylovError(f"MINRES breakdown (info={info})")
             krylov_short += int(info > 0)
-            dv = step_flat.reshape(v_int.shape)
+            dv = step_flat.reshape(base_diag.shape)
 
             step = 1.0
             backtracks_used = 0
             for _ in range(_MAX_BACKTRACKS):
                 u_try = u.copy()
                 u_try[inner] += step * dv
-                res_try = residual(u_try)
+                res_try = residual(spec, u_try)
                 m_try = merit(res_try)
                 if m_try < m_res:
                     u, res, m_res = u_try, res_try, m_try

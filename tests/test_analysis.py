@@ -13,10 +13,9 @@ import scipy.linalg
 
 import nlsbump.analysis
 import nlsbump.solver
-from nlsbump.analysis import (AnsatzTweak, BumpDecomposition,
-                              _reduced_system, coercivity_estimate,
-                              decompose, fit_rate, pohozaev_terms,
-                              sample_bump, uniqueness_probe)
+from nlsbump.analysis import (BumpDecomposition, _reduced_system,
+                              coercivity_estimate, decompose, fit_rate,
+                              pohozaev_terms, sample_bump, uniqueness_probe)
 from nlsbump.config import parse_config, problem_at
 from nlsbump.errors import (ConsistencyError, ConvergenceError, DomainError,
                             GeometryError, SpectralError)
@@ -24,8 +23,8 @@ from nlsbump.grid import (box_integral, eps_inner, eps_norm, make_field,
                           make_grid, make_problem)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
-from nlsbump.solver import (AnsatzSpec, BumpSpec, build_ansatz, bump_field,
-                            interior_operator, newton_solve)
+from nlsbump.solver import (AnsatzSpec, BumpSpec, SolveReport, build_ansatz,
+                            bump_field, interior_operator, newton_solve)
 
 WELLS = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
          WellSpec(center=np.array([1.0, 0.0]), depth=1.21, coeff=1.0)]
@@ -542,14 +541,53 @@ def test_lobpcg_iteration_cap_is_a_spectral_error(well_case, monkeypatch):
 
 # --- uniqueness probe ---
 
-def test_identical_initializations_reproduce_bitwise(well_case, get_profile):
+def test_identical_initializations_reproduce_bitwise(well_case, get_profile,
+                                                     monkeypatch):
+    # With no amplitude perturbation both runs start from the ansatz.
+    monkeypatch.setattr(nlsbump.analysis, "_PROBE_AMP", 0.0)
     spec = well_case[0]
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
                                         np.zeros(2)),))
-    rep = uniqueness_probe(spec, ansatz, (AnsatzTweak(amp_scale=1.05),
-                                          AnsatzTweak(amp_scale=1.05)))
+    rep = uniqueness_probe(spec, ansatz, "amplitude")
     assert rep.sup_diff == 0.0
     assert rep.xi_field is None
+
+
+def test_probe_starts_are_the_named_pair(well_case, get_profile,
+                                         monkeypatch):
+    # amplitude: 0.9 and 1.1 times the ansatz; shift: every bump moved by
+    # +-0.3 eps along axis 0 before the reduced solve.  Newton is stubbed
+    # out: only the starts are under test.
+    spec = well_case[0]
+    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
+                                        np.zeros(2)),))
+    ansatz_calls = count_calls(monkeypatch, nlsbump.analysis, "build_ansatz")
+    reduced_calls = count_calls(monkeypatch, nlsbump.analysis,
+                                "_reduced_shifts")
+
+    def accept_start(spec, u0):
+        return u0, SolveReport(converged=True, iterations=0,
+                               residual_history=[], final_residual=0.0,
+                               positivity=True, trivial=False)
+
+    monkeypatch.setattr(nlsbump.analysis, "newton_solve", accept_start)
+    uniqueness_probe(spec, ansatz, "amplitude")
+    assert [(c[2], c[3]) for c in ansatz_calls] == [(0.9, None), (1.1, None)]
+    assert reduced_calls == []
+    uniqueness_probe(spec, ansatz, "shift")
+    assert [c[2] for c in ansatz_calls[2:]] == [1.0, 1.0]
+    step = np.array([[0.3 * spec.eps, 0.0]])
+    assert len(reduced_calls) == 2
+    assert np.array_equal(reduced_calls[0][2], step)
+    assert np.array_equal(reduced_calls[1][2], -step)
+
+
+def test_probe_rejects_an_unknown_pair(well_case, get_profile):
+    spec = well_case[0]
+    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
+                                        np.zeros(2)),))
+    with pytest.raises(DomainError, match="unknown probe pair 'scale'"):
+        uniqueness_probe(spec, ansatz, "scale")
 
 
 def test_amplitude_perturbations_reach_one_solution(get_profile):
@@ -557,8 +595,7 @@ def test_amplitude_perturbations_reach_one_solution(get_profile):
     prof = get_profile(1.0, 4.0, 2)
     ansatz = AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),))
     u, _ = newton_solve(spec, build_ansatz(spec, ansatz))
-    rep = uniqueness_probe(spec, ansatz, (AnsatzTweak(amp_scale=0.9),
-                                          AnsatzTweak(amp_scale=1.1)))
+    rep = uniqueness_probe(spec, ansatz, "amplitude")
     # measured: 9.8e-13 relative
     assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
 
@@ -569,12 +606,8 @@ def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
         BumpSpec(get_profile(1.0, 4.0, 2), CENTERS[0]),
         BumpSpec(get_profile(1.21, 4.0, 2), CENTERS[1])))
     u, _ = newton_solve(spec, build_ansatz(spec, ansatz))
-    shift = 0.3 * spec.eps
     samples = count_calls(monkeypatch, nlsbump.solver, "bump_field")
-    rep = uniqueness_probe(
-        spec, ansatz,
-        (AnsatzTweak(center_shifts=np.array([shift, 0.0])),
-         AnsatzTweak(center_shifts=np.array([-shift, 0.0]))))
+    rep = uniqueness_probe(spec, ansatz, "shift")
     # measured: 9.1e-14 relative
     assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
     # each run samples every bump once, at the root of its reduced solve
@@ -588,9 +621,7 @@ def test_probe_normalizes_the_difference_field(get_profile, monkeypatch):
     spec = single_well_problem(n=101)
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
                                         np.zeros(2)),))
-    rep = uniqueness_probe(spec, ansatz,
-                           (AnsatzTweak(amp_scale=0.9),
-                            AnsatzTweak(amp_scale=1.1)))
+    rep = uniqueness_probe(spec, ansatz, "amplitude")
     assert rep.sup_diff > 0.0
     assert np.abs(rep.xi_field.values).max() == 1.0
 
@@ -609,9 +640,7 @@ def test_probe_rel_diff_is_relative_to_the_first_solution(get_profile,
     spec = single_well_problem(n=101)
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
                                         np.zeros(2)),))
-    rep = uniqueness_probe(spec, ansatz,
-                           (AnsatzTweak(amp_scale=0.9),
-                            AnsatzTweak(amp_scale=1.1)))
+    rep = uniqueness_probe(spec, ansatz, "amplitude")
     assert len(solutions) == 2
     assert rep.sup_diff > 0.0
     assert rep.rel_diff == rep.sup_diff / np.abs(solutions[0].values).max()
@@ -622,7 +651,7 @@ def test_probe_rejects_a_profile_solved_at_another_depth(get_profile):
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.21, 4.0, 2),
                                         np.zeros(2)),))
     with pytest.raises(ConsistencyError, match="v_a=1.21"):
-        uniqueness_probe(spec, ansatz, (AnsatzTweak(), AnsatzTweak()))
+        uniqueness_probe(spec, ansatz, "amplitude")
 
 
 def test_probe_rejects_a_center_of_the_wrong_dimension(well_case,
@@ -631,30 +660,8 @@ def test_probe_rejects_a_center_of_the_wrong_dimension(well_case,
     spec = well_case[0]
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
                                         np.zeros(3)),))
-    shifted = AnsatzTweak(center_shifts=np.array([0.1 * spec.eps, 0.0]))
     with pytest.raises(GeometryError, match="wrong dimension"):
-        uniqueness_probe(spec, ansatz, (shifted, AnsatzTweak()))
-
-
-def test_probe_rejects_out_of_basin_tweaks(well_case, get_profile):
-    spec = well_case[0]
-    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
-                                        np.zeros(2)),))
-    ok = AnsatzTweak()
-    with pytest.raises(DomainError, match="basin"):
-        uniqueness_probe(spec, ansatz, (AnsatzTweak(amp_scale=0.79), ok))
-    with pytest.raises(DomainError, match="basin"):
-        uniqueness_probe(spec, ansatz, (AnsatzTweak(amp_scale=1.21), ok))
-    with pytest.raises(DomainError, match="basin"):
-        uniqueness_probe(
-            spec, ansatz,
-            (AnsatzTweak(center_shifts=np.array([0.6 * spec.eps, 0.0])), ok))
-    with pytest.raises(DomainError, match="one vector per bump"):
-        uniqueness_probe(
-            spec, ansatz,
-            (AnsatzTweak(center_shifts=np.zeros((3, 2))), ok))
-    with pytest.raises(DomainError, match="two runs"):
-        uniqueness_probe(spec, ansatz, (ok,))
+        uniqueness_probe(spec, ansatz, "shift")
 
 
 # --- the shift pair's reduced solve (centre equations before Newton) ---
@@ -682,12 +689,6 @@ def two_well_1d(get_profile, eps):
         BumpSpec(get_profile(w.depth, 4.0, 1), np.array(w.center))
         for w in cfg.wells))
     return problem_at(cfg, eps), ansatz
-
-
-def shift_pair(spec):
-    step = np.zeros(spec.grid.dim)
-    step[0] = 0.3 * spec.eps
-    return AnsatzTweak(center_shifts=step), AnsatzTweak(center_shifts=-step)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -719,7 +720,7 @@ def test_reduced_start_cuts_newton_steps_on_the_benchmark_geometry(
     # 1-D eps 0.1: Newton from the +-0.3 eps shifted starts took 15 steps
     # each; from the reduced solve's roots it takes 3.
     spec, ansatz = two_well_1d(get_profile, 0.1)
-    rep = uniqueness_probe(spec, ansatz, shift_pair(spec))
+    rep = uniqueness_probe(spec, ansatz, "shift")
     assert rep.rel_diff <= 1e-8
     assert [r.reduced_outcome for r in rep.runs] == ["converged"] * 2
     assert all(r.newton_iterations <= 5 for r in rep.runs)
@@ -731,7 +732,6 @@ def test_reduced_solve_leaving_its_patch_keeps_the_shifted_start(
     # solve leaves the patch, and Newton runs from the shifted bumps
     # themselves and fails as it did before there was a reduced solve.
     spec, ansatz = two_well_1d(get_profile, 0.4)
-    tweaks = shift_pair(spec)
     starts = []
 
     def recording_solve(spec, u0):
@@ -740,13 +740,12 @@ def test_reduced_solve_leaving_its_patch_keeps_the_shifted_start(
 
     monkeypatch.setattr(nlsbump.analysis, "newton_solve", recording_solve)
     with pytest.raises(ConvergenceError) as err:
-        uniqueness_probe(spec, ansatz, tweaks)
+        uniqueness_probe(spec, ansatz, "shift")
     assert str(err.value) == ("no residual decrease along any damped or "
                               "regularized step; iterate is at a stationary "
                               "point of |F|")
     (run,) = err.value.runs
     assert run.reduced_outcome == "left its patch"
     assert run.reduced_iterations >= 1
-    shifted = build_ansatz(spec, ansatz, 1.0, np.tile(
-        tweaks[0].center_shifts, (2, 1)))
+    shifted = build_ansatz(spec, ansatz, 1.0, np.full((2, 1), 0.3 * spec.eps))
     assert np.array_equal(starts[0], shifted.values)

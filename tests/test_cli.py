@@ -14,11 +14,11 @@ import pytest
 import nlsbump.analysis
 import nlsbump.cli
 import nlsbump.solver
-from nlsbump.analysis import (AnsatzTweak, decompose, sample_bump,
-                              uniqueness_probe)
+from nlsbump.analysis import decompose, sample_bump, uniqueness_probe
 from nlsbump.cli import (_analyze_one, _base_ansatz, _build_parser, _row,
                          _solution_name, _write_csv, main)
 from nlsbump.config import load_config, parse_config, problem_at
+from nlsbump.errors import KrylovError
 from nlsbump.fieldio import read_field
 from nlsbump.grid import box_integral, make_field
 from nlsbump.radial import TABLE_BLOCK, RadialProfile
@@ -546,12 +546,12 @@ def test_rerun_is_byte_identical(pipeline, tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
-def test_identical_perturbations_give_exact_zero():
+def test_identical_perturbations_give_exact_zero(monkeypatch):
     # Two runs from the same start must agree bitwise.
+    monkeypatch.setattr(nlsbump.analysis, "_PROBE_AMP", 0.0)
     cfg = parse_config(SMOKE)
     spec = problem_at(cfg, 0.4)
-    report = uniqueness_probe(spec, _base_ansatz(cfg),
-                              (AnsatzTweak(), AnsatzTweak()))
+    report = uniqueness_probe(spec, _base_ansatz(cfg), "amplitude")
     assert report.sup_diff == 0.0
     assert report.xi_field is None
 
@@ -577,6 +577,33 @@ def test_probe_runs_off_the_positive_branch_are_solver_failures(
         ("amplitude", "solver-failure", message),
         ("shift", "solver-failure", message)]
     assert all(r["sup_diff"] == r["rel_diff"] == "" for r in rows)
+
+
+def test_verbose_uniqueness_reports_the_runs_before_a_krylov_error(
+        tmp_path, monkeypatch, capsys):
+    # A KrylovError in run 1 is a solver-failure row, and the pair's
+    # verbose line still reports run 0.
+    solves = []
+
+    def breaking_solve(spec, u0):
+        solves.append(u0)
+        if len(solves) % 2 == 0:
+            raise KrylovError("MINRES breakdown (info=-1)")
+        return newton_solve(spec, u0)
+
+    monkeypatch.setattr(nlsbump.analysis, "newton_solve", breaking_solve)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, SMOKE, **{"schedule.eps": "0.4",
+                                                "run.output_dir": str(out)})
+    assert main(["uniqueness", "--config", str(cfg_path), "--verbose"]) == 4
+    rows = read_rows(out / "uniqueness.csv")
+    assert [(r["pair"], r["result"], r["error"]) for r in rows] == [
+        (pair, "solver-failure", "MINRES breakdown (info=-1)")
+        for pair in ("amplitude", "shift")]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert [r.split(":")[0] for r in line.split("; ")[1:]] == ["run 0"]
 
 
 def test_starved_solver_is_a_solver_failure(tmp_path, monkeypatch):
@@ -621,6 +648,28 @@ def test_colliding_eps_schedule_is_rejected_before_any_solve(
     assert ("eps schedule entries collide in the solution file naming "
             "scheme" in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["solve", "--config", "{d}/none.cfg"], "{d}/none.cfg"),
+    (["solve", "--config", "{d}"], "{d}"),
+    (["solve", "--config", "{d}/latin1.cfg"], "{d}/latin1.cfg"),
+    (["solve", "--config", "{d}/exp.cfg", "--out", "{d}/taken"], "{d}/taken"),
+    (["groundstate", "--va", "1", "--p", "4", "--dim", "1", "--out",
+      "{d}/taken"], "{d}/taken"),
+], ids=["missing", "directory", "not-utf8", "solve-out-file",
+        "groundstate-out-file"])
+def test_os_errors_on_paths_are_config_errors(argv, path, tmp_path, capsys):
+    # One error line naming the path and exit 2, not a traceback.
+    write_config(tmp_path, SMOKE)
+    (tmp_path / "latin1.cfg").write_bytes(
+        ("# caf\xe9\n" + SMOKE).encode("latin-1"))
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert path.format(d=tmp_path) in lines[0]
 
 
 def test_bad_jobs_values_are_config_errors(tmp_path, monkeypatch, capsys):
@@ -702,16 +751,21 @@ def test_verbose_uniqueness_reports_every_run(pipeline, tmp_path, capsys):
                    and r.endswith(reduced) for r in runs)
 
 
+def bench_module(monkeypatch, name: str):
+    """perfbench/<name>.py, read in place without a bytecode cache."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_command_lines_and_configs_parse(monkeypatch):
     # A flag or key the benchmark passes must keep parsing; otherwise its
     # child processes exit 2 and the run reports a failure, not a number.
-    # The workloads module is read in place, without a bytecode cache.
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)
-    spec.loader.exec_module(bench)
+    bench = bench_module(monkeypatch, "workloads")
     # The output check reads residual columns against the program's own
     # constants; a drifted copy would fail there as incorrect outputs.
     assert bench.NEWTON_TOL == nlsbump.solver._TOL_RESIDUAL
@@ -724,3 +778,19 @@ def test_benchmark_command_lines_and_configs_parse(monkeypatch):
         for command in workload.commands:
             args = parser.parse_args(list(command.argv))
             assert args.command == command.kind
+
+
+def test_benchmark_tracing_finds_its_call_sites(monkeypatch):
+    # The benchmark's spans wrap functions under the names the program's
+    # modules import them by; a span whose target is gone reads zero.
+    # These five went with earlier program changes and leave the target
+    # list at the benchmark's next refresh; any other miss is a broken span.
+    tracing = bench_module(monkeypatch, "tracing")
+    missing = {f"{module}.{attr}" for module, attr, _, _ in tracing.TARGETS
+               if not hasattr(importlib.import_module(module), attr)}
+    assert missing == {"nlsbump.analysis.bump_field",
+                       "nlsbump.analysis.eigsh",
+                       "nlsbump.analysis.solve_ground_state",
+                       "nlsbump.cli.continuation_solve",
+                       "nlsbump.cli.overlap_integral"}
+    assert hasattr(nlsbump.solver, "minres")  # wrapped outside TARGETS

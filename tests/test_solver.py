@@ -15,8 +15,8 @@ import nlsbump.solver
 from nlsbump.grid import make_field, make_grid, make_problem
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.solver import (AnsatzSpec, BumpSpec, build_ansatz,
-                            dirichlet_inverse, dirichlet_symbol,
-                            interior_operator, newton_solve)
+                            dirichlet_inverse, interior_operator,
+                            jacobian_diagonal, newton_solve, residual)
 
 
 def const_problem_1d(n, eps=1.0):
@@ -115,7 +115,7 @@ def test_residual_history_monotone_with_quadratic_tail(well_solution):
 
 
 def test_jacobian_symmetry_and_fd_consistency(well_solution):
-    # F and J on the interior unknowns, both through interior_operator as
+    # F is residual and J is interior_operator of jacobian_diagonal, as
     # newton_solve applies them (p = 4, so |u|^(p-2) u = u^3)
     spec, _, u, _ = well_solution
     rng = np.random.default_rng(7)
@@ -123,12 +123,24 @@ def test_jacobian_symmetry_and_fd_consistency(well_solution):
     v_int = spec.potential_values()[inner]
     u_int = u.values[inner]
     e2 = spec.eps ** 2
-    jmat = interior_operator(v_int - 3.0 * u_int ** 2, spec.grid.spacing, e2)
+    assert np.array_equal(jacobian_diagonal(spec, u_int),
+                          v_int - 3.0 * u_int ** 2)
+    jmat = interior_operator(jacobian_diagonal(spec, u_int),
+                             spec.grid.spacing, e2)
     linear = interior_operator(v_int, spec.grid.spacing, e2)
     u_int = u_int.ravel()
 
-    def residual(w):
-        return linear(w) - w ** 3
+    def embed(w):
+        full = np.zeros(spec.grid.counts)
+        full[inner] = w.reshape(v_int.shape)
+        return full
+
+    def f_int(w):
+        return residual(spec, embed(w))[inner].ravel()
+
+    # F on the grid: the stencil minus the cube inside, zero on the ring
+    assert np.array_equal(residual(spec, embed(u_int)),
+                          embed(linear(u_int) - u_int * u_int * u_int))
 
     v = rng.standard_normal(u_int.size)
     w = rng.standard_normal(u_int.size)
@@ -142,7 +154,7 @@ def test_jacobian_symmetry_and_fd_consistency(well_solution):
     smooth = smooth[inner].ravel()
     errs = []
     for t in (1e-4, 1e-5):
-        fd = (residual(u_int + t * smooth) - residual(u_int)) / t
+        fd = (f_int(u_int + t * smooth) - f_int(u_int)) / t
         errs.append(np.abs(fd - jmat(smooth)).max())
     assert errs[0] <= 1e-3
     assert errs[1] <= 0.2 * errs[0]
@@ -233,9 +245,11 @@ def test_dirichlet_inverse_inverts_constant_potential_metric(counts, eps):
     v_int = spec.potential_values()[inner]
     eye = np.eye(v_int.size)
     metric = interior_operator(v_int, grid.spacing, eps ** 2)(eye)
-    symbol = dirichlet_symbol(v_int.shape, grid.spacing, eps ** 2, 1.7)
-    assert np.all(symbol > 0.0)
-    product = dirichlet_inverse(symbol) @ metric
+    inverse = dirichlet_inverse(spec) @ eye
+    # SPD, as preconditioned MINRES needs: c = min V = 1.7 > 0
+    assert np.abs(inverse - inverse.T).max() <= 1e-12 * np.abs(inverse).max()
+    assert np.linalg.eigvalsh(inverse).min() > 0.0
+    product = dirichlet_inverse(spec) @ metric
     assert np.abs(product - eye).max() <= 1e-12
 
 
