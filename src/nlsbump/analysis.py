@@ -24,6 +24,7 @@ from .errors import (
     DecompositionError,
     DomainError,
     GeometryError,
+    KrylovError,
     NlsbumpError,
     SpectralError,
 )
@@ -369,7 +370,7 @@ def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):
     def counted(block):
         nonlocal iterations
         iterations += 1
-        return precond @ block
+        return precond(block)
 
     with warnings.catch_warnings():
         # Non-convergence is judged below, from the pairs themselves.
@@ -395,16 +396,23 @@ def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):
     return vals, iterations
 
 
-def _penalized_operator(h_op, m_op, constraints, shift):
-    """H plus a rank-k penalty pushing span(constraints) up by shift.
+def _penalized_operator(h_op, m_op, precond, constraints, shift):
+    """H plus a rank-k penalty pushing span(constraints) Y up by shift,
+    and the inverse of P plus the same penalty, P^-1 = precond.
 
     Eigenvectors M-orthogonal to the constraints keep their eigenvalues;
     constrained directions move near +shift, so the bottom of the spectrum
-    becomes the constrained minimum.
+    becomes the constrained minimum.  With G = Y^T MY and W = P^-1 MY,
+    Woodbury gives (P + shift MY G^-1 (MY)^T)^-1 = P^-1 - W S^-1 W^T,
+    S = G/shift + (MY)^T W, k x k like G.
     """
     my = m_op(constraints)
-    gram_inv = np.linalg.inv(constraints.T @ my)
-    return lambda x: h_op(x) + shift * (my @ (gram_inv @ (my.T @ x)))
+    gram = constraints.T @ my
+    gram_inv = np.linalg.inv(gram)
+    w = precond @ my
+    s_inv = np.linalg.inv(gram / shift + my.T @ w)
+    return (lambda x: h_op(x) + shift * (my @ (gram_inv @ (my.T @ x))),
+            lambda x: precond @ x - w @ (s_inv @ (w.T @ x)))
 
 
 def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
@@ -425,7 +433,9 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
     the plain-node pairing of M is the energy inner product for
     boundary-zero fields, so M-orthogonality is eps-orthogonality.  LOBPCG
     needs only products with H and M, and is preconditioned by the exact
-    DST-I inverse of -eps^2 lap_h + min V, so nothing is factorized.
+    DST-I inverse of P = -eps^2 lap_h + min V, so nothing is factorized;
+    the projected solve's inverts P plus the penalty, by a Woodbury
+    correction of rank k(N+1) (_penalized_operator).
     """
     grid = spec.grid
     inner = tuple(slice(1, -1) for _ in grid.counts)
@@ -448,9 +458,10 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
     un_vals, un_iters = _smallest_eigs(h_op, m_op, precond, v_int.size, 2,
                                        seed)
     lift = 10.0 * (1.0 + abs(float(un_vals[0])))
-    pen_op = _penalized_operator(h_op, m_op, constraints, lift)
-    pr_vals, pr_iters = _smallest_eigs(pen_op, m_op, precond, v_int.size, 1,
-                                       seed)
+    pen_op, pen_precond = _penalized_operator(h_op, m_op, precond,
+                                              constraints, lift)
+    pr_vals, pr_iters = _smallest_eigs(pen_op, m_op, pen_precond, v_int.size,
+                                       1, seed)
     return CoercivityReport(rho=float(pr_vals[0]),
                             unprojected_min=float(un_vals[0]),
                             unprojected_second=float(un_vals[1]),
@@ -538,7 +549,7 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
             u0 = build_ansatz(spec, ansatz, amp_scale, shifts)
             try:
                 u, report = newton_solve(spec, u0)
-            except ConvergenceError as exc:
+            except (ConvergenceError, KrylovError) as exc:
                 runs.append(ProbeRun(exc.report.iterations, *reduced))
                 raise
             runs.append(ProbeRun(report.iterations, *reduced))

@@ -39,7 +39,8 @@ uniqueness.csv  eps, pair, sup_diff, rel_diff, result, error
 All floats are printed with 17 significant digits (dot decimal, no
 locale), booleans as true/false, rows in schedule order; reruns of the
 same config produce byte-identical files.  Recorded per-item failures
-leave their numeric columns empty and put a message in the error column.
+leave their numeric columns empty (a failed solve row keeps its Newton
+report's) and put a message in the error column.
 
 Fixed numerical policy (constants, not settings): a radial profile is
 tabulated on [0, 10/sqrt(v_a) + 10] from a first step of
@@ -233,13 +234,12 @@ def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
         spec = problem_at(cfg, eps)
         try:
             u, report = newton_solve(spec, build_ansatz(spec, ansatz))
-        except ConvergenceError as exc:
+        except (ConvergenceError, KrylovError) as exc:
             report = exc.report
             rows.append(_row(eps, report.iterations, report.final_residual,
                              report.positivity, False,
-                             "newton did not converge"))
-        except KrylovError as exc:
-            rows.append(_row(eps, None, None, None, False, str(exc)))
+                             str(exc) if isinstance(exc, KrylovError)
+                             else "newton did not converge"))
         else:
             write_field(out_dir / names[eps], u, eps, cfg.p)
             rows.append(_row(eps, report.iterations, report.final_residual,

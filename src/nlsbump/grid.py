@@ -11,6 +11,7 @@ use product rules that resolve smooth surface data to spectral accuracy in
 angle.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -325,33 +326,29 @@ def make_sphere_quadrature(center, radius: float,
                             weights=weights, normals=normals)
 
 
+def _multilinear(grid: TensorGrid, values: np.ndarray, points) -> np.ndarray:
+    """Multilinear interpolation of node values at points in the box: the
+    cell index from (x - lo)/h, then a sum over the 2^dim cell corners."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1:] != (grid.dim,):
+        raise GeometryError(f"interpolation points must be {grid.dim}-d")
+    if not np.all((pts >= grid.lo) & (pts <= grid.hi)):  # NaN: never in it
+        raise GeometryError("interpolation point not in the grid box")
+    s = (pts - grid.lo) / np.array(grid.spacing)
+    cell = np.minimum(s.astype(int), np.array(grid.counts) - 2)
+    t = s - cell
+    return sum(np.prod(np.where(corner, t, 1.0 - t), axis=1)
+               * values[tuple((cell + corner).T)]
+               for corner in itertools.product((0, 1), repeat=grid.dim))
+
+
 def field_values_on(f: ScalarField, points) -> np.ndarray:
     """Multilinear interpolation of a field at arbitrary points in the box."""
-    # Imported here: only analyze's flux identity interpolates, so the other
-    # commands never load scipy.interpolate.
-    from scipy.interpolate import RegularGridInterpolator
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    interp = RegularGridInterpolator(f.grid.axes(), f.values,
-                                     method="linear", bounds_error=True)
-    try:
-        return interp(pts)
-    except ValueError as exc:
-        raise GeometryError(f"interpolation point outside grid box: {exc}")
+    return _multilinear(f.grid, f.values, points)
 
 
 def field_gradient_on(f: ScalarField, points) -> np.ndarray:
     """Central-difference gradient of a field, interpolated at points."""
-    from scipy.interpolate import RegularGridInterpolator
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    grads = np.gradient(f.values, *f.grid.axes(), edge_order=2)
-    if f.grid.dim == 1:
-        grads = [grads]
-    out = np.empty((pts.shape[0], f.grid.dim))
-    for a, gcomp in enumerate(grads):
-        interp = RegularGridInterpolator(f.grid.axes(), gcomp,
-                                         method="linear", bounds_error=True)
-        try:
-            out[:, a] = interp(pts)
-        except ValueError as exc:
-            raise GeometryError(f"interpolation point outside grid box: {exc}")
-    return out
+    grads = np.reshape(np.gradient(f.values, *f.grid.axes(), edge_order=2),
+                       (f.grid.dim, *f.grid.counts))
+    return np.stack([_multilinear(f.grid, g, points) for g in grads], axis=1)

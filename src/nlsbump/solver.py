@@ -223,9 +223,9 @@ def newton_solve(spec: ProblemSpec,
     residual_history), which stays smooth where the sup norm is pinned to
     a single stubborn node, as happens on coarse three-dimensional grids.
 
-    Raises ConvergenceError (with .report and .field attached) when Newton
-    runs out of iterations or backtracking cannot find a descent step, and
-    KrylovError if MINRES breaks down.
+    Raises ConvergenceError when Newton runs out of iterations or
+    backtracking cannot find a descent step, KrylovError if MINRES breaks
+    down; either carries the .report and .field of the steps taken.
     """
     grid = spec.grid
     if u0.values.shape != tuple(grid.counts):
@@ -262,8 +262,8 @@ def newton_solve(spec: ProblemSpec,
                            backtracks=backtracks, shifts=shifts,
                            krylov_short=krylov_short)
 
-    def fail(message: str):
-        exc = ConvergenceError(message)
+    def fail(error, message: str):
+        exc = error(message)
         exc.report = make_report(False, it)
         exc.field = make_field(grid, u)
         return exc
@@ -276,8 +276,9 @@ def newton_solve(spec: ProblemSpec,
     it = 0
     while sup_res > _TOL_RESIDUAL:
         if it >= _MAX_NEWTON:
-            raise fail(f"Newton did not reach {_TOL_RESIDUAL:g} in "
-                       f"{_MAX_NEWTON} iterations (residual {sup_res:g})")
+            raise fail(ConvergenceError, f"Newton did not reach "
+                       f"{_TOL_RESIDUAL:g} in {_MAX_NEWTON} iterations "
+                       f"(residual {sup_res:g})")
         it += 1
         base_diag = jacobian_diagonal(spec, u[inner])
         krylov_iterations.append(0)
@@ -298,7 +299,7 @@ def newton_solve(spec: ProblemSpec,
             step_flat, info = minres(op, rhs, rtol=_KRYLOV_TOL,
                                      maxiter=_KRYLOV_MAX, M=precond)
             if info < 0:
-                raise KrylovError(f"MINRES breakdown (info={info})")
+                raise fail(KrylovError, f"MINRES breakdown (info={info})")
             krylov_short += int(info > 0)
             dv = step_flat.reshape(base_diag.shape)
 
@@ -322,8 +323,9 @@ def newton_solve(spec: ProblemSpec,
             lam = lam_seed if lam == 0.0 else _REGULARIZATION_GROWTH * lam
         shifts.append(shift)
         if not accepted:
-            raise fail("no residual decrease along any damped or regularized "
-                       "step; iterate is at a stationary point of |F|")
+            raise fail(ConvergenceError, "no residual decrease along any "
+                       "damped or regularized step; iterate is at a "
+                       "stationary point of |F|")
         # Trust-region-style shift control: a full step means the local
         # model is good, so relax toward pure Newton (the quadratic tail
         # needs shift zero); deep backtracking means the step direction

@@ -461,11 +461,12 @@ def test_projected_coercivity_positive_at_a_flat_well(well_case):
     assert co.unprojected_min < 0.0
     assert 0.3 <= co.rho <= 0.5
     assert np.abs(co.translation_quotients).max() <= 0.05
-    # preconditioned by the DST-I inverse, neither eigensolve needs many
-    # steps on this 159 x 159 interior; measured 15 and 43
+    # preconditioned by the DST-I inverse, and the projected solve by its
+    # Woodbury update for the penalty, neither eigensolve needs many steps
+    # on this 159 x 159 interior; measured 15 and 22
     unprojected, projected = co.lobpcg_iterations
     assert 1 <= unprojected <= 30
-    assert 1 <= projected <= 90
+    assert 1 <= projected <= 30
 
 
 def hand_decomposition(spec, profiles, centers):

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line harness on a small single well."""
 
+import ast
 import csv
 import importlib.util
 import os
@@ -15,14 +16,13 @@ import nlsbump.analysis
 import nlsbump.cli
 import nlsbump.solver
 from nlsbump.analysis import decompose, sample_bump, uniqueness_probe
-from nlsbump.cli import (_analyze_one, _base_ansatz, _build_parser, _row,
-                         _solution_name, _write_csv, main)
+from nlsbump.cli import (_analyze_one, _base_ansatz, _build_parser, _cell,
+                         _row, _solution_name, _write_csv, main)
 from nlsbump.config import load_config, parse_config, problem_at
-from nlsbump.errors import KrylovError
 from nlsbump.fieldio import read_field
 from nlsbump.grid import box_integral, make_field
 from nlsbump.radial import TABLE_BLOCK, RadialProfile
-from nlsbump.solver import build_ansatz, newton_solve
+from nlsbump.solver import build_ansatz, newton_solve, residual
 
 SMOKE = """
 problem.dim = 2
@@ -208,11 +208,14 @@ def test_console_entry_point_runs():
 
 
 def test_cli_keeps_scipy_optimize_and_interpolate_unloaded(tmp_path):
-    # Neither module is needed to import the CLI or to shoot a profile;
-    # each would add its import time and memory to every process.
+    # Neither module is needed to import the CLI, to shoot a profile, to
+    # solve or to analyze; each would add its import time and memory to
+    # every process.
     src = str(Path(nlsbump.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = textwrap.dedent("""
+    cfg_path = write_config(tmp_path, SMOKE,
+                            **{"run.output_dir": str(tmp_path / "out")})
+    probe = textwrap.dedent(f"""
         import sys
         import nlsbump.cli
         def heavy():
@@ -222,14 +225,38 @@ def test_cli_keeps_scipy_optimize_and_interpolate_unloaded(tmp_path):
         code = nlsbump.cli.main(
             ["groundstate", "--va", "1", "--p", "4", "--dim", "1"])
         print("groundstate", code, heavy())
+        for command in ("solve", "analyze"):
+            code = nlsbump.cli.main([command, "--config", {str(cfg_path)!r}])
+            print(command, code, heavy())
         """)
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "import []"
-    assert lines[-1] == "groundstate 0 []"
+    lines = [ln for ln in proc.stdout.splitlines()
+             if ln.split(" ")[0] in ("import", "groundstate", "solve",
+                                     "analyze")]
+    assert lines == ["import []", "groundstate 0 []", "solve 0 []",
+                     "analyze 0 []"]
+
+
+def test_package_imports_only_its_third_party_modules():
+    # Every import statement of the package, also those inside functions
+    # that no test runs: what is not here is not paid for by any command.
+    package = Path(nlsbump.cli.__file__).parent
+    third_party = set()
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            third_party.update(n for n in names if n.split(".")[0]
+                               not in sys.stdlib_module_names)
+    assert third_party == {"numpy", "scipy.fft", "scipy.sparse.linalg",
+                           "scipy.special"}
 
 
 def test_solve_rows_monotone_and_converged(pipeline):
@@ -319,8 +346,14 @@ def test_minres_breakdown_is_a_recorded_solve_failure(tmp_path, monkeypatch):
     assert (first["converged"], first["error"]) == ("true", "")
     assert (second["eps"], second["converged"], second["error"]) == (
         "0.29999999999999999", "false", "MINRES breakdown (info=-1)")
-    assert second["iterations"] == second["final_residual"] \
-        == second["positivity"] == ""
+    # the report of the step that broke down: the ansatz's residual
+    cfg = load_config(cfg_path)
+    spec = problem_at(cfg, 0.3)
+    start = build_ansatz(spec, _base_ansatz(cfg)).values
+    start[[0, -1], :] = start[:, [0, -1]] = 0.0
+    assert (second["iterations"], second["positivity"]) == ("1", "true")
+    assert second["final_residual"] == _cell(
+        float(np.abs(residual(spec, start)).max()))
     assert (third["error"], third["converged"]) == ("not attempted", "")
     assert [p.name for p in out.glob("*.nlsb")] == [_solution_name(0.4)]
 
@@ -581,21 +614,21 @@ def test_probe_runs_off_the_positive_branch_are_solver_failures(
 
 def test_verbose_uniqueness_reports_the_runs_before_a_krylov_error(
         tmp_path, monkeypatch, capsys):
-    # A KrylovError in run 1 is a solver-failure row, and the pair's
-    # verbose line still reports run 0.
-    solves = []
+    # MINRES breaks down in run 1 of each pair: a solver-failure row, and
+    # the pair's verbose line reports run 0 and the Newton step run 1 took.
+    solved = counting_newton(monkeypatch, nlsbump.analysis)
+    minres = nlsbump.solver.minres
 
-    def breaking_solve(spec, u0):
-        solves.append(u0)
-        if len(solves) % 2 == 0:
-            raise KrylovError("MINRES breakdown (info=-1)")
-        return newton_solve(spec, u0)
+    def breaks_in_run_1(*args, **kwargs):
+        step, info = minres(*args, **kwargs)
+        return step, (-1 if len(solved) % 2 == 0 else info)
 
-    monkeypatch.setattr(nlsbump.analysis, "newton_solve", breaking_solve)
+    monkeypatch.setattr(nlsbump.solver, "minres", breaks_in_run_1)
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, SMOKE, **{"schedule.eps": "0.4",
                                                 "run.output_dir": str(out)})
     assert main(["uniqueness", "--config", str(cfg_path), "--verbose"]) == 4
+    assert len(solved) == 4
     rows = read_rows(out / "uniqueness.csv")
     assert [(r["pair"], r["result"], r["error"]) for r in rows] == [
         (pair, "solver-failure", "MINRES breakdown (info=-1)")
@@ -603,7 +636,9 @@ def test_verbose_uniqueness_reports_the_runs_before_a_krylov_error(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2
     for line in lines:
-        assert [r.split(":")[0] for r in line.split("; ")[1:]] == ["run 0"]
+        runs = line.split("; ")[1:]
+        assert [r.split(":")[0] for r in runs] == ["run 0", "run 1"]
+        assert runs[1].startswith("run 1: newton 1, ")
 
 
 def test_starved_solver_is_a_solver_failure(tmp_path, monkeypatch):

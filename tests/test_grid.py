@@ -1,11 +1,15 @@
 """Tests for grids, fields, operators, inner products, and quadrature."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.interpolate import RegularGridInterpolator
 
 from nlsbump.errors import DomainError, GeometryError, GridMismatchError
 from nlsbump.grid import (
+    _multilinear,
     ball_volume_integral,
     box_integral,
     eps_inner,
@@ -301,6 +305,23 @@ def test_sphere_integral_of_interpolated_field():
     assert np.allclose(grads[:, 1:], 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("counts", [[37], [23, 19], [11, 9, 13]],
+                         ids=["1d", "2d", "3d"])
+def test_multilinear_matches_regular_grid_interpolator(counts):
+    rng = np.random.default_rng(len(counts))
+    dim = len(counts)
+    g = make_grid(rng.uniform(-2.0, -1.0, dim), rng.uniform(1.0, 3.0, dim),
+                  counts)
+    values = rng.standard_normal(g.counts)
+    corners = np.array(list(itertools.product(*zip(g.lo, g.hi))))
+    points = np.vstack([rng.uniform(g.lo, g.hi, (400, dim)), corners,
+                        g.points()[::7]])
+    reference = RegularGridInterpolator(g.axes(), values, method="linear",
+                                        bounds_error=True)(points)
+    # measured: at most 5.1e-15
+    assert np.abs(_multilinear(g, values, points) - reference).max() <= 1e-13
+
+
 def test_interpolation_outside_box_raises():
     g = make_grid([-1.0, -1.0], [1.0, 1.0], [17, 17])
     f = make_field(g, np.ones(g.counts))
@@ -308,6 +329,9 @@ def test_interpolation_outside_box_raises():
         field_values_on(f, np.array([[1.5, 0.0]]))
     with pytest.raises(GeometryError):
         field_gradient_on(f, np.array([[0.0, -1.2]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GeometryError, match="not in the grid box"):
+            field_values_on(f, np.array([[0.0, bad]]))
 
 
 def test_grid_mismatch_rejected():
