@@ -209,12 +209,13 @@ def cmd_groundstate(args) -> int:
     path = out_dir / f"profile_va{args.va:g}_p{args.p:g}_dim{args.dim}.csv"
     with open(path, "w", newline="") as fh:
         fh.write("r,u,du\n")
-        for s in range(0, len(profile.values), TABLE_BLOCK):
-            block = slice(s, s + TABLE_BLOCK)
-            fh.writelines(f"{r:.17g},{u:.17g},{du:.17g}\n" for r, u, du in zip(
-                profile.r_nodes[block].tolist(),
-                profile.values[block].tolist(),
-                profile.dvalues[block].tolist()))
+        # One % call formats TABLE_BLOCK / 8 rows; "%.17g" is f"{x:.17g}".
+        for s in range(0, len(profile.values), TABLE_BLOCK // 8):
+            block = slice(s, s + TABLE_BLOCK // 8)
+            rows = np.stack((profile.r_nodes[block], profile.values[block],
+                             profile.dvalues[block]), axis=1)
+            fh.write("%.17g,%.17g,%.17g\n" * len(rows)
+                     % tuple(rows.ravel().tolist()))
 
     print(f"u(0) = {profile.values[0]:.6f}")
     print(f"decay_rate = {profile.decay_rate:.6f}")

@@ -167,6 +167,13 @@ def neg_weighted_laplacian(values: np.ndarray, spacing,
     return out
 
 
+def power_source(p: float) -> str:
+    """|u|^(p-2) u as an expression in u and em = p - 2 (see power_map)."""
+    em = p - 2.0
+    return ("u * u * u" if em == 2.0 else "abs(u) * u" if em == 1.0
+            else "abs(u) ** em * u")
+
+
 def power_map(p: float) -> Callable:
     """Return u -> |u|^(p-2) u, for a float or elementwise on an array.
 
@@ -176,12 +183,7 @@ def power_map(p: float) -> Callable:
     bitwise equal to the general one, by numpy's fast paths for x**2.0
     and x**1.0.
     """
-    em = p - 2.0
-    if em == 2.0:
-        return lambda u: u * u * u
-    if em == 1.0:
-        return lambda u: abs(u) * u
-    return lambda u: abs(u) ** em * u
+    return eval("lambda u: " + power_source(p), {"em": p - 2.0})
 
 
 def _trap_vector(n: int) -> np.ndarray:

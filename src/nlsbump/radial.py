@@ -9,16 +9,20 @@ its trials (_bisect): a midpoint more than max(tol/8, 32 ulps) beyond the
 tightest undershoot or overshoot so far takes that kind unmarched.  The kind
 flips once (the ground state is unique) and RK4 roundoff blurs it only within
 a few ulps, so the bracket and every table are bitwise plain bisection's.
-Illinois regula falsi on the growing-mode amplitude, then a trial a quarter
-tolerance either side of its root, first make the remembered trials tight.
+Illinois regula falsi on the growing-mode amplitude (midpoints while the
+bracket is wider than its centre), then a trial a quarter tolerance either
+side of its root where that tightens them, first make the remembered trials
+tight.
 
 One fixed-step RK4 stepper, _march, integrates every trajectory outward
-from a series start at r = h.  It stops after the first step that ends
-with u below a floor or u' > 0, and records the nodes only when it is
-handed arrays.  A bisection trial marches without arrays to a low floor
-and is classified from the state it ends in; the final table marches with
-arrays to a higher floor, where the analytic tail takes over.  A finer
-step reuses u(0); it is bisected again only at the step whose table is kept.
+from a series start at r = h, in a loop compiled per power-map form.  It
+stops after the first step that ends with u below a floor or u' > 0, and
+records the nodes only when it is handed arrays.  A bisection trial marches
+without arrays to a low floor and is classified from the state it ends in;
+the final table marches with arrays to a higher floor, where the analytic
+tail takes over.  A finer step reuses u(0); it is bisected again only at the
+step whose table is kept, seeded with the carried u(0)'s trial, read off
+that step's table march, and one secant trial past the flip.
 
 Because the connecting orbit is exponentially unstable, the final table is
 genuine integration out to a switch radius and an analytic exponential tail
@@ -30,8 +34,9 @@ finite-difference residual meets its target.
 
 A table reaches about 1.3M nodes at the finest auto step, so every
 full-length pass over it (the tail, the residual check, the CSV writer)
-works on TABLE_BLOCK nodes at a time: the transient memory is a few blocks
-instead of several table lengths, and every node gets the same arithmetic.
+works on at most TABLE_BLOCK nodes at a time: the transient memory is a few
+blocks instead of several table lengths, and every node gets the same
+arithmetic.
 
 eval_profile and eval_profile_deriv evaluate the table's cubic Hermite
 interpolant directly from the two nodes around each radius; nothing is cached.
@@ -40,12 +45,14 @@ interpolant directly from the two nodes around each radius; nothing is cached.
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import functools
 import math
+import re
 import numpy as np
-from scipy.special import kv, kvp
+from scipy.special import kv
 
 from .errors import BracketError, ConvergenceError, DomainError
-from .grid import power_map
+from .grid import power_map, power_source
 
 # Trial classification constants. A trial is abandoned early once u drops to
 # _CLASSIFY_RATIO * u(0): by then the trajectory is deep in the linear tail
@@ -85,23 +92,28 @@ class RadialProfile:
         return float(self.r_nodes[-1])
 
 
-def _linear_tail_logderiv(dim: int, kappa: float, r) -> np.ndarray:
-    """u'/u of the decaying solution of u'' + (dim-1)/r u' = kappa^2 u.
+def _linear_tail(dim: int, kappa: float, r) -> Tuple[np.ndarray, np.ndarray]:
+    """r^(-nu) K_nu(kappa r), nu = (dim-2)/2, and its log-derivative u'/u.
 
-    That solution is r^(-nu) K_nu(kappa r) with nu = (dim-2)/2, exact in any
-    dimension, so using it avoids the O(1/r^2) error a plain
+    That is the decaying solution of u'' + (dim-1)/r u' = kappa^2 u, exact
+    in any dimension, so using it avoids the O(1/r^2) error a plain
     -kappa - (dim-1)/(2 r) ansatz would commit (which matters for dim = 2).
+    Two Bessel calls suffice: K_nu = K_|nu|, and scipy's kvp(nu) is
+    -(K_|nu-1| + K_|nu+1|)/2 with |nu -+ 1| in {|nu|, |nu| + 1}; both
+    results are the kv/kvp formulas' bit for bit.
     """
     nu = (dim - 2) / 2.0
-    z = kappa * np.asarray(r, dtype=float)
-    return -nu / np.asarray(r, dtype=float) + kappa * kvp(nu, z) / kv(nu, z)
-
-
-def _linear_tail_values(dim: int, kappa: float, r) -> np.ndarray:
-    """r^(-nu) K_nu(kappa r), the decaying linear-tail shape (unnormalized)."""
-    nu = (dim - 2) / 2.0
     r = np.asarray(r, dtype=float)
-    return r ** (-nu) * kv(nu, kappa * r)
+    # In place, each the formulas' operation: at most 3 arrays of r's size.
+    k_nu = kv(abs(nu), kappa * r)
+    dk = kv(abs(nu) + 1.0, kappa * r)
+    dk += dk if nu == 0.0 else k_nu
+    dk /= -2.0
+    dk *= kappa
+    dk /= k_nu
+    dk += -nu / r
+    k_nu *= r ** (-nu)
+    return k_nu, dk
 
 
 def _series_start(c: float, v_a: float, p: float, dim: int,
@@ -116,59 +128,72 @@ def _series_start(c: float, v_a: float, p: float, dim: int,
     return u, d
 
 
+# The RK4 loop of _march: NL(x) becomes grid.power_source's expression and
+# TABLE the node writes, so a step calls no function.  Each stage does the
+# plain RK4 step's arithmetic in its order; g = (dim-1)/r is carried over.
+_LOOP = """
+def loop(u, d, r, i, stop, v_a, h, nm1, em, floor, values, dvalues):
+    half, sixth, g = 0.5 * h, h / 6.0, nm1 / r
+    for i in range(i + 1, stop):
+        k1d = v_a * u - NL(u) - g * d
+        gm = nm1 / (r + half)
+        u2, d2 = u + half * d, d + half * k1d
+        k2d = v_a * u2 - NL(u2) - gm * d2
+        u3, d3 = u + half * d2, d + half * k2d
+        k3d = v_a * u3 - NL(u3) - gm * d3
+        r = r + h
+        g = nm1 / r
+        u4, d4 = u + h * d3, d + h * k3d
+        k4d = v_a * u4 - NL(u4) - g * d4
+        u = u + sixth * (d + 2.0 * (d2 + d3) + d4)
+        d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
+        TABLE
+        if u < floor or d > 0.0:
+            break
+    return u, d, r, i
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _loop(nl: str, table: bool):
+    """_LOOP with power-map expression nl, writing nodes if table is set."""
+    src = re.sub(r"NL\((\w+)\)",
+                 lambda m: "(%s)" % re.sub(r"\bu\b", m[1], nl), _LOOP)
+    space = {}
+    exec(src.replace("TABLE", "values[i], dvalues[i] = u, d" if table
+                     else ""), space)
+    return space["loop"]
+
+
 def _march(c: float, v_a: float, p: float, dim: int, h: float,
            n_steps: int, floor: float, values: Optional[np.ndarray] = None,
-           dvalues: Optional[np.ndarray] = None
+           dvalues: Optional[np.ndarray] = None, state=None
            ) -> Tuple[float, float, float, int]:
-    """RK4 from the series start at r = h, for at most n_steps steps of h.
+    """RK4 from the series start at r = h, up to node n_steps + 1.
 
     Stops after the first step that ends with u < floor or u' > 0, and
     raises ConvergenceError if the state overflows.  Given arrays, writes
     node i (r = i h) of the trajectory into values[i] and dvalues[i] for
     every node it reaches.  Returns (u, u', r, i) at the node it ends on.
+    state, the (u, u', r, i) an earlier march from c at step h ended on,
+    resumes that march, with the same bits as one uninterrupted march.
     """
-    nl = power_map(p)
-    nm1 = dim - 1.0
-    r, i = h, 1
-    half = 0.5 * h
-    sixth = h / 6.0
     # A trajectory far above the orbit can outgrow a float: abs(u) ** em
     # raises where a product would give inf.
     try:
-        u, d = _series_start(c, v_a, p, dim, nl, h)
-        if values is not None:
-            values[0], dvalues[0] = c, 0.0
-            values[1], dvalues[1] = u, d
-        for i in range(2, n_steps + 2):
-            k1u = d
-            k1d = v_a * u - nl(u) - nm1 / r * d
-            rm = r + half
-            u2 = u + half * k1u
-            d2 = d + half * k1d
-            k2u = d2
-            k2d = v_a * u2 - nl(u2) - nm1 / rm * d2
-            u3 = u + half * k2u
-            d3 = d + half * k2d
-            k3u = d3
-            k3d = v_a * u3 - nl(u3) - nm1 / rm * d3
-            r4 = r + h
-            u4 = u + h * k3u
-            d4 = d + h * k3d
-            k4u = d4
-            k4d = v_a * u4 - nl(u4) - nm1 / r4 * d4
-            u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-            d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
-            r = r4
+        if state is None:
+            u, d = _series_start(c, v_a, p, dim, power_map(p), h)
+            state = (u, d, h, 1)
             if values is not None:
-                values[i] = u
-                dvalues[i] = d
-            if u < floor or d > 0.0:
-                break
+                values[0], dvalues[0] = c, 0.0
+                values[1], dvalues[1] = u, d
+        return _loop(power_source(p), values is not None)(
+            *state, n_steps + 2, v_a, h, dim - 1.0, p - 2.0, floor, values,
+            dvalues)
     except OverflowError:
         raise ConvergenceError(
             f"shooting trial from u(0) = {c:.6g} overflowed at ode_step "
             f"{h:.3g}") from None
-    return u, d, r, i
 
 
 def _classify(c: float, v_a: float, p: float, dim: int, h: float,
@@ -176,12 +201,18 @@ def _classify(c: float, v_a: float, p: float, dim: int, h: float,
     """Integrate one trial; return overshoot (+1) or undershoot (-1) and the
     growing-mode amplitude at the stop radius, positive for an undershoot."""
     n_steps = int(math.ceil((r_max - h) / h))
-    u, d, r, _ = _march(c, v_a, p, dim, h, n_steps, _CLASSIFY_RATIO * c)
+    return _judge(c, *_march(c, v_a, p, dim, h, n_steps,
+                             _CLASSIFY_RATIO * c)[:3], v_a, dim)
+
+
+def _judge(c: float, u: float, d: float, r: float, v_a: float,
+           dim: int) -> Tuple[int, float]:
+    """_classify's verdict on a trial from c that stopped at (u, u', r)."""
     # In the linear tail the defect s of u'/u against the decaying branch
     # decides; s r^(dim-1) times that branch is the growing-mode amplitude.
-    kappa = math.sqrt(v_a)
-    s = d - u * float(_linear_tail_logderiv(dim, kappa, r))
-    amp = s * r ** (dim - 1) * float(_linear_tail_values(dim, kappa, r))
+    shape, logderiv = _linear_tail(dim, math.sqrt(v_a), r)
+    s = d - u * float(logderiv)
+    amp = s * r ** (dim - 1) * float(shape)
     kind = _UNDERSHOOT if s >= 0.0 else _OVERSHOOT
     if u < 0.0 or (d > 0.0 and u > _TURN_RATIO * c):
         kind = _OVERSHOOT if u < 0.0 else _UNDERSHOOT
@@ -189,43 +220,72 @@ def _classify(c: float, v_a: float, p: float, dim: int, h: float,
 
 
 def _bisect(lo: float, hi: float, v_a: float, p: float, dim: int,
-            h: float, r_max: float, tol: float) -> Tuple[float, float]:
+            h: float, r_max: float, tol: float, seeds=()
+            ) -> Tuple[float, float, float]:
     """Bisect u(0) on (lo, hi) at step h to width tol, remembering trials;
-    returns plain bisection's (lo, hi), lo an undershoot, bit for bit."""
-    f_lo, a_lo = _classify(lo, v_a, p, dim, h, r_max)
-    f_hi, a_hi = _classify(hi, v_a, p, dim, h, r_max)
-    if f_lo == f_hi:
-        kind = "overshoot" if f_lo == _OVERSHOOT else "undershoot"
+    returns plain bisection's (lo, hi), lo an undershoot, bit for bit, and
+    the amplitude's slope in u(0) over the last pair of kinds 1024 margins
+    apart.  seeds: (u(0), kind, amplitude) of trials already run at step h;
+    if those more than the margin inside (lo, hi) show both kinds more than
+    the margin apart, the ends take their sides' kinds (the kind flips
+    once) unmarched."""
+    margin = max(0.125 * tol, 32.0 * math.ulp(max(abs(lo), abs(hi))))
+    inside = {k: x for x, k, _ in seeds
+              if min(lo, hi) + margin < x < max(lo, hi) - margin}
+    straddle = len(inside) == 2 and abs(
+        inside[_UNDERSHOOT] - inside[_OVERSHOOT]) > margin
+    ends = [] if straddle else [
+        (x, *_classify(x, v_a, p, dim, h, r_max)) for x in (lo, hi)]
+    if ends and ends[0][1] == ends[1][1]:
+        kind = "overshoot" if ends[0][1] == _OVERSHOOT else "undershoot"
         raise BracketError(
             f"bracket ({lo:.6g}, {hi:.6g}) does not straddle: both "
             f"endpoints {kind}")
-    # tight[kind]: [u(0), amplitude] of the kind's trial nearest the flip.
-    tight = {f_lo: [lo, a_lo], f_hi: [hi, a_hi]}
-    if f_lo == _OVERSHOOT:
+    if (ends[0][1] == _OVERSHOOT if ends else
+            (inside[_UNDERSHOOT] < inside[_OVERSHOOT]) != (lo < hi)):
         # Conventional orientation: lo undershoots, hi overshoots.
         lo, hi = hi, lo
     sign = 1.0 if hi > lo else -1.0
-    margin = max(0.125 * tol, 32.0 * math.ulp(max(abs(lo), abs(hi))))
+    # tight[kind]: [u(0), Illinois amplitude, amplitude] nearest the flip.
+    tight, slopes = {}, []
 
-    def trial(x):
-        kind, amp = _classify(x, v_a, p, dim, h, r_max)
-        if kind * sign * (tight[kind][0] - x) > 0.0:
-            tight[kind] = [x, amp]
+    def remember(x, kind, amp):
+        if kind not in tight or kind * sign * (tight[kind][0] - x) > 0.0:
+            tight[kind] = [x, amp, amp]
+            other = tight.get(-kind)
+            if other and (not slopes or abs(other[0] - x) > 1024.0 * margin):
+                slopes.append((other[2] - amp) / (other[0] - x))
         return kind
 
+    for seed in ends + list(seeds):
+        remember(*seed)
+
+    def trial(x):
+        return remember(x, *_classify(x, v_a, p, dim, h, r_max))
+
     # At most 8 Illinois trials: a side kept twice has its amplitude halved.
-    kept, est = 0, lo
+    # While the bracket is wider than its midpoint, where the amplitude is
+    # far from linear, a falsi point outside its middle half gives way to
+    # the midpoint, a trial bisection makes anyway.
+    kept, est, falsi = 0, lo, 0
     try:
-        for _ in range(8):
-            (u, a_u), (o, a_o) = tight[_UNDERSHOOT], tight[_OVERSHOOT]
+        while falsi < 8:
+            (u, a_u, _), (o, a_o, _) = tight[_UNDERSHOOT], tight[_OVERSHOOT]
             x = (a_u * o - a_o * u) / (a_u - a_o)
-            if abs(x - est) <= 0.25 * tol or not 0.0 < (x - u) / (o - u) < 1.0:
+            t = (x - u) / (o - u)
+            if abs(x - est) <= 0.25 * tol or not 0.0 < t < 1.0:
                 break
+            if abs(o - u) > abs(0.5 * (u + o)) and not 0.25 <= t <= 0.75:
+                x = 0.5 * (u + o)
+            else:
+                falsi += 1
             est, kind = x, trial(x)
             tight[-kind][1] *= 0.5 if kind == kept else 1.0
             kept = kind
         for x in (est - 0.25 * tol, est + 0.25 * tol):
-            trial(x)
+            # One outside the tightest pair could tighten neither side.
+            if (x - tight[_UNDERSHOOT][0]) * (x - tight[_OVERSHOOT][0]) < 0.0:
+                trial(x)
     except (ConvergenceError, ZeroDivisionError):
         pass  # a seed that overflows or stalls only loses its information
     while abs(hi - lo) > tol:
@@ -237,7 +297,7 @@ def _bisect(lo: float, hi: float, v_a: float, p: float, dim: int,
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return lo, hi, slopes[-1]
 
 
 def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
@@ -268,7 +328,7 @@ def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
     target = dvalues[i_sw] / u_s
 
     def defect(k):
-        return float(_linear_tail_logderiv(dim, k, r_s)) - target
+        return float(_linear_tail(dim, k, r_s)[1]) - target
 
     # Bisect the defect on [kappa/2, 3 kappa/2] down to adjacent floats.
     lo, hi = 0.5 * kappa, 1.5 * kappa
@@ -285,11 +345,13 @@ def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
             hi = mid
         mid = 0.5 * (lo + hi)
     kappa_t = lo
-    scale = u_s / _linear_tail_values(dim, kappa_t, r_nodes[i_sw:i_sw + 1])[0]
+    scale = u_s / _linear_tail(dim, kappa_t, r_nodes[i_sw:i_sw + 1])[0][0]
     for s in range(i_sw, len(values), TABLE_BLOCK):
-        r, u = r_nodes[s:s + TABLE_BLOCK], values[s:s + TABLE_BLOCK]
-        np.multiply(scale, _linear_tail_values(dim, kappa_t, r), out=u)
-        dvalues[s:s + TABLE_BLOCK] = u * _linear_tail_logderiv(dim, kappa_t, r)
+        block = slice(s, s + TABLE_BLOCK)
+        u, logderiv = _linear_tail(dim, kappa_t, r_nodes[block])
+        values[block] = np.multiply(scale, u, out=u)
+        np.multiply(u, logderiv, out=dvalues[block])
+        del u, logderiv  # not alive while the next block is formed
     return kappa_t
 
 
@@ -309,7 +371,9 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
     step is tried with the carried u(0), which is bisected again (and the
     table rebuilt) once that step's table passes or breaks down.  Each
     bisection remembers its trials and replays them only where RK4 roundoff
-    cannot flip a midpoint, so about 8 trials give plain bisection's bits.
+    cannot flip a midpoint, so about 8 trials give plain bisection's bits;
+    at the kept step, seeded, about 5, and the bracket ends are marched only
+    when the seeds do not straddle the flip.
 
     Raises DomainError for unsupported or non-finite inputs, BracketError
     when the bracket fails to straddle, and ConvergenceError when a trial
@@ -337,22 +401,32 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
     # consistent with the step the table is built with.
     coarse_tol = max(_BISECT_TOL, 1e-3 * lo)
     try:
-        lo, hi = _bisect(lo, hi, v_a, p, dim, 8.0 * h, r_max, coarse_tol)
+        lo, hi, _ = _bisect(lo, hi, v_a, p, dim, 8.0 * h, r_max, coarse_tol)
     except BracketError:
         # At 8h the RK4 trial from the bracket top can go unstable and read
         # as an undershoot where it overshoots at h, as at (1, 6, 1).
-        lo, hi = _bisect(lo, hi, v_a, p, dim, h, r_max, coarse_tol)
+        lo, hi, _ = _bisect(lo, hi, v_a, p, dim, h, r_max, coarse_tol)
     pad = 4.0 * max(abs(hi - lo), 1e-7 * max(abs(lo), abs(hi)))
-    lo, hi = _bisect(min(lo, hi) - pad, max(lo, hi) + pad, v_a, p, dim, h,
-                     r_max, _BISECT_TOL)
+    lo, hi, slope = _bisect(min(lo, hi) - pad, max(lo, hi) + pad, v_a, p,
+                            dim, h, r_max, _BISECT_TOL)
     c = 0.5 * (lo + hi)
 
-    def pin(c, step):
+    def pin(c, step, seeds):
+        # seeds: the trial from c, read off the table march.  A trial a
+        # quarter tolerance past the flip the last slope predicts from it
+        # usually lands on the other side.
+        x = c - seeds[0][2] / slope if seeds and slope else math.nan
+        x += math.copysign(0.25 * _BISECT_TOL, x - c)
+        if abs(x - c) <= 1e-3 * c:
+            try:
+                seeds.append((x, *_classify(x, v_a, p, dim, step, r_max)))
+            except ConvergenceError:
+                pass  # a seed that overflows only loses its information
         # u(0) moves by O(h^4), so a slim pad almost always straddles.
         for pad in (1e-7 * c, 1e-5 * c, 1e-3 * c):
             try:
-                lo, hi = _bisect(c - pad, c + pad, v_a, p, dim, step, r_max,
-                                 _BISECT_TOL)
+                lo, hi, _ = _bisect(c - pad, c + pad, v_a, p, dim, step,
+                                    r_max, _BISECT_TOL, seeds)
                 return 0.5 * (lo + hi)
             except BracketError:
                 continue
@@ -366,9 +440,16 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
         r_nodes = np.arange(n_nodes, dtype=float)
         r_nodes *= h
         values, dvalues = np.empty(n_nodes), np.empty(n_nodes)
-        floor = _TAIL_RATIO * c
-        u, d, _, i = _march(c, v_a, p, dim, h, n_nodes - 2, floor, values,
-                            dvalues)
+        # The table march passes the node where a bisection trial from c
+        # stops; it halts there first, and its state there is that trial's.
+        floor, trial_floor = _TAIL_RATIO * c, _CLASSIFY_RATIO * c
+        u, d, r, i = _march(c, v_a, p, dim, h, min(n_nodes - 2, int(
+            math.ceil((r_max - h) / h))), trial_floor, values, dvalues)
+        seeds = [(c, *_judge(c, u, d, r, v_a, dim))] if not pinned and (
+            u < trial_floor or d > 0.0) else []
+        if not (u < floor or d > 0.0):
+            u, d, _, i = _march(c, v_a, p, dim, h, n_nodes - 2, floor,
+                                values, dvalues, (u, d, r, i))
         # i_stop: the first node no longer trusted (u fell below the floor,
         # crossed zero or turned upward), or n_nodes if none stopped it.
         i_stop = i if u < floor or d > 0.0 else n_nodes
@@ -377,14 +458,14 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
         except ConvergenceError:
             if pinned:
                 raise
-            c, pinned = pin(c, h), True
+            c, pinned = pin(c, h, seeds), True
             continue
         res = profile_ode_residual(r_nodes, values, v_a, p, dim)
         target = _RESIDUAL_TARGET * values[0]
         if res <= 0.8 * target:
             if pinned:
                 break
-            c, pinned = pin(c, h), True
+            c, pinned = pin(c, h, seeds), True
             continue
         if round_ == 4 or h <= h_min:
             raise ConvergenceError(

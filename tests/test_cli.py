@@ -125,8 +125,8 @@ def test_groundstate_table_prints_edge_floats_like_the_csv_writer(
                                   TABLE_BLOCK + 1])
 def test_groundstate_table_is_whole_across_block_edges(rows, tmp_path,
                                                        monkeypatch, capsys):
-    # The table is written TABLE_BLOCK rows at a time: no row may be lost
-    # or repeated at a block edge.
+    # The table is written TABLE_BLOCK / 8 rows at a time: no row may be
+    # lost or repeated at a block edge.
     rng = np.random.default_rng(rows)
     values = rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 9, rows)
     values[[0, rows // 2, -1]] = [2.0, -0.0, 5e-324]

@@ -20,14 +20,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
+from scipy.special import kv, kvp
 
 import nlsbump.radial
 from nlsbump.errors import BracketError, ConvergenceError, DomainError
 from nlsbump.grid import power_map
-from nlsbump.radial import (_OVERSHOOT, TABLE_BLOCK, _classify, eval_profile,
-                            eval_profile_deriv, ode_residual,
-                            profile_ode_residual, radial_integral,
-                            solve_ground_state)
+from nlsbump.radial import (_CLASSIFY_RATIO, _OVERSHOOT, _TAIL_RATIO,
+                            TABLE_BLOCK, _classify, _linear_tail, _march,
+                            _series_start, eval_profile, eval_profile_deriv,
+                            ode_residual, profile_ode_residual,
+                            radial_integral, solve_ground_state)
 
 
 def soliton_1d(r, p, v_a=1.0):
@@ -188,10 +190,9 @@ def tail_table(kappa, dim, n=2001, r_max=20.0):
     """The exact decaying linear tail r^(-nu) K_nu(kappa r) as a table."""
     r = np.arange(n, dtype=float) * (r_max / (n - 1))
     values = np.ones(n)
-    values[1:] = nlsbump.radial._linear_tail_values(dim, kappa, r[1:])
     dvalues = np.zeros(n)
-    dvalues[1:] = values[1:] * nlsbump.radial._linear_tail_logderiv(
-        dim, kappa, r[1:])
+    values[1:], logderiv = nlsbump.radial._linear_tail(dim, kappa, r[1:])
+    dvalues[1:] = values[1:] * logderiv
     return r, values, dvalues
 
 
@@ -204,8 +205,7 @@ def test_tail_rate_is_bisected_to_adjacent_floats(dim):
     r_s, target = r[1000], dvalues[1000] / values[1000]
 
     def defect(k):
-        logderiv = nlsbump.radial._linear_tail_logderiv(dim, k, r_s)
-        return float(logderiv) - target
+        return float(nlsbump.radial._linear_tail(dim, k, r_s)[1]) - target
 
     kappa_t = nlsbump.radial._attach_tail(r, values, dvalues, 1001, 1.0, dim)
     assert defect(kappa_t) * defect(np.nextafter(kappa_t, np.inf)) <= 0.0
@@ -302,16 +302,17 @@ def test_refinement_bisects_only_at_the_kept_step(monkeypatch):
     assert str(info.value) == (
         "table residual 1.2e-05 still over target 5.22e-06 at ode_step "
         "1.56e-05; auto refinement exhausted")
-    assert dict(counts) == {8e-3: 9, 1e-3: 9}
+    assert dict(counts) == {8e-3: 9, 1e-3: 8}
 
 
 def test_refinement_pins_the_kept_step_once(monkeypatch):
     # (1,4,2) refines once; u(0) is bisected at the kept step 2.5e-4 from
     # the same bracket around the carried value as when every step was
-    # bisected.
+    # bisected, seeded with the carried value's trial and one secant trial,
+    # which straddle the flip: no bracket end is marched.
     counts = count_trials(monkeypatch)
     prof = solve_ground_state(1.0, 4.0, 2)
-    assert dict(counts) == {8e-3: 17, 1e-3: 9, 2.5e-4: 7}
+    assert dict(counts) == {8e-3: 14, 1e-3: 8, 2.5e-4: 4}
     assert prof.r_nodes[1] == 2.5e-4
 
 
@@ -333,7 +334,7 @@ def test_carried_table_breakdown_pins_and_rebuilds(get_profile, monkeypatch):
     counts = count_trials(monkeypatch)
     prof = solve_ground_state(1.0, 4.0, 2)
     assert steps == [1e-3, 2.5e-4, 2.5e-4]
-    assert dict(counts) == {8e-3: 17, 1e-3: 9, 2.5e-4: 7}
+    assert dict(counts) == {8e-3: 14, 1e-3: 8, 2.5e-4: 4}
     assert prof.values.tobytes() == ref.values.tobytes()
     assert prof.dvalues.tobytes() == ref.dvalues.tobytes()
 
@@ -358,6 +359,122 @@ def plain_bisect(lo, hi, v_a, p, dim, h, r_max, tol):
         else:
             lo = mid
     return lo, hi
+
+
+def plain_march(c, v_a, p, dim, h, n_steps, floor, values=None,
+                dvalues=None):
+    """The RK4 stepper with one power-map call per stage, the reference for
+    _march."""
+    nl = power_map(p)
+    nm1 = dim - 1.0
+    r, i = h, 1
+    half = 0.5 * h
+    sixth = h / 6.0
+    try:
+        u, d = _series_start(c, v_a, p, dim, nl, h)
+        if values is not None:
+            values[0], dvalues[0] = c, 0.0
+            values[1], dvalues[1] = u, d
+        for i in range(2, n_steps + 2):
+            k1u = d
+            k1d = v_a * u - nl(u) - nm1 / r * d
+            rm = r + half
+            u2 = u + half * k1u
+            d2 = d + half * k1d
+            k2u = d2
+            k2d = v_a * u2 - nl(u2) - nm1 / rm * d2
+            u3 = u + half * k2u
+            d3 = d + half * k2d
+            k3u = d3
+            k3d = v_a * u3 - nl(u3) - nm1 / rm * d3
+            r4 = r + h
+            u4 = u + h * k3u
+            d4 = d + h * k3d
+            k4u = d4
+            k4d = v_a * u4 - nl(u4) - nm1 / r4 * d4
+            u = u + sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            d = d + sixth * (k1d + 2.0 * (k2d + k3d) + k4d)
+            r = r4
+            if values is not None:
+                values[i] = u
+                dvalues[i] = d
+            if u < floor or d > 0.0:
+                break
+    except OverflowError:
+        raise ConvergenceError(
+            f"shooting trial from u(0) = {c:.6g} overflowed at ode_step "
+            f"{h:.3g}") from None
+    return u, d, r, i
+
+
+def hexes(state):
+    return [float(x).hex() for x in state]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.5])
+def test_march_is_the_plain_stepper_bit_for_bit(dim, p):
+    # Trials (no arrays, trial floor) and tables (arrays, tail floor) from
+    # u(0) below, near and above the 1-D orbit g, at two steps; a table
+    # march halted at the trial floor and resumed is the same march.
+    g = (p / 2.0) ** (1.0 / (p - 2.0))
+    for c in (0.9 * g, g, 1.7 * g, 3.0 * g):
+        for h in (1e-2, 2.5e-3):
+            n = int(round(20.0 / h)) - 1
+            args = (c, 1.0, p, dim, h, n, _CLASSIFY_RATIO * c)
+            assert hexes(_march(*args)) == hexes(plain_march(*args))
+            want = np.full((2, n + 2), np.nan)
+            state = plain_march(*args[:6], _TAIL_RATIO * c, *want)
+            got = np.full((2, n + 2), np.nan)
+            assert hexes(_march(*args[:6], _TAIL_RATIO * c, *got)) == hexes(
+                state)
+            assert got.tobytes() == want.tobytes()
+            got[:] = np.nan
+            end = _march(*args, *got)
+            if not (end[0] < _TAIL_RATIO * c or end[1] > 0.0):
+                end = _march(*args[:6], _TAIL_RATIO * c, *got, end)
+            assert hexes(end) == hexes(state)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_march_overflow_is_the_plain_steppers_error():
+    args = (1000.0, 1.0, 5.5, 1, 0.2, 400, -math.inf)
+    with pytest.raises(ConvergenceError) as plain:
+        plain_march(*args)
+    with pytest.raises(ConvergenceError, match=re.escape(str(plain.value))):
+        _march(*args)
+    assert "overflowed at ode_step 0.2" in str(plain.value)
+
+
+def test_table_march_writes_nodes_in_place():
+    # 1M+ nodes of the 1-D orbit into preallocated arrays: collecting them
+    # in lists would allocate tens of MB; in place, the march needs a few
+    # KB beyond its first (compiling) call.
+    n = (1 << 20) + 5
+    values, dvalues = np.empty(n + 2), np.empty(n + 2)
+    _march(math.sqrt(2.0), 1.0, 4.0, 1, 1e-5, 4, 0.0, values, dvalues)
+    (u, d, r, i), peak = traced_peak(_march, math.sqrt(2.0), 1.0, 4.0, 1,
+                                     1e-5, n, 0.0, values, dvalues)
+    assert i == n + 1 and u > 0.0 and d < 0.0
+    assert peak <= 1 << 16
+    assert abs(values[i] - soliton_1d(i * 1e-5, 4.0)) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_linear_tail_is_kv_and_kvp_bit_for_bit(dim):
+    # Two Bessel evaluations give what kv and kvp gave with four, on
+    # scalars and across a block edge.
+    nu = (dim - 2) / 2.0
+    kappa = 1.1
+    r = np.random.default_rng(dim).uniform(0.4, 40.0, TABLE_BLOCK + 3)
+    for x in (r, float(r[0]), float(r[-1])):
+        x_arr = np.asarray(x)
+        z = kappa * x_arr
+        shape, logderiv = _linear_tail(dim, kappa, x)
+        assert np.asarray(shape).tobytes() == np.asarray(
+            x_arr ** (-nu) * kv(nu, z)).tobytes()
+        assert np.asarray(logderiv).tobytes() == np.asarray(
+            -nu / x_arr + kappa * kvp(nu, z) / kv(nu, z)).tobytes()
 
 
 def assert_bisections_match_plain(monkeypatch, v_a, p, dim):
@@ -388,18 +505,24 @@ def assert_bisections_match_plain(monkeypatch, v_a, p, dim):
     monkeypatch.undo()
     assert calls
     for args, out in calls:
+        # Every seed is the trial _classify runs from its u(0), bit for bit:
+        # the first is read off the table march, not marched again.
+        for x, kind, amp in (args[8] if len(args) > 8 else ()):
+            want_kind, want_amp = _classify(x, *args[2:7])
+            assert (kind, amp.hex()) == (want_kind, want_amp.hex())
         if isinstance(out, Exception):
             with pytest.raises(type(out), match=re.escape(str(out))):
-                plain_bisect(*args)
+                plain_bisect(*args[:8])
         else:
-            assert [x.hex() for x in plain_bisect(*args)] == [
-                x.hex() for x in out]
+            assert [x.hex() for x in plain_bisect(*args[:8])] == [
+                x.hex() for x in out[:2]]
     for kind, amp in trials:
         assert math.copysign(1.0, amp) == -kind, (kind, amp)
 
 
 @pytest.mark.parametrize("v_a,p,dim", [(1.0, 4.0, 1), (1.0, 4.0, 2),
-                                       (1.21, 4.0, 2)])
+                                       (1.21, 4.0, 2), (1.0, 6.0, 1),
+                                       (4.0, 6.0, 1)])
 def test_remembered_trials_bisect_bitwise_like_plain_bisection(
         v_a, p, dim, monkeypatch):
     assert_bisections_match_plain(monkeypatch, v_a, p, dim)
