@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import lobpcg
 
 from .errors import (
     ConvergenceError,
@@ -364,6 +363,7 @@ def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):
     application per iteration; LOBPCG solves tiny problems densely, in
     none).
     """
+    from scipy.sparse.linalg import lobpcg
     x0 = np.random.default_rng(seed).standard_normal((n_int, how_many))
     iterations = 0
 

@@ -69,12 +69,15 @@ too); 4 iteration failure (also: any sweep row that records a failure);
 5 malformed field file.  analyze and uniqueness run their eps on a
 thread pool of --jobs threads (default 1; --jobs does not apply to
 solve); rows are written in schedule order.
+
+Importing this module loads numpy alone; scipy loads at its first call
+(Newton in solve and uniqueness, analyze's coercivity estimate), so
+groundstate and an analyze that finds no solution file load none of it.
 """
 
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -165,6 +168,7 @@ def _map_jobs(fn, items, jobs: int):
     """Apply fn over items, preserving order; pool only when it helps."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

@@ -11,6 +11,7 @@ use product rules that resolve smooth surface data to spectral accuracy in
 angle.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -174,6 +175,7 @@ def power_source(p: float) -> str:
             else "abs(u) ** em * u")
 
 
+@functools.lru_cache(maxsize=None)
 def power_map(p: float) -> Callable:
     """Return u -> |u|^(p-2) u, for a float or elementwise on an array.
 

@@ -26,7 +26,8 @@ that step's table march, and one secant trial past the flip.
 
 Because the connecting orbit is exponentially unstable, the final table is
 genuine integration out to a switch radius and an analytic exponential tail
-beyond it, joined with matching value and derivative.
+beyond it, joined with matching value and derivative.  Its Bessel
+functions are numpy's own (_linear_tail, DLMF 10.31, 10.32.9, 10.39.2).
 
 The policy is fixed: the table spans [0, 10/sqrt(v_a) + 10], and the
 step starts at 1e-3/max(1, sqrt(v_a)) and shrinks until the table's
@@ -49,7 +50,6 @@ import functools
 import math
 import re
 import numpy as np
-from scipy.special import kv
 
 from .errors import BracketError, ConvergenceError, DomainError
 from .grid import power_map, power_source
@@ -98,22 +98,60 @@ def _linear_tail(dim: int, kappa: float, r) -> Tuple[np.ndarray, np.ndarray]:
     That is the decaying solution of u'' + (dim-1)/r u' = kappa^2 u, exact
     in any dimension, so using it avoids the O(1/r^2) error a plain
     -kappa - (dim-1)/(2 r) ansatz would commit (which matters for dim = 2).
-    Two Bessel calls suffice: K_nu = K_|nu|, and scipy's kvp(nu) is
-    -(K_|nu-1| + K_|nu+1|)/2 with |nu -+ 1| in {|nu|, |nu| + 1}; both
-    results are the kv/kvp formulas' bit for bit.
+    In dims 1 and 3 that ansatz is exact (K_1/2, K_3/2: DLMF 10.39.2).
     """
-    nu = (dim - 2) / 2.0
     r = np.asarray(r, dtype=float)
-    # In place, each the formulas' operation: at most 3 arrays of r's size.
-    k_nu = kv(abs(nu), kappa * r)
-    dk = kv(abs(nu) + 1.0, kappa * r)
-    dk += dk if nu == 0.0 else k_nu
-    dk /= -2.0
-    dk *= kappa
-    dk /= k_nu
-    dk += -nu / r
-    k_nu *= r ** (-nu)
-    return k_nu, dk
+    if dim == 2:
+        shape, ratio = _bessel_k01(kappa * r)
+        return shape, -kappa * ratio
+    shape = np.exp(-kappa * r) * math.sqrt(0.5 * math.pi / kappa)
+    if dim == 1:
+        return shape, np.full(r.shape, -kappa)
+    return shape / r, -kappa - 1.0 / r
+
+
+# z > 1: K_n(z) = 2 e^(-z) int_0^inf e^(-w^2) T_n(1 + w^2/z) / sqrt(w^2 + 2z)
+# dw (DLMF 10.32.9, cosh t = 1 + w^2/z), T_0 = 1, T_1(c) = c, whose step-0.2
+# trapezoid rule on [0, 6.6) is exact to roundoff; smallest terms first.
+_TRAP_W2 = (0.2 * np.arange(32, -1, -1)) ** 2
+_TRAP_WEIGHTS = 0.4 * np.exp(-_TRAP_W2) / (1.0 + (_TRAP_W2 == 0.0))
+
+
+def _bessel_k01(z) -> Tuple[np.ndarray, np.ndarray]:
+    """K_0(z) and K_1(z)/K_0(z) for z > 0 (a float or an array)."""
+    if z.ndim == 0:
+        if z <= 1.0:
+            return _series_k01(z)
+        terms = _TRAP_WEIGHTS / np.sqrt(_TRAP_W2 + 2.0 * z)
+        k0 = terms.sum()
+        return k0 * math.exp(-z), 1.0 + (terms @ _TRAP_W2) / (z * k0)
+    small = z <= 1.0  # series first: at most 7 arrays of z's size at once
+    series = _series_k01(z[small]) if small.any() else None
+    k0, s1, t = np.zeros_like(z), np.zeros_like(z), np.empty_like(z)
+    for w2, weight in zip(_TRAP_W2, _TRAP_WEIGHTS):
+        np.sqrt(np.add(w2, np.multiply(z, 2.0, out=t), out=t), out=t)
+        k0 += np.divide(weight, t, out=t)
+        s1 += np.multiply(t, w2, out=t)
+    s1 /= np.multiply(z, k0, out=t)
+    s1 += 1.0
+    k0 *= np.exp(np.negative(z, out=t), out=t)
+    if series is not None:
+        k0[small], s1[small] = series
+    return k0, s1
+
+
+def _series_k01(z) -> Tuple[np.ndarray, np.ndarray]:
+    """K_0(z) and K_1(z)/K_0(z) for 0 < z <= 1: the ascending series
+    (DLMF 10.31.2, 10.31.1) to 12 terms, psi(k+1) = H_k - gamma."""
+    log_half, psi = np.log(0.5 * z), -0.5772156649015329
+    k0, k1, term = 0.0 * z, 0.0 * z, 1.0 + 0.0 * z
+    for k in range(1, 13):
+        k0 += term * (psi - log_half)  # q^(k-1) / (k-1)!^2, q = z^2/4
+        term /= k
+        k1 += term * (log_half - psi - 0.5 / k)
+        psi += 1.0 / k
+        term *= 0.25 * z * z / k
+    return k0, (1.0 / z + 0.5 * z * k1) / k0
 
 
 def _series_start(c: float, v_a: float, p: float, dim: int,
@@ -221,14 +259,14 @@ def _judge(c: float, u: float, d: float, r: float, v_a: float,
 
 def _bisect(lo: float, hi: float, v_a: float, p: float, dim: int,
             h: float, r_max: float, tol: float, seeds=()
-            ) -> Tuple[float, float, float]:
+            ) -> Tuple[float, float, float, list]:
     """Bisect u(0) on (lo, hi) at step h to width tol, remembering trials;
-    returns plain bisection's (lo, hi), lo an undershoot, bit for bit, and
-    the amplitude's slope in u(0) over the last pair of kinds 1024 margins
-    apart.  seeds: (u(0), kind, amplitude) of trials already run at step h;
-    if those more than the margin inside (lo, hi) show both kinds more than
-    the margin apart, the ends take their sides' kinds (the kind flips
-    once) unmarched."""
+    returns plain bisection's (lo, hi), lo an undershoot, bit for bit, the
+    amplitude's slope in u(0) over the last pair of kinds 1024 margins
+    apart and the tightest trial of each kind (as seeds).  seeds: (u(0),
+    kind, amplitude) of trials already run at step h; if those more than
+    the margin inside (lo, hi) show both kinds more than the margin apart,
+    the ends take their sides' kinds (the kind flips once) unmarched."""
     margin = max(0.125 * tol, 32.0 * math.ulp(max(abs(lo), abs(hi))))
     inside = {k: x for x, k, _ in seeds
               if min(lo, hi) + margin < x < max(lo, hi) - margin}
@@ -297,7 +335,7 @@ def _bisect(lo: float, hi: float, v_a: float, p: float, dim: int,
             hi = mid
         else:
             lo = mid
-    return lo, hi, slopes[-1]
+    return lo, hi, slopes[-1], [(x, k, a) for k, (x, _, a) in tight.items()]
 
 
 def _attach_tail(r_nodes: np.ndarray, values: np.ndarray,
@@ -400,15 +438,17 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
     # Coarse pass narrows the bracket cheaply; the fine pass makes u(0)
     # consistent with the step the table is built with.
     coarse_tol = max(_BISECT_TOL, 1e-3 * lo)
+    seeds = []
     try:
-        lo, hi, _ = _bisect(lo, hi, v_a, p, dim, 8.0 * h, r_max, coarse_tol)
+        lo, hi = _bisect(lo, hi, v_a, p, dim, 8.0 * h, r_max, coarse_tol)[:2]
     except BracketError:
         # At 8h the RK4 trial from the bracket top can go unstable and read
-        # as an undershoot where it overshoots at h, as at (1, 6, 1).
-        lo, hi, _ = _bisect(lo, hi, v_a, p, dim, h, r_max, coarse_tol)
+        # as an undershoot where it overshoots at h, as at (1, 6, 1).  Its
+        # tightest trials at h then seed the fine pass.
+        lo, hi, _, seeds = _bisect(lo, hi, v_a, p, dim, h, r_max, coarse_tol)
     pad = 4.0 * max(abs(hi - lo), 1e-7 * max(abs(lo), abs(hi)))
-    lo, hi, slope = _bisect(min(lo, hi) - pad, max(lo, hi) + pad, v_a, p,
-                            dim, h, r_max, _BISECT_TOL)
+    lo, hi, slope, _ = _bisect(min(lo, hi) - pad, max(lo, hi) + pad, v_a,
+                               p, dim, h, r_max, _BISECT_TOL, seeds)
     c = 0.5 * (lo + hi)
 
     def pin(c, step, seeds):
@@ -425,8 +465,8 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
         # u(0) moves by O(h^4), so a slim pad almost always straddles.
         for pad in (1e-7 * c, 1e-5 * c, 1e-3 * c):
             try:
-                lo, hi, _ = _bisect(c - pad, c + pad, v_a, p, dim, step,
-                                    r_max, _BISECT_TOL, seeds)
+                lo, hi = _bisect(c - pad, c + pad, v_a, p, dim, step,
+                                 r_max, _BISECT_TOL, seeds)[:2]
                 return 0.5 * (lo + hi)
             except BracketError:
                 continue

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.fft import dstn
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import (
     ConsistencyError,
@@ -152,10 +150,12 @@ def _columnwise(coef: np.ndarray, x: np.ndarray):
                                                       + (1,) * len(tail))
 
 
-def dirichlet_inverse(spec: ProblemSpec) -> LinearOperator:
+def dirichlet_inverse(spec: ProblemSpec):
     """Exact inverse of -eps^2 lap_h + c, c = min V on the interior, on the
     interior unknowns: two DST-I passes around a division by its
-    eigenvalues."""
+    eigenvalues, as a scipy LinearOperator."""
+    from scipy.fft import dstn
+    from scipy.sparse.linalg import LinearOperator
     v_int = spec.potential_values()[_interior(spec)]
     axes = tuple(range(v_int.ndim))
     symbol = np.full(v_int.shape, float(v_int.min()))
@@ -173,6 +173,12 @@ def dirichlet_inverse(spec: ProblemSpec) -> LinearOperator:
 
     return LinearOperator((symbol.size, symbol.size), matvec=apply,
                           matmat=apply, dtype=float)
+
+
+def minres(*args, **kwargs):
+    """scipy.sparse.linalg.minres, imported at the first call."""
+    from scipy.sparse.linalg import minres
+    return minres(*args, **kwargs)
 
 
 def interior_operator(diag: np.ndarray, spacing,
@@ -227,6 +233,7 @@ def newton_solve(spec: ProblemSpec,
     backtracking cannot find a descent step, KrylovError if MINRES breaks
     down; either carries the .report and .field of the steps taken.
     """
+    from scipy.sparse.linalg import LinearOperator
     grid = spec.grid
     if u0.values.shape != tuple(grid.counts):
         raise DomainError("initial iterate does not live on the spec's grid")

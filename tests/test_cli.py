@@ -255,8 +255,67 @@ def test_package_imports_only_its_third_party_modules():
                 continue
             third_party.update(n for n in names if n.split(".")[0]
                                not in sys.stdlib_module_names)
-    assert third_party == {"numpy", "scipy.fft", "scipy.sparse.linalg",
-                           "scipy.special"}
+    assert third_party == {"numpy", "scipy.fft", "scipy.sparse.linalg"}
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # A module-level scipy import would load it in every command, also in
+    # those that call none of it.
+    package = Path(nlsbump.cli.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        in_functions = {id(node) for fn in ast.walk(tree)
+                        if isinstance(fn, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                        for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names):
+                assert id(node) in in_functions, (source.name, node.lineno)
+
+
+def test_groundstate_and_fieldless_analyze_load_no_scipy(tmp_path):
+    # Import, help, a config error, a profile in each dimension and an
+    # analyze that finds no solution file need numpy alone.
+    src = str(Path(nlsbump.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cfg_path = write_config(tmp_path, SMOKE,
+                            **{"run.output_dir": str(tmp_path / "empty")})
+    probe = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import nlsbump.cli
+        def scipy():
+            return sorted(m for m in sys.modules if m.startswith("scipy"))
+        print("import", scipy())
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                nlsbump.cli.main(["--help"])
+        except SystemExit as exc:
+            print("help", exc.code, scipy())
+        code = nlsbump.cli.main(["solve", "--config", "missing.cfg"])
+        print("config-error", code, scipy())
+        for dim in ("1", "2", "3"):
+            code = nlsbump.cli.main(
+                ["groundstate", "--va", "1", "--p", "3", "--dim", dim])
+            print("groundstate", code, scipy())
+        code = nlsbump.cli.main(["analyze", "--config", {str(cfg_path)!r}])
+        print("analyze", code, scipy())
+        """)
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines()
+             if ln.split(" ")[0] in ("import", "help", "config-error",
+                                     "groundstate", "analyze")]
+    assert lines == ["import []", "help 0 []", "config-error 2 []",
+                     "groundstate 0 []", "groundstate 0 []",
+                     "groundstate 0 []", "analyze 4 []"]
 
 
 def test_solve_rows_monotone_and_converged(pipeline):

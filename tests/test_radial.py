@@ -15,6 +15,7 @@ import re
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from scipy.special import kv, kvp
 
 import nlsbump.radial
 from nlsbump.errors import BracketError, ConvergenceError, DomainError
-from nlsbump.grid import power_map
+from nlsbump.grid import power_map, power_source
 from nlsbump.radial import (_CLASSIFY_RATIO, _OVERSHOOT, _TAIL_RATIO,
                             TABLE_BLOCK, _classify, _linear_tail, _march,
                             _series_start, eval_profile, eval_profile_deriv,
@@ -76,6 +77,29 @@ def test_dim3_center_value_pinned(get_profile):
 
 def test_dim2_center_value_pinned(get_profile):
     assert abs(get_profile(1.0, 4.0, 2).values[0] - 2.20620086465) < 1e-6
+
+
+@pytest.mark.parametrize("v_a,p,dim,center,rate", [
+    (1.0, 4.0, 1, "0x1.6a09e667f3badp+0", "0x1.ffffde1c2cf6dp-1"),
+    (1.21, 4.0, 1, "0x1.8e3e170bf280ap+0", "0x1.19998b007f9bcp+0"),
+    (1.0, 4.0, 2, "0x1.1a64ca390a828p+1", "0x1.ff12df356ed70p-1"),
+    (1.21, 4.0, 2, "0x1.36a211a525189p+1", "0x1.1922b7e527fc6p+0")])
+def test_benchmark_profiles_keep_their_bits(get_profile, v_a, p, dim,
+                                            center, rate):
+    # u(0) and the fitted decay rate of the profiles the benchmark
+    # tabulates and its sweeps build on, bit for bit: a change to the
+    # shooting or the tail that moves them shows here.
+    prof = get_profile(v_a, p, dim)
+    assert (prof.values[0].hex(), prof.decay_rate.hex()) == (center, rate)
+
+
+def test_power_map_is_built_once_per_p_and_inlined_in_the_loop():
+    assert power_map(5.5) is power_map(5.5)
+    for p in (3.0, 4.0, 5.5):
+        # The compiled RK4 loop calls no function but range and abs.
+        for table in (False, True):
+            names = nlsbump.radial._loop(power_source(p), table).__code__
+            assert set(names.co_names) <= {"range", "abs"}
 
 
 def test_scaling_covariance_dim1(get_profile):
@@ -258,10 +282,12 @@ def test_non_finite_shooting_numbers_are_domain_errors(field, value):
 def test_default_step_falls_back_to_a_fine_coarse_pass(monkeypatch):
     # At (1, 6, 1) the bracket top reads as an undershoot at 8h = 8e-3, so
     # the coarse pass gives up after its 2 endpoint trials and bisects at
-    # h; u(0) still meets the closed form 3^(1/4).
+    # h (13 trials); u(0) still meets the closed form 3^(1/4).  Seeded
+    # with that pass's tightest trials, the fine pass at h marches no
+    # bracket end and runs 4 trials, not 8.
     counts = count_trials(monkeypatch)
     prof = solve_ground_state(1.0, 6.0, 1)
-    assert counts[8e-3] == 2
+    assert dict(counts) == {8e-3: 2, 1e-3: 17, 2.5e-4: 4}
     assert abs(prof.values[0] - 3.0 ** 0.25) < 1e-12
 
 
@@ -460,21 +486,46 @@ def test_table_march_writes_nodes_in_place():
     assert abs(values[i] - soliton_1d(i * 1e-5, 4.0)) < 1e-9
 
 
+def mp_linear_tail(dim, kappa, r):
+    """_linear_tail at 40 digits, at the argument z = kappa r rounded to a
+    float as _linear_tail rounds it: the exponential's sensitivity to that
+    rounding, up to z ulps, is the argument's, not the formula's."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(dim - 2) / 2
+        x, z = mpmath.mpf(float(r)), mpmath.mpf(float(kappa * r))
+        k = mpmath.besselk(nu, z)
+        dk = -(mpmath.besselk(nu - 1, z) + mpmath.besselk(nu + 1, z)) / 2
+        return x ** -nu * k, -nu / x + mpmath.mpf(kappa) * dk / k
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_linear_tail_is_kv_and_kvp_bit_for_bit(dim):
-    # Two Bessel evaluations give what kv and kvp gave with four, on
-    # scalars and across a block edge.
+def test_linear_tail_matches_mpmath_and_scipy(dim):
+    # Shape and log-derivative to a few ulps of 40-digit Bessel functions,
+    # on scalars and on a block past a block edge whose z = kappa r spans
+    # the K_0, K_1 series (z <= 1) and the trapezoid rule; scipy's kv/kvp
+    # formula, whose numbers on the block are all normal, agrees to its
+    # own accuracy.
     nu = (dim - 2) / 2.0
     kappa = 1.1
-    r = np.random.default_rng(dim).uniform(0.4, 40.0, TABLE_BLOCK + 3)
-    for x in (r, float(r[0]), float(r[-1])):
-        x_arr = np.asarray(x)
-        z = kappa * x_arr
-        shape, logderiv = _linear_tail(dim, kappa, x)
-        assert np.asarray(shape).tobytes() == np.asarray(
-            x_arr ** (-nu) * kv(nu, z)).tobytes()
-        assert np.asarray(logderiv).tobytes() == np.asarray(
-            -nu / x_arr + kappa * kvp(nu, z) / kv(nu, z)).tobytes()
+    rng = np.random.default_rng(dim)
+    r = rng.uniform(0.4, 40.0, TABLE_BLOCK + 3)
+    shape, logderiv = _linear_tail(dim, kappa, r)
+    sample = np.concatenate([rng.choice(len(r), 48), [TABLE_BLOCK - 1,
+                             TABLE_BLOCK, TABLE_BLOCK + 2],
+                             np.flatnonzero(kappa * r <= 1.0)[:16]])
+    scalars = [float(r[0]), 0.5, 1.0 / kappa, 0.95, 5.0, 600.0]
+    pairs = [(x, shape[i], logderiv[i]) for i, x in zip(sample, r[sample])]
+    pairs += [(x, *_linear_tail(dim, kappa, x)) for x in scalars]
+    for x, got_shape, got_logderiv in pairs:
+        want_shape, want_logderiv = mp_linear_tail(dim, kappa, x)
+        assert abs(got_shape - want_shape) <= 2e-15 * want_shape, x
+        assert abs(got_logderiv - want_logderiv) <= 2e-15 * abs(
+            want_logderiv), x
+    z = kappa * r
+    want_shape = r ** (-nu) * kv(nu, z)
+    want_logderiv = -nu / r + kappa * kvp(nu, z) / kv(nu, z)
+    np.testing.assert_allclose(shape, want_shape, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(logderiv, want_logderiv, rtol=1e-13, atol=0.0)
 
 
 def assert_bisections_match_plain(monkeypatch, v_a, p, dim):
@@ -535,19 +586,23 @@ def test_remembered_trials_match_plain_bisection_in_dim1(v_a, p):
         assert_bisections_match_plain(monkeypatch, v_a, p, 1)
 
 
-# A synthetic dim-3 table longer than 1M nodes: the decaying linear tail
-# exp(-r)/r of kappa = 1, which _attach_tail reproduces with kappa_t = 1.
+# A synthetic table longer than 1M nodes: the decaying linear tail of
+# kappa = 1, exp(-r)/r in dim 3 and K_0(r) in dim 2, which _attach_tail
+# reproduces with kappa_t = 1.
 LONG_NODES = 16 * TABLE_BLOCK + 5
 
 
-def long_table():
+def long_table(dim=3):
     r = np.arange(LONG_NODES, dtype=float) * (20.0 / (LONG_NODES - 1))
     values = np.empty(LONG_NODES)
     values[0] = 1.0
-    values[1:] = np.exp(-r[1:]) / r[1:]
     dvalues = np.empty(LONG_NODES)
     dvalues[0] = 0.0
-    dvalues[1:] = -(1.0 + 1.0 / r[1:]) * values[1:]
+    if dim == 2:
+        values[1:], dvalues[1:] = kv(0, r[1:]), -kv(1, r[1:])
+    else:
+        values[1:] = np.exp(-r[1:]) / r[1:]
+        dvalues[1:] = -(1.0 + 1.0 / r[1:]) * values[1:]
     return r, values, dvalues
 
 
@@ -585,16 +640,18 @@ def test_residual_sup_streams_in_blocks():
 
 def test_attach_tail_streams_in_blocks():
     # The switch node is 1000; the tail covers the other 16 blocks, which
-    # took about 5 table lengths of temporaries as whole arrays.
-    r, values, dvalues = long_table()
-    kappa_t, peak = traced_peak(nlsbump.radial._attach_tail, r, values,
-                                dvalues, 1001, 1.0, 3)
-    assert peak <= 8 * 8 * TABLE_BLOCK
-    assert abs(kappa_t - 1.0) < 1e-9
-    exact = np.exp(-r[1000:]) / r[1000:]
-    assert np.max(np.abs(values[1000:] - exact)) <= 1e-12 * exact[0]
-    dexact = -(1.0 + 1.0 / r[1000:]) * exact
-    assert np.max(np.abs(dvalues[1000:] - dexact)) <= 1e-12 * abs(dexact[0])
+    # took about 5 table lengths of temporaries as whole arrays.  In dim 2
+    # the tail is K_0(r), whose trapezoid rule runs node by node in place.
+    for dim in (3, 2):
+        r, values, dvalues = long_table(dim)
+        exact, dexact = values[1000:].copy(), dvalues[1000:].copy()
+        kappa_t, peak = traced_peak(nlsbump.radial._attach_tail, r, values,
+                                    dvalues, 1001, 1.0, dim)
+        assert peak <= 8 * 8 * TABLE_BLOCK
+        assert abs(kappa_t - 1.0) < 1e-9
+        assert np.max(np.abs(values[1000:] - exact)) <= 1e-12 * exact[0]
+        assert np.max(np.abs(dvalues[1000:] - dexact)) <= 1e-12 * abs(
+            dexact[0])
 
 
 @pytest.mark.parametrize("n", [3, TABLE_BLOCK + 1, TABLE_BLOCK + 2,
