@@ -44,6 +44,7 @@ from .radial import RadialProfile, eval_profile, eval_profile_deriv
 from .solver import (
     AnsatzSpec,
     build_ansatz,
+    bump_centers,
     dirichlet_inverse,
     interior_operator,
     jacobian_diagonal,
@@ -492,30 +493,25 @@ def _reduced_system(spec: ProblemSpec, profiles: Sequence[RadialProfile],
     return jac, cell * (tt.T @ f[inner].ravel())
 
 
-def _reduced_shifts(spec: ProblemSpec, ansatz: AnsatzSpec,
-                    shifts: np.ndarray) -> Tuple[np.ndarray, Tuple[int, str]]:
-    """Newton on _reduced_system from the shifted centers by decompose's
-    patch-bounded step: the shifts to its root once a step is at most
-    _REDUCED_STEP_TOL eps, else the given shifts; and (steps, outcome)."""
-    centers = np.array([np.atleast_1d(b.center) for b in ansatz.bumps],
-                       dtype=float)
-    if centers.shape != shifts.shape:  # build_ansatz says which bump
-        return shifts, (0, "")
-    xi, steps = centers + shifts, 0
+def _reduced_centers(spec: ProblemSpec, profiles: Sequence[RadialProfile],
+                     start: np.ndarray) -> Tuple[np.ndarray, Tuple[int, str]]:
+    """Newton on _reduced_system from the centers start by decompose's
+    patch-bounded step: its root once a step is at most _REDUCED_STEP_TOL
+    eps, else start; and (steps, outcome)."""
+    xi, steps = start, 0
     try:
         anchor, limit = _patch(spec, xi)
         while steps < _DECOMPOSE_MAX_ITER:
             steps += 1
-            jac, g = _reduced_system(spec, [b.profile for b in ansatz.bumps],
-                                     xi)
+            jac, g = _reduced_system(spec, profiles, xi)
             xi, last = _newton_update(xi, jac, g, anchor, limit), xi
             if np.abs(xi - last).max() <= _REDUCED_STEP_TOL * spec.eps:
-                return xi - centers, (steps, "converged")
+                return xi, (steps, "converged")
     except GeometryError:
-        return shifts, (steps, "left its patch")
+        return start, (steps, "left its patch")
     except DecompositionError:
-        return shifts, (steps, "singular Jacobian")
-    return shifts, (steps, "not converged")
+        return start, (steps, "singular Jacobian")
+    return start, (steps, "not converged")
 
 
 def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
@@ -523,7 +519,7 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
     """Solve twice from the named pair of perturbed ansatz starts (see
     _PROBE_AMP) and compare.  A shifted start moves on to the root of the
     centre equations when the reduced solve from it converges
-    (_reduced_shifts); build_ansatz validates the unshifted bumps.  The
+    (_reduced_centers); every bump is checked (bump_centers) first.  The
     claim under test is that both runs land on the same positive solution;
     the caller compares rel_diff (sup difference over the first solution's
     sup) with its tolerance, the CLI with its fixed 1e-8.  A run that
@@ -532,21 +528,23 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
     positive solutions.  The report's runs, or the .runs of any
     NlsbumpError a run raises, say what each run did.
     """
+    centers = bump_centers(spec, ansatz)
     if pair == "amplitude":
         starts = [(1.0 - _PROBE_AMP, None), (1.0 + _PROBE_AMP, None)]
     elif pair == "shift":
-        step = np.zeros((len(ansatz.bumps), spec.grid.dim))
+        step = np.zeros_like(centers)
         step[:, 0] = _PROBE_SHIFT * spec.eps
-        starts = [(1.0, step), (1.0, -step)]
+        starts = [(1.0, centers + step), (1.0, centers - step)]
     else:
         raise DomainError(f"unknown probe pair {pair!r}")
     fields, runs = [], []
     try:
-        for run, (amp_scale, shifts) in enumerate(starts):
+        for run, (amp_scale, start) in enumerate(starts):
             reduced = ()
-            if shifts is not None:
-                shifts, reduced = _reduced_shifts(spec, ansatz, shifts)
-            u0 = build_ansatz(spec, ansatz, amp_scale, shifts)
+            if start is not None:
+                start, reduced = _reduced_centers(
+                    spec, [b.profile for b in ansatz.bumps], start)
+            u0 = build_ansatz(spec, ansatz, amp_scale, start)
             try:
                 u, report = newton_solve(spec, u0)
             except (ConvergenceError, KrylovError) as exc:

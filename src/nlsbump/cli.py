@@ -4,7 +4,9 @@ Subcommands
 -----------
 groundstate   solve the radial profile for one (v_a, p, dim), write it as
               a CSV table (r, u, du), streamed in blocks of rows, and
-              print a summary (u(0), decay rate, residual sup norm).
+              print a summary (u(0); decay_rate, the rate of the matched
+              K_nu tail the table ends on and evaluation continues past
+              r_max, near sqrt(v_a); the residual sup norm).
 solve         solve each eps from the ansatz, in schedule order; a failure
               ends the sweep.  One field file per solved eps, solve.csv.
 analyze       load the persisted fields, run the bump decomposition, the
@@ -63,12 +65,14 @@ when rel_diff <= 1e-8.  A probe run that collapses to u = 0 or is not
 positive is a solver-failure.
 
 Exit codes: 0 success; 2 configuration or usage (also: non-finite
-config numbers, an unreadable config, an output path that is a file);
+config numbers, an unreadable config, an output directory path that is a
+file, an output file that cannot be written, such as a directory);
 3 domain or geometry (also: bad groundstate arguments, non-finite ones
 too); 4 iteration failure (also: any sweep row that records a failure);
-5 malformed field file.  analyze and uniqueness run their eps on a
-thread pool of --jobs threads (default 1; --jobs does not apply to
-solve); rows are written in schedule order.
+5 malformed field file (analyze records a missing, unreadable or
+malformed solution file in that eps's rows instead).  analyze and
+uniqueness run their eps on a thread pool of --jobs threads (default 1;
+--jobs does not apply to solve); rows are written in schedule order.
 
 Importing this module loads numpy alone; scipy loads at its first call
 (Newton in solve and uniqueness, analyze's coercivity estimate), so
@@ -76,6 +80,7 @@ groundstate and an analyze that finds no solution file load none of it.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 from pathlib import Path
@@ -140,9 +145,19 @@ def _solution_names(cfg: ExperimentConfig) -> Dict[float, str]:
     return names
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An OSError while writing path is a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"output file {path}: {exc.strerror or exc}") \
+            from exc
+
+
 def _write_csv(path: Path, header: Sequence[str],
                rows: Sequence[Sequence[str]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -199,11 +214,12 @@ def _note(args, message: str) -> None:
 def _base_ansatz(cfg: ExperimentConfig) -> AnsatzSpec:
     """One unit-amplitude bump per well, profile solved at the well depth,
     once per distinct depth."""
+    wells = cfg.potential.wells
     profiles = {depth: solve_ground_state(depth, cfg.p, cfg.dim)
-                for depth in dict.fromkeys(w.depth for w in cfg.wells)}
+                for depth in dict.fromkeys(w.depth for w in wells)}
     return AnsatzSpec(bumps=tuple(
         BumpSpec(profile=profiles[w.depth], center=np.array(w.center))
-        for w in cfg.wells))
+        for w in wells))
 
 
 def cmd_groundstate(args) -> int:
@@ -211,7 +227,7 @@ def cmd_groundstate(args) -> int:
     profile = solve_ground_state(args.va, args.p, args.dim)
     residual = ode_residual(profile)
     path = out_dir / f"profile_va{args.va:g}_p{args.p:g}_dim{args.dim}.csv"
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         fh.write("r,u,du\n")
         # One % call formats TABLE_BLOCK / 8 rows; "%.17g" is f"{x:.17g}".
         for s in range(0, len(profile.values), TABLE_BLOCK // 8):
@@ -246,7 +262,8 @@ def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
                              str(exc) if isinstance(exc, KrylovError)
                              else "newton did not converge"))
         else:
-            write_field(out_dir / names[eps], u, eps, cfg.p)
+            with _writing(out_dir / names[eps]):
+                write_field(out_dir / names[eps], u, eps, cfg.p)
             rows.append(_row(eps, report.iterations, report.final_residual,
                              report.positivity, True, ""))
             _note(args, f"solve eps={eps:g}: {report.iterations} iterations, "
@@ -267,10 +284,13 @@ def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
 
 def _load_solution(cfg: ExperimentConfig, out_dir: Path, eps: float,
                    name: str):
-    path = out_dir / name
-    if not path.exists():
-        raise FormatError(f"missing solution file {name}")
-    u, eps_file, p_file = read_field(path)
+    try:
+        u, eps_file, p_file = read_field(out_dir / name)
+    except FileNotFoundError:
+        raise FormatError(f"missing solution file {name}") from None
+    except OSError as exc:
+        raise FormatError(f"cannot read solution file {name}: "
+                          f"{exc.strerror or exc}") from exc
     if abs(eps_file - eps) > 1e-12 * eps:
         raise FormatError(f"{name} stores eps={eps_file!r}, expected {eps!r}")
     if abs(p_file - cfg.p) > 1e-12:
@@ -286,7 +306,7 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
                  name: str, profiles: Sequence[RadialProfile]) -> Dict:
     """All per-eps analysis; raises NlsbumpError on any failure."""
     spec, u = _load_solution(cfg, out_dir, eps, name)
-    wells = cfg.wells
+    wells, patch = spec.potential.wells, spec.potential.patch_radius
     centers = np.array([w.center for w in wells])
     dec = decompose(spec, u, centers, profiles)
 
@@ -296,8 +316,8 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
     # radius and keeping the ball small enough to clip the patch keeps
     # every term at solution scale, so the rel_residual column stays
     # meaningful for symmetric geometries too.
-    radius = min(default_ball_radius(spec), 1.5 * cfg.patch_radius)
-    offset = np.array([0.75 * cfg.patch_radius / 2.0 ** i
+    radius = min(default_ball_radius(spec), 1.5 * patch)
+    offset = np.array([0.75 * patch / 2.0 ** i
                        for i in range(cfg.dim)])
     pohozaev = []
     for j in range(len(wells)):
@@ -385,24 +405,24 @@ def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
                  float(np.abs(co.translation_quotients).max()), ""))
 
     good = [rec for rec in records if "error" not in rec]
-    m = cfg.exponent
+    wells, m = cfg.potential.wells, cfg.potential.exponent
     rate_rows = []
-    for j in range(len(cfg.wells)):
+    for j in range(len(wells)):
         samples = _fit_samples(good, lambda r: float(r["alphas"][j]))
         rate_rows.append(_rate_row("alpha", str(j), samples, m))
     samples = _fit_samples(good, lambda r: float(r["w_norm"]))
     rate_rows.append(_rate_row("w_norm", "", samples, m + cfg.dim / 2.0))
-    for j in range(len(cfg.wells)):
+    for j in range(len(wells)):
         samples = _fit_samples(good,
                                lambda r: float(r["drifts"][j]) / r["eps"])
         rate_rows.append(_rate_row("drift_over_eps", str(j), samples, None))
-    for j in range(len(cfg.wells)):
-        for l in range(j + 1, len(cfg.wells)):
+    for j in range(len(wells)):
+        for l in range(j + 1, len(wells)):
             samples = _fit_samples(good, lambda r: r["overlaps"][(j, l)])
-            sep = float(np.linalg.norm(np.array(cfg.wells[j].center)
-                                       - np.array(cfg.wells[l].center)))
-            expected = -min(np.sqrt(cfg.wells[j].depth),
-                            np.sqrt(cfg.wells[l].depth)) * sep
+            sep = float(np.linalg.norm(np.array(wells[j].center)
+                                       - np.array(wells[l].center)))
+            expected = -min(np.sqrt(wells[j].depth),
+                            np.sqrt(wells[l].depth)) * sep
             rate_rows.append(_rate_row("overlap_decay", f"{j}-{l}", samples,
                                        expected, lambda e: 1.0 / e))
 
@@ -446,9 +466,9 @@ def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
                 else:
                     result = "uniqueness-failure"
                     if report.xi_field is not None:
-                        write_field(
-                            out_dir / f"xi_eps{eps:g}_{pair_name}.nlsb",
-                            report.xi_field, eps, cfg.p)
+                        path = out_dir / f"xi_eps{eps:g}_{pair_name}.nlsb"
+                        with _writing(path):
+                            write_field(path, report.xi_field, eps, cfg.p)
                 rows.append(_row(eps, pair_name, report.sup_diff,
                                  report.rel_diff, result, ""))
             _note(args, f"uniqueness eps={eps:g} {pair_name}: {result}"

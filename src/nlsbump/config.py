@@ -25,15 +25,14 @@ from .potential import PotentialModel, WellSpec, make_multiwell
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config; potential is the validated multi-well model, built
+    once (with its default background when problem.background is unset)."""
     dim: int
     p: float
-    exponent: float
-    patch_radius: float
-    wells: Tuple[WellSpec, ...]
+    potential: PotentialModel
     box_lo: Tuple[float, ...]
     box_hi: Tuple[float, ...]
     eps_schedule: Tuple[float, ...]
-    background: Optional[float] = None
     spacing_divisor: float = 6.0
     seed: int = 12345
     output_dir: str = "out"
@@ -135,6 +134,8 @@ def _collect_wells(entries: _Entries, dim: int) -> Tuple[WellSpec, ...]:
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """Parse config text and check every module precondition it can
+    violate."""
     entries = _Entries(text)
     dim = _parse_int(entries.require("problem.dim"), "problem.dim")
     if dim not in (1, 2, 3):
@@ -154,58 +155,46 @@ def parse_config(text: str) -> ExperimentConfig:
         if len(vec) != dim:
             raise ConfigError(
                 f"{key}: expected {dim} coordinates, got {len(vec)}")
-    background = entries.take("problem.background")
+    p, exponent, patch_radius = (
+        _parse_float(entries.require(key), key) for key in
+        ("problem.p", "problem.exponent", "problem.patch_radius"))
+    wells = _collect_wells(entries, dim)
+    eps_schedule = _parse_vec(entries.require("schedule.eps"), "schedule.eps")
+    background = opt_float("problem.background", None)
+    spacing_divisor = opt_float("grid.spacing_divisor", 6.0)
+    seed = opt_int("run.seed", 12345)
     out_dir = entries.take("run.output_dir")
-    cfg = ExperimentConfig(
-        dim=dim,
-        p=_parse_float(entries.require("problem.p"), "problem.p"),
-        exponent=_parse_float(entries.require("problem.exponent"),
-                              "problem.exponent"),
-        patch_radius=_parse_float(entries.require("problem.patch_radius"),
-                                  "problem.patch_radius"),
-        wells=_collect_wells(entries, dim),
-        box_lo=box_lo,
-        box_hi=box_hi,
-        eps_schedule=_parse_vec(entries.require("schedule.eps"),
-                                "schedule.eps"),
-        background=None if background is None
-        else _parse_float(background, "problem.background"),
-        spacing_divisor=opt_float("grid.spacing_divisor", 6.0),
-        seed=opt_int("run.seed", 12345),
-        output_dir="out" if out_dir is None else out_dir,
-    )
     stray = entries.leftovers()
     if stray:
         line, key = stray[0]
         raise ConfigError(f"line {line}: unknown key {key!r}")
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Check every module precondition the config can violate."""
-    if cfg.dim == 3 and cfg.p >= 6.0:
+    if dim == 3 and p >= 6.0:
         raise ConfigError(
-            f"problem.p: {cfg.p} is supercritical in dim 3 (needs p < 6)")
-    if not cfg.p > 2.0:
-        raise ConfigError(f"problem.p: need p > 2, got {cfg.p}")
+            f"problem.p: {p} is supercritical in dim 3 (needs p < 6)")
+    if not p > 2.0:
+        raise ConfigError(f"problem.p: need p > 2, got {p}")
     try:
-        make_potential(cfg)
+        potential = make_multiwell(wells, exponent=exponent,
+                                   patch_radius=patch_radius,
+                                   background=background)
     except NlsbumpError as exc:
         raise ConfigError(f"problem wells: {exc}") from exc
-    if any(h <= l for l, h in zip(cfg.box_lo, cfg.box_hi)):
+    if any(h <= l for l, h in zip(box_lo, box_hi)):
         raise ConfigError("grid box: need hi > lo on every axis")
-    sched = cfg.eps_schedule
-    if any(e <= 0.0 for e in sched):
+    if any(e <= 0.0 for e in eps_schedule):
         raise ConfigError("schedule.eps: values must be positive")
-    if any(b >= a for a, b in zip(sched, sched[1:])):
+    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ConfigError("schedule.eps: must be strictly decreasing")
-    if not cfg.spacing_divisor >= 1.0:
+    if not spacing_divisor >= 1.0:
         raise ConfigError("grid.spacing_divisor: must be at least 1")
-    if cfg.seed < 0:
+    if seed < 0:
         raise ConfigError("run.seed: must be nonnegative")
-    if not cfg.output_dir:
+    if out_dir == "":
         raise ConfigError("run.output_dir: must be nonempty")
+    return ExperimentConfig(
+        dim=dim, p=p, potential=potential, box_lo=box_lo, box_hi=box_hi,
+        eps_schedule=eps_schedule, spacing_divisor=spacing_divisor,
+        seed=seed, output_dir="out" if out_dir is None else out_dir)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -218,12 +207,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
-def make_potential(cfg: ExperimentConfig) -> PotentialModel:
-    return make_multiwell(cfg.wells, exponent=cfg.exponent,
-                          patch_radius=cfg.patch_radius,
-                          background=cfg.background)
-
-
 def grid_for(cfg: ExperimentConfig, eps: float) -> TensorGrid:
     """The production grid at one eps: spacing eps / spacing_divisor."""
     h = eps / cfg.spacing_divisor
@@ -234,5 +217,5 @@ def grid_for(cfg: ExperimentConfig, eps: float) -> TensorGrid:
 
 
 def problem_at(cfg: ExperimentConfig, eps: float) -> ProblemSpec:
-    return make_problem(eps=eps, p=cfg.p, potential=make_potential(cfg),
+    return make_problem(eps=eps, p=cfg.p, potential=cfg.potential,
                         grid=grid_for(cfg, eps))

@@ -41,6 +41,8 @@ arithmetic.
 
 eval_profile and eval_profile_deriv evaluate the table's cubic Hermite
 interpolant directly from the two nodes around each radius; nothing is cached.
+Past r_max they continue the tail the table ends on, U(r_max) t(r)/t(r_max)
+with t = r^(-nu) K_nu(decay_rate r), the one model of the tail.
 """
 
 from dataclasses import dataclass
@@ -74,9 +76,11 @@ TABLE_BLOCK = 1 << 16  # nodes per block of every full pass over a table
 class RadialProfile:
     """Tabulated ground-state profile on a uniform radial mesh.
 
-    values[i] = U(r_nodes[i]), dvalues[i] = U'(r_nodes[i]); decay_rate is the
-    exponential rate fitted over 0.3 r_max <= r <= 0.5 r_max (close to
-    sqrt(v_a)).  It holds no cache: every evaluation reads the table.
+    values[i] = U(r_nodes[i]), dvalues[i] = U'(r_nodes[i]); decay_rate is
+    kappa_t, the rate of the linear tail r^(-nu) K_nu(kappa_t r) that the
+    table ends on, matched in value and slope at the hand-off node (close
+    to sqrt(v_a)); evaluation past r_max continues that tail.  It holds no
+    cache: every evaluation reads the table.
     """
 
     v_a: float
@@ -494,7 +498,7 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
         # crossed zero or turned upward), or n_nodes if none stopped it.
         i_stop = i if u < floor or d > 0.0 else n_nodes
         try:
-            _attach_tail(r_nodes, values, dvalues, i_stop, v_a, dim)
+            kappa_t = _attach_tail(r_nodes, values, dvalues, i_stop, v_a, dim)
         except ConvergenceError:
             if pinned:
                 raise
@@ -521,8 +525,7 @@ def solve_ground_state(v_a: float, p: float, dim: int) -> RadialProfile:
             "tolerance too loose for this (v_a, p, dim)")
 
     return RadialProfile(v_a=v_a, p=p, dim=dim, r_nodes=r_nodes,
-                         values=values, dvalues=dvalues,
-                         decay_rate=_decay_rate(r_nodes, values, dim, r_max))
+                         values=values, dvalues=dvalues, decay_rate=kappa_t)
 
 
 def profile_ode_residual(r_nodes: np.ndarray, values: np.ndarray,
@@ -553,39 +556,23 @@ def ode_residual(profile: RadialProfile) -> float:
                                 profile.v_a, profile.p, profile.dim)
 
 
-def _decay_rate(r_nodes: np.ndarray, values: np.ndarray, dim: int,
-                r_max: float) -> float:
-    """Exponential decay rate fitted over 0.3 r_max <= r <= 0.5 r_max.
-
-    Least squares on log(U(r) r^((dim-1)/2)) against r; the magnitude of the
-    slope is the rate.  The window holds thousands of positive table nodes.
-    """
-    mask = (r_nodes >= 0.3 * r_max) & (r_nodes <= 0.5 * r_max)
-    r = r_nodes[mask]
-    u = values[mask]
-    beta = (dim - 1) / 2.0
-    y = np.log(u * r ** beta) if beta else np.log(u)
-    return float(abs(np.polyfit(r, y, 1)[0]))
-
-
 def eval_profile(profile: RadialProfile, r) -> np.ndarray:
     """Evaluate U at radii r >= 0 (scalar or array).
 
-    Cubic Hermite interpolation of the table inside [0, r_max]; beyond that,
-    the exponential tail C exp(-decay_rate r) r^(-(dim-1)/2) matched
-    continuously at r_max.
+    Cubic Hermite interpolation of the table inside [0, r_max]; beyond it,
+    the tail the table ends on, U(r_max) t(r)/t(r_max) with
+    t(r) = r^(-nu) K_nu(decay_rate r) (_linear_tail).
     """
-    return _evaluate(profile, r, 0, lambda ro: _tail_values(profile, ro))
+    return _evaluate(profile, r, 0)
 
 
 def eval_profile_deriv(profile: RadialProfile, r) -> np.ndarray:
-    """Evaluate U' at radii r >= 0 (scalar or array)."""
-    beta = (profile.dim - 1) / 2.0
-    return _evaluate(profile, r, 1, lambda ro: -(
-        profile.decay_rate + beta / ro) * _tail_values(profile, ro))
+    """Evaluate U' at radii r >= 0 (scalar or array): eval_profile's
+    interpolant and tail, differentiated."""
+    return _evaluate(profile, r, 1)
 
 
-def _evaluate(profile: RadialProfile, r, which: int, tail) -> np.ndarray:
+def _evaluate(profile: RadialProfile, r, which: int) -> np.ndarray:
     """Interpolant `which` (0: U, 1: U') inside [0, r_max], tail beyond."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
@@ -595,7 +582,11 @@ def _evaluate(profile: RadialProfile, r, which: int, tail) -> np.ndarray:
     if np.any(inside):
         out[inside] = _hermite(profile, r_arr[inside], which)
     if not np.all(inside):
-        out[~inside] = tail(r_arr[~inside])
+        shape, logderiv = _linear_tail(
+            profile.dim, profile.decay_rate,
+            np.append(r_arr[~inside], profile.r_max))
+        tail = profile.values[-1] / shape[-1] * shape[:-1]
+        out[~inside] = tail if which == 0 else tail * logderiv[:-1]
     return out if out.shape else out[()]
 
 
@@ -616,14 +607,6 @@ def _hermite(profile: RadialProfile, r: np.ndarray, which: int) -> np.ndarray:
     if which == 0:
         return ((c3 * s + c2) * s + d0) * s + u[i]
     return (3.0 * c3 * s + 2.0 * c2) * s + d0
-
-
-def _tail_values(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
-    beta = (profile.dim - 1) / 2.0
-    r_m = profile.r_max
-    u_m = profile.values[-1]
-    scale = (r / r_m) ** (-beta) if beta else 1.0
-    return u_m * np.exp(-profile.decay_rate * (r - r_m)) * scale
 
 
 def radial_integral(profile: RadialProfile, transform=None) -> float:

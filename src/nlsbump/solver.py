@@ -100,19 +100,12 @@ def bump_field(spec: ProblemSpec, profile: RadialProfile,
     return eval_profile(profile, r).reshape(spec.grid.counts)
 
 
-def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
-                 amp_scale: float = 1.0,
-                 shifts: Optional[np.ndarray] = None) -> ScalarField:
-    """Sum of rescaled radial bumps, sampled on the grid.
-
-    Each bump's profile must have been solved at the potential value of its
-    own center (and at the problem's exponent), otherwise the pieces do not
-    describe the same equation.  A perturbed start scales every amplitude
-    by amp_scale and samples bump k at center + shifts[k]; the checks see
-    the unperturbed bumps, since a shifted center is off the well floor.
-    """
+def bump_centers(spec: ProblemSpec, ansatz: AnsatzSpec) -> np.ndarray:
+    """The bumps' centers, shape (k, dim), each checked to lie in the grid
+    box with a profile solved for the spec's equation there (v_a = V at
+    the center, p, dim); otherwise the pieces describe other equations."""
     grid = spec.grid
-    total = np.zeros(grid.counts)
+    centers = []
     for k, bump in enumerate(ansatz.bumps):
         center = np.atleast_1d(np.asarray(bump.center, dtype=float))
         if center.shape != (grid.dim,):
@@ -132,10 +125,25 @@ def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
         if prof.dim != grid.dim:
             raise ConsistencyError(
                 f"bump {k} profile is {prof.dim}-d on a {grid.dim}-d grid")
-        if shifts is not None:
-            center = center + shifts[k]
-        total += amp_scale * bump_field(spec, prof, center)
-    return make_field(grid, total)
+        centers.append(center)
+    return np.array(centers).reshape(-1, grid.dim)
+
+
+def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
+                 amp_scale: float = 1.0,
+                 centers: Optional[np.ndarray] = None) -> ScalarField:
+    """Sum of rescaled radial bumps, sampled on the grid.
+
+    A perturbed start scales every amplitude by amp_scale and samples bump
+    k at centers[k]; the checks (bump_centers) see the unperturbed bumps,
+    since a moved center is off the well floor.
+    """
+    checked = bump_centers(spec, ansatz)
+    total = np.zeros(spec.grid.counts)
+    for bump, center in zip(ansatz.bumps,
+                            checked if centers is None else centers):
+        total += amp_scale * bump_field(spec, bump.profile, center)
+    return make_field(spec.grid, total)
 
 
 def _interior(spec: ProblemSpec) -> Tuple[slice, ...]:

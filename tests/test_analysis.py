@@ -24,7 +24,8 @@ from nlsbump.grid import (box_integral, eps_inner, eps_norm, make_field,
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
 from nlsbump.solver import (AnsatzSpec, BumpSpec, SolveReport, build_ansatz,
-                            bump_field, interior_operator, newton_solve)
+                            bump_centers, bump_field, interior_operator,
+                            newton_solve)
 
 WELLS = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
          WellSpec(center=np.array([1.0, 0.0]), depth=1.21, coeff=1.0)]
@@ -557,14 +558,14 @@ def test_identical_initializations_reproduce_bitwise(well_case, get_profile,
 def test_probe_starts_are_the_named_pair(well_case, get_profile,
                                          monkeypatch):
     # amplitude: 0.9 and 1.1 times the ansatz; shift: every bump moved by
-    # +-0.3 eps along axis 0 before the reduced solve.  Newton is stubbed
-    # out: only the starts are under test.
+    # +-0.3 eps along axis 0 (here from the origin) before the reduced
+    # solve.  Newton is stubbed out: only the starts are under test.
     spec = well_case[0]
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
                                         np.zeros(2)),))
     ansatz_calls = count_calls(monkeypatch, nlsbump.analysis, "build_ansatz")
     reduced_calls = count_calls(monkeypatch, nlsbump.analysis,
-                                "_reduced_shifts")
+                                "_reduced_centers")
 
     def accept_start(spec, u0):
         return u0, SolveReport(converged=True, iterations=0,
@@ -657,12 +658,26 @@ def test_probe_rejects_a_profile_solved_at_another_depth(get_profile):
 
 def test_probe_rejects_a_center_of_the_wrong_dimension(well_case,
                                                        get_profile):
-    # A shifted run meets the bad center before build_ansatz does.
     spec = well_case[0]
     ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
                                         np.zeros(3)),))
     with pytest.raises(GeometryError, match="wrong dimension"):
         uniqueness_probe(spec, ansatz, "shift")
+
+
+@pytest.mark.parametrize("pair", ["amplitude", "shift"])
+def test_every_bump_is_checked_before_either_pair_starts(get_profile,
+                                                         monkeypatch, pair):
+    # The second of two bumps has a 3-D center on the 2-D grid: both pairs
+    # name it before any reduced solve or Newton run.
+    spec = double_well_problem(counts=(86, 66))
+    ansatz = AnsatzSpec(bumps=(
+        BumpSpec(get_profile(1.0, 4.0, 2), CENTERS[0]),
+        BumpSpec(get_profile(1.21, 4.0, 2), np.array([1.0, 0.0, 0.0]))))
+    reduced = count_calls(monkeypatch, nlsbump.analysis, "_reduced_centers")
+    with pytest.raises(GeometryError, match="bump 1 center has wrong dim"):
+        uniqueness_probe(spec, ansatz, pair)
+    assert reduced == []
 
 
 # --- the shift pair's reduced solve (centre equations before Newton) ---
@@ -688,7 +703,7 @@ def two_well_1d(get_profile, eps):
     cfg = parse_config(TWO_WELL_1D)
     ansatz = AnsatzSpec(bumps=tuple(
         BumpSpec(get_profile(w.depth, 4.0, 1), np.array(w.center))
-        for w in cfg.wells))
+        for w in cfg.potential.wells))
     return problem_at(cfg, eps), ansatz
 
 
@@ -748,5 +763,6 @@ def test_reduced_solve_leaving_its_patch_keeps_the_shifted_start(
     (run,) = err.value.runs
     assert run.reduced_outcome == "left its patch"
     assert run.reduced_iterations >= 1
-    shifted = build_ansatz(spec, ansatz, 1.0, np.full((2, 1), 0.3 * spec.eps))
+    shifted = build_ansatz(spec, ansatz, 1.0,
+                           bump_centers(spec, ansatz) + 0.3 * spec.eps)
     assert np.array_equal(starts[0], shifted.values)

@@ -567,7 +567,7 @@ def test_analyze_overlap_is_the_box_integral_of_the_sampled_bumps(
     cfg_path, out = two_wells_1d
     cfg = load_config(cfg_path)
     profiles = [get_profile(1.0, 4.0, 1), get_profile(1.21, 4.0, 1)]
-    centers = np.array([w.center for w in cfg.wells])
+    centers = np.array([w.center for w in cfg.potential.wells])
     for eps in cfg.eps_schedule:
         name = _solution_name(eps)
         record = _analyze_one(cfg, out, eps, name, profiles)
@@ -764,6 +764,40 @@ def test_os_errors_on_paths_are_config_errors(argv, path, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert path.format(d=tmp_path) in lines[0]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["solve", "--config", "{d}/exp.cfg"], "solve.csv"),
+    (["solve", "--config", "{d}/exp.cfg"], "solution_eps0.4.nlsb"),
+    (["groundstate", "--va", "1", "--p", "4", "--dim", "1", "--out",
+      "{d}/out"], "profile_va1_p4_dim1.csv"),
+], ids=["solve-csv", "solve-field", "groundstate-table"])
+def test_unwritable_output_files_are_config_errors(argv, name, tmp_path,
+                                                   get_profile, monkeypatch,
+                                                   capsys):
+    # A directory where a command writes its file: one error line naming
+    # the file and exit 2, not a traceback.
+    monkeypatch.setattr(nlsbump.cli, "solve_ground_state", get_profile)
+    write_config(tmp_path, SMOKE, **{"run.output_dir": str(tmp_path / "out")})
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: output file ")
+    assert str(tmp_path / "out" / name) in lines[0]
+
+
+def test_unreadable_solution_file_is_a_recorded_format_error(
+        tmp_path, get_profile, monkeypatch):
+    monkeypatch.setattr(nlsbump.cli, "solve_ground_state", get_profile)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, SMOKE, **{"run.output_dir": str(out)})
+    (out / "solution_eps0.4.nlsb").mkdir(parents=True)
+    assert main(["analyze", "--config", str(cfg_path)]) == 4
+    rows = read_rows(out / "coercivity.csv")
+    assert rows[0]["error"].startswith(
+        "cannot read solution file solution_eps0.4.nlsb: ")
+    assert rows[1]["error"] == "missing solution file solution_eps0.3.nlsb"
 
 
 def test_bad_jobs_values_are_config_errors(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlsbump.config import grid_for, make_potential, parse_config, problem_at
+from nlsbump.config import grid_for, parse_config, problem_at
 from nlsbump.cli import main
 from nlsbump.errors import ConfigError
 
@@ -28,16 +28,17 @@ def test_parse_reads_the_benchmark_config():
     cfg = parse_config(BENCH)
     assert cfg.dim == 2
     assert cfg.p == 4.0
-    assert cfg.exponent == 2.0
-    assert len(cfg.wells) == 2
-    assert np.array_equal(cfg.wells[0].center, [-1.0, 0.0])
-    assert cfg.wells[1].depth == 1.21
-    assert cfg.wells[1].coeff == 1.0
+    pot = cfg.potential
+    assert pot.exponent == 2.0 and pot.patch_radius == 0.4
+    assert len(pot.wells) == 2
+    assert np.array_equal(pot.wells[0].center, [-1.0, 0.0])
+    assert pot.wells[1].depth == 1.21
+    assert pot.wells[1].coeff == 1.0
     assert cfg.box_lo == (-4.25, -3.25)
     assert cfg.eps_schedule == (0.4, 0.3, 0.25, 0.2, 0.15)
     assert cfg.seed == 777
-    # defaults
-    assert cfg.background is None
+    # defaults; background is the highest patch-boundary value
+    assert pot.background == 1.21 + 0.4 ** 2
     assert cfg.spacing_divisor == 6.0
     assert cfg.output_dir == "out"
 
@@ -68,9 +69,8 @@ def test_problem_at_builds_the_production_spec():
     assert tuple(spec.grid.counts) == (171, 131)
     h = spec.grid.spacing
     assert np.allclose(h, 0.05)
-    pot = make_potential(cfg)
-    # background defaults to the highest patch-boundary value
-    assert pot.background == 1.21 + 0.4 ** 2
+    # the one model parse_config validated, not a rebuilt one
+    assert spec.potential is cfg.potential
 
 
 def test_grid_spacing_rule_tracks_eps():

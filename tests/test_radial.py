@@ -80,13 +80,13 @@ def test_dim2_center_value_pinned(get_profile):
 
 
 @pytest.mark.parametrize("v_a,p,dim,center,rate", [
-    (1.0, 4.0, 1, "0x1.6a09e667f3badp+0", "0x1.ffffde1c2cf6dp-1"),
-    (1.21, 4.0, 1, "0x1.8e3e170bf280ap+0", "0x1.19998b007f9bcp+0"),
-    (1.0, 4.0, 2, "0x1.1a64ca390a828p+1", "0x1.ff12df356ed70p-1"),
-    (1.21, 4.0, 2, "0x1.36a211a525189p+1", "0x1.1922b7e527fc6p+0")])
+    (1.0, 4.0, 1, "0x1.6a09e667f3badp+0", "0x1.ffe9bf6f014d7p-1"),
+    (1.21, 4.0, 1, "0x1.8e3e170bf280ap+0", "0x1.198dadbf647f2p+0"),
+    (1.0, 4.0, 2, "0x1.1a64ca390a828p+1", "0x1.00002e002ab92p+0"),
+    (1.21, 4.0, 2, "0x1.36a211a525189p+1", "0x1.1999792f2a07bp+0")])
 def test_benchmark_profiles_keep_their_bits(get_profile, v_a, p, dim,
                                             center, rate):
-    # u(0) and the fitted decay rate of the profiles the benchmark
+    # u(0) and the matched tail rate of the profiles the benchmark
     # tabulates and its sweeps build on, bit for bit: a change to the
     # shooting or the tail that moves them shows here.
     prof = get_profile(v_a, p, dim)
@@ -154,8 +154,13 @@ def test_residual_second_order_in_step():
 
 
 def test_decay_rate_windows(get_profile):
-    # Fitted over 0.3 r_max <= r <= 0.5 r_max; measured 0.9999990 at
-    # (1, 4, 1).
+    # decay_rate is kappa_t of the K_nu tail the table ends on; each
+    # dimension's window around sqrt(v_a).  In 2-D it is within 2.8e-6
+    # (measured).  In 1-D the hand-off slope carries the table's
+    # growing-mode error: measured 0.99983 at (1, 4, 1).
+    for v_a in (1.0, 1.21):
+        prof = get_profile(v_a, 4.0, 2)
+        assert abs(prof.decay_rate - math.sqrt(v_a)) <= 1e-5
     assert abs(get_profile(1.0, 4.0, 1).decay_rate - 1.0) < 1e-3
     assert abs(get_profile(1.0, 4.0, 3).decay_rate - 1.0) < 0.02
 
@@ -169,7 +174,7 @@ def test_eval_tail_beyond_table(get_profile):
     far = eval_profile(prof, np.array([r_m + 1.0, r_m + 3.0, r_m + 6.0]))
     assert np.all(far > 0.0)
     assert np.all(np.diff(far) < 0.0)
-    # tail slope consistent with the fitted rate
+    # tail slope consistent with the matched rate
     got = math.log(far[0] / far[1]) / 2.0
     assert abs(got - prof.decay_rate) < 1e-6
 
@@ -188,7 +193,7 @@ def test_eval_matches_the_hermite_spline_of_the_table(get_profile, v_a, p,
                                                       dim):
     # scipy's CubicHermiteSpline on the same nodes, values and slopes is the
     # reference: random radii, every node and r_max agree to roundoff, and
-    # beyond r_max both functions still return the exponential tail.
+    # beyond r_max both functions return the table's K_nu tail.
     prof = get_profile(v_a, p, dim)
     reference = CubicHermiteSpline(prof.r_nodes, prof.values, prof.dvalues)
     h = prof.r_nodes[1] - prof.r_nodes[0]
@@ -202,12 +207,42 @@ def test_eval_matches_the_hermite_spline_of_the_table(get_profile, v_a, p,
     assert np.max(np.abs(eval_profile(prof, prof.r_nodes)
                          - prof.values)) <= 1e-15 * u0
     beyond = prof.r_max + np.array([1e-9, 0.5, 3.0, 40.0])
-    beta = (dim - 1) / 2.0
-    tail = prof.values[-1] * np.exp(-prof.decay_rate * (beyond - prof.r_max))
-    tail *= (beyond / prof.r_max) ** (-beta)
+    shape, logderiv = _linear_tail(dim, prof.decay_rate,
+                                   np.append(beyond, prof.r_max))
+    tail = prof.values[-1] / shape[-1] * shape[:-1]
     np.testing.assert_array_equal(eval_profile(prof, beyond), tail)
     np.testing.assert_array_equal(eval_profile_deriv(prof, beyond),
-                                  -(prof.decay_rate + beta / beyond) * tail)
+                                  tail * logderiv[:-1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_eval_past_the_table_continues_its_tail(get_profile, dim):
+    # The table ends on C r^(-nu) K_nu(decay_rate r) (scipy's kv here);
+    # past r_max U and U' are that function and its slope, and they meet
+    # the last node's value and slope, all to roundoff.
+    prof = get_profile(1.0, 4.0, dim)
+    nu, kappa, r_m = (dim - 2) / 2.0, prof.decay_rate, prof.r_max
+
+    def tail(r):
+        return r ** (-nu) * kv(nu, kappa * r)
+
+    def slope(r):
+        return tail(r) * (-nu / r + kappa * kvp(nu, kappa * r)
+                          / kv(nu, kappa * r))
+
+    scale = prof.values[-1] / tail(r_m)
+    last = prof.r_nodes > r_m - 1.0  # deep in the attached tail
+    np.testing.assert_allclose(prof.values[last],
+                               scale * tail(prof.r_nodes[last]), rtol=1e-12)
+    beyond = r_m + np.array([1e-12, 1e-9, 0.5, 3.0, 10.0, 40.0])
+    np.testing.assert_allclose(eval_profile(prof, beyond),
+                               scale * tail(beyond), rtol=1e-12)
+    np.testing.assert_allclose(eval_profile_deriv(prof, beyond),
+                               scale * slope(beyond), rtol=1e-12)
+    edge = np.nextafter(r_m, np.inf)
+    assert abs(eval_profile(prof, edge) / prof.values[-1] - 1.0) <= 1e-13
+    assert abs(eval_profile_deriv(prof, edge) / prof.dvalues[-1]
+               - 1.0) <= 1e-13
 
 
 def tail_table(kappa, dim, n=2001, r_max=20.0):
