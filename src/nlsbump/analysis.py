@@ -5,10 +5,11 @@ The decomposition writes a field as a sum of amplitude-corrected rescaled
 radial bumps plus a remainder that is energy-orthogonal to every bump and
 to each bump's translation derivatives.  Bump centers and amplitude
 corrections are the unknowns of that orthogonality system, solved by
-Newton's method with its exact Jacobian (see decompose).  One sampler,
-sample_bump, evaluates each bump's U and U' once per projection step; the
-bumps and translation fields decompose converged on are the ones
-coercivity_estimate and the CLI's overlap integrals read.
+Newton's method with its exact Jacobian (see decompose).  The one sampler,
+solver.sample_bump, gives each bump's U and T from one profile evaluation
+per projection or reduced-solve step; the bumps and translation fields
+decompose converged on are the ones coercivity_estimate and the CLI's
+overlap integrals read.
 """
 
 import math
@@ -37,12 +38,11 @@ from .grid import (
     field_values_on,
     make_field,
     make_sphere_quadrature,
-    power_map,
 )
 from .potential import eval_potential, grad_potential
-from .radial import RadialProfile, eval_profile, eval_profile_deriv
+from .radial import RadialProfile
 from .solver import (
-    AnsatzSpec,
+    BumpSpec,
     build_ansatz,
     bump_centers,
     dirichlet_inverse,
@@ -50,6 +50,7 @@ from .solver import (
     jacobian_diagonal,
     newton_solve,
     residual,
+    sample_bump,
 )
 
 # Step cap of decompose and of the reduced solve; the reduced solve stops
@@ -164,45 +165,6 @@ def _newton_update(theta: np.ndarray, jac: np.ndarray, g: np.ndarray,
         raise GeometryError(
             "decomposition centers drifted out of their well patches")
     return theta
-
-
-def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
-                ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], Callable]:
-    """(U, T, hessian): U((x - center)/eps) on the grid, T[a] = d_a U, and
-    hessian(v, inner), the dim x dim pairings inner(spec, v, d_a d_b U)
-    (default: <v, d_a d_b U>_eps), all from one evaluation each of the
-    profile's U and U' tables (no h-error).
-
-    With r = |x - center|/eps, e the unit vector and q = U'/r, the Hessian
-    is ((U'' - q) e_a e_b + q delta_ab) / eps^2.  U'' is read off the
-    profile equation, U'' = v_a U - U^(p-1) - (dim-1) q, and at r = 0
-    q = U''(0) = (v_a U(0) - U(0)^(p-1)) / dim, so no table is differenced.
-    """
-    grid = spec.grid
-    rel = grid.points() - center
-    dist = np.linalg.norm(rel, axis=1)
-    r = dist / spec.eps
-    u = eval_profile(profile, r)
-    du = eval_profile_deriv(profile, r)
-    safe = np.where(dist > 0.0, dist, 1.0)
-    trans = tuple(np.where(dist > 0.0, du * rel[:, a] / (spec.eps * safe),
-                           0.0).reshape(grid.counts) for a in range(grid.dim))
-
-    def hessian(v: ScalarField, inner: Callable = eps_inner) -> np.ndarray:
-        source = profile.v_a * u - power_map(profile.p)(u)
-        q = np.where(dist > 0.0, du / np.where(dist > 0.0, r, 1.0),
-                     source / grid.dim)
-        curv = source - grid.dim * q  # U'' - q
-        unit = rel / safe[:, None]
-        out = np.empty((grid.dim, grid.dim))
-        for a in range(grid.dim):
-            for b in range(a, grid.dim):
-                hess = make_field(grid, curv * unit[:, a] * unit[:, b]
-                                  + q * (a == b))
-                out[a, b] = out[b, a] = inner(spec, v, hess)
-        return out / spec.eps ** 2
-
-    return u.reshape(grid.counts), trans, hessian
 
 
 def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
@@ -514,7 +476,7 @@ def _reduced_centers(spec: ProblemSpec, profiles: Sequence[RadialProfile],
     return start, (steps, "not converged")
 
 
-def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
+def uniqueness_probe(spec: ProblemSpec, bumps: Sequence[BumpSpec],
                      pair: str) -> UniquenessReport:
     """Solve twice from the named pair of perturbed ansatz starts (see
     _PROBE_AMP) and compare.  A shifted start moves on to the root of the
@@ -528,7 +490,7 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
     positive solutions.  The report's runs, or the .runs of any
     NlsbumpError a run raises, say what each run did.
     """
-    centers = bump_centers(spec, ansatz)
+    centers = bump_centers(spec, bumps)
     if pair == "amplitude":
         starts = [(1.0 - _PROBE_AMP, None), (1.0 + _PROBE_AMP, None)]
     elif pair == "shift":
@@ -543,8 +505,8 @@ def uniqueness_probe(spec: ProblemSpec, ansatz: AnsatzSpec,
             reduced = ()
             if start is not None:
                 start, reduced = _reduced_centers(
-                    spec, [b.profile for b in ansatz.bumps], start)
-            u0 = build_ansatz(spec, ansatz, amp_scale, start)
+                    spec, [b.profile for b in bumps], start)
+            u0 = build_ansatz(spec, bumps, amp_scale, start)
             try:
                 u, report = newton_solve(spec, u0)
             except (ConvergenceError, KrylovError) as exc:

@@ -8,7 +8,8 @@ groundstate   solve the radial profile for one (v_a, p, dim), write it as
               K_nu tail the table ends on and evaluation continues past
               r_max, near sqrt(v_a); the residual sup norm).
 solve         solve each eps from the ansatz, in schedule order; a failure
-              ends the sweep.  One field file per solved eps, solve.csv.
+              ends the sweep.  One field file per solved eps, solve.csv;
+              the field file of every eps it did not solve is removed.
 analyze       load the persisted fields, run the bump decomposition, the
               flux identity, overlap integrals, and the coercivity
               estimate per eps, fit decay rates across eps, and write
@@ -22,6 +23,9 @@ CSV schemas (fixed column order, header row always present)
 -----------------------------------------------------------
 solve.csv       eps, iterations, final_residual, positivity, converged,
                 error
+                where positivity is true when no interior node is below
+                -1e-10 / min V (negativity a converged residual cannot
+                resolve) and some node is above 1e-10 / min V.
 rates.csv       quantity, well, slope, expected, max_deviation, error
                 where quantity is one of: alpha (per well, log-log slope
                 vs eps), w_norm (global), drift_over_eps (per well,
@@ -62,7 +66,7 @@ that root ("converged"); a reduced solve that leaves a patch, is singular
 or takes 50 steps leaves the shifted start.  So the pair tests the basin
 of the reduced equation plus Newton from its two roots.  A pair passes
 when rel_diff <= 1e-8.  A probe run that collapses to u = 0 or is not
-positive is a solver-failure.
+positive (as solve.csv's positivity) is a solver-failure.
 
 Exit codes: 0 success; 2 configuration or usage (also: non-finite
 config numbers, an unreadable config, an output directory path that is a
@@ -112,7 +116,7 @@ from .fieldio import read_field, write_field
 from .grid import box_integral, same_grid
 from .radial import (TABLE_BLOCK, RadialProfile, ode_residual,
                      solve_ground_state)
-from .solver import AnsatzSpec, BumpSpec, build_ansatz, newton_solve
+from .solver import BumpSpec, build_ansatz, newton_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -211,15 +215,14 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _base_ansatz(cfg: ExperimentConfig) -> AnsatzSpec:
+def _base_ansatz(cfg: ExperimentConfig) -> Tuple[BumpSpec, ...]:
     """One unit-amplitude bump per well, profile solved at the well depth,
     once per distinct depth."""
     wells = cfg.potential.wells
     profiles = {depth: solve_ground_state(depth, cfg.p, cfg.dim)
                 for depth in dict.fromkeys(w.depth for w in wells)}
-    return AnsatzSpec(bumps=tuple(
-        BumpSpec(profile=profiles[w.depth], center=np.array(w.center))
-        for w in wells))
+    return tuple(BumpSpec(profile=profiles[w.depth],
+                          center=np.array(w.center)) for w in wells)
 
 
 def cmd_groundstate(args) -> int:
@@ -244,9 +247,9 @@ def cmd_groundstate(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
+def cmd_solve(args, ansatz: Optional[Tuple[BumpSpec, ...]] = None) -> int:
     """Newton from the ansatz at each eps; later rows after a failure read
-    "not attempted"."""
+    "not attempted", and no field file is left for an eps not solved."""
     cfg, out_dir, names = _load_experiment(args)
     ansatz = ansatz or _base_ansatz(cfg)
 
@@ -273,10 +276,15 @@ def cmd_solve(args, ansatz: Optional[AnsatzSpec] = None) -> int:
                  for e in cfg.eps_schedule[i + 1:]]
         break
 
+    n_ok = sum(1 for r in rows if r[4] == "true")
+    # The solved eps lead the schedule.  A field an earlier run left for
+    # any other eps would be analyzed against this run's profiles.
+    for eps in cfg.eps_schedule[n_ok:]:
+        with _writing(out_dir / names[eps]):
+            (out_dir / names[eps]).unlink(missing_ok=True)
     _write_csv(out_dir / "solve.csv",
                ["eps", "iterations", "final_residual", "positivity",
                 "converged", "error"], rows)
-    n_ok = sum(1 for r in rows if r[4] == "true")
     print(f"solve: {n_ok}/{len(cfg.eps_schedule)} eps converged, "
           f"results in {out_dir}")
     return EXIT_OK if n_ok == len(cfg.eps_schedule) else EXIT_ITERATION
@@ -365,13 +373,13 @@ def _rate_row(quantity: str, well: str, samples, expected: Optional[float],
     return _row(quantity, well, fit.slope, expected, fit.max_deviation, "")
 
 
-def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
+def cmd_analyze(args, ansatz: Optional[Tuple[BumpSpec, ...]] = None) -> int:
     cfg, out_dir, names = _load_experiment(args)
     # Without a single solution file every eps records its missing file,
     # so no profile is solved for them.
     if ansatz is None and any((out_dir / n).exists() for n in names.values()):
         ansatz = _base_ansatz(cfg)
-    profiles = [] if ansatz is None else [b.profile for b in ansatz.bumps]
+    profiles = [] if ansatz is None else [b.profile for b in ansatz]
 
     def run_one(eps: float):
         try:
@@ -441,7 +449,8 @@ def cmd_analyze(args, ansatz: Optional[AnsatzSpec] = None) -> int:
     return EXIT_OK if n_bad == 0 else EXIT_ITERATION
 
 
-def cmd_uniqueness(args, ansatz: Optional[AnsatzSpec] = None) -> int:
+def cmd_uniqueness(args,
+                   ansatz: Optional[Tuple[BumpSpec, ...]] = None) -> int:
     """Run the uniqueness probe on an amplitude pair and a shift pair per
     eps; the module docstring gives the pairs, rel_diff and the results."""
     cfg, out_dir, _ = _load_experiment(args)

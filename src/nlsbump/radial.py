@@ -39,10 +39,10 @@ works on at most TABLE_BLOCK nodes at a time: the transient memory is a few
 blocks instead of several table lengths, and every node gets the same
 arithmetic.
 
-eval_profile and eval_profile_deriv evaluate the table's cubic Hermite
-interpolant directly from the two nodes around each radius; nothing is cached.
-Past r_max they continue the tail the table ends on, U(r_max) t(r)/t(r_max)
-with t = r^(-nu) K_nu(decay_rate r), the one model of the tail.
+eval_profile returns U and U' from the table's cubic Hermite interpolant
+(the two nodes around each radius; nothing is cached) and, past r_max, from
+the tail the table ends on, U(r_max) t(r)/t(r_max) with t = r^(-nu)
+K_nu(decay_rate r), the one model of the tail.
 """
 
 from dataclasses import dataclass
@@ -556,42 +556,33 @@ def ode_residual(profile: RadialProfile) -> float:
                                 profile.v_a, profile.p, profile.dim)
 
 
-def eval_profile(profile: RadialProfile, r) -> np.ndarray:
-    """Evaluate U at radii r >= 0 (scalar or array).
+def eval_profile(profile: RadialProfile, r) -> Tuple[np.ndarray, np.ndarray]:
+    """(U, U') at radii r >= 0 (a scalar or an array; each of r's shape).
 
-    Cubic Hermite interpolation of the table inside [0, r_max]; beyond it,
-    the tail the table ends on, U(r_max) t(r)/t(r_max) with
-    t(r) = r^(-nu) K_nu(decay_rate r) (_linear_tail).
+    Inside [0, r_max] both come from one interval search and one set of
+    cubic Hermite coefficients of the table; beyond it, from one tail,
+    U(r_max) t(r)/t(r_max) with t(r) = r^(-nu) K_nu(decay_rate r)
+    (_linear_tail), and that times t'/t.
     """
-    return _evaluate(profile, r, 0)
-
-
-def eval_profile_deriv(profile: RadialProfile, r) -> np.ndarray:
-    """Evaluate U' at radii r >= 0 (scalar or array): eval_profile's
-    interpolant and tail, differentiated."""
-    return _evaluate(profile, r, 1)
-
-
-def _evaluate(profile: RadialProfile, r, which: int) -> np.ndarray:
-    """Interpolant `which` (0: U, 1: U') inside [0, r_max], tail beyond."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
         raise DomainError("radii must be nonnegative")
-    out = np.empty(r_arr.shape, dtype=float)
+    u, du = np.empty(r_arr.shape), np.empty(r_arr.shape)
     inside = r_arr <= profile.r_max
     if np.any(inside):
-        out[inside] = _hermite(profile, r_arr[inside], which)
+        u[inside], du[inside] = _hermite(profile, r_arr[inside])
     if not np.all(inside):
         shape, logderiv = _linear_tail(
             profile.dim, profile.decay_rate,
             np.append(r_arr[~inside], profile.r_max))
         tail = profile.values[-1] / shape[-1] * shape[:-1]
-        out[~inside] = tail if which == 0 else tail * logderiv[:-1]
-    return out if out.shape else out[()]
+        u[~inside], du[~inside] = tail, tail * logderiv[:-1]
+    return (u, du) if u.shape else (u[()], du[()])
 
 
-def _hermite(profile: RadialProfile, r: np.ndarray, which: int) -> np.ndarray:
-    """Cubic Hermite interpolant (0: U, 1: U') on each r's node interval."""
+def _hermite(profile: RadialProfile, r: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Cubic Hermite interpolant U and U' on each r's node interval."""
     x, u, du = profile.r_nodes, profile.values, profile.dvalues
     # Uniform mesh: r / h is within one node of the i with x_i <= r < x_i+1.
     last = len(x) - 2
@@ -604,9 +595,8 @@ def _hermite(profile: RadialProfile, r: np.ndarray, which: int) -> np.ndarray:
     slope = (u[i + 1] - u[i]) / dx
     t = (d0 + du[i + 1] - 2.0 * slope) / dx
     c3, c2 = t / dx, (slope - d0) / dx - t
-    if which == 0:
-        return ((c3 * s + c2) * s + d0) * s + u[i]
-    return (3.0 * c3 * s + 2.0 * c2) * s + d0
+    return (((c3 * s + c2) * s + d0) * s + u[i],
+            (3.0 * c3 * s + 2.0 * c2) * s + d0)
 
 
 def radial_integral(profile: RadialProfile, transform=None) -> float:

@@ -24,11 +24,15 @@ One stencil, interior_operator (-eps^2 lap_h + diag on the interior
 unknowns), applies F (residual), J (on jacobian_diagonal) and the
 coercivity estimate's Hessian and metric in analysis; dirichlet_inverse
 also preconditions that estimate's LOBPCG eigensolve.
+
+One sampler, sample_bump, puts a bump on the grid: U, its translation
+fields and their Hessian pairings from one eval_profile call.  The ansatz
+(build_ansatz, over a tuple of BumpSpec) and analysis sample through it.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .errors import (
 from .grid import (
     ProblemSpec,
     ScalarField,
+    eps_inner,
     make_field,
     neg_weighted_laplacian,
     power_map,
@@ -54,11 +59,6 @@ from .radial import RadialProfile, eval_profile
 class BumpSpec:
     profile: RadialProfile
     center: np.ndarray
-
-
-@dataclass(frozen=True)
-class AnsatzSpec:
-    bumps: Tuple[BumpSpec, ...]
 
 
 @dataclass
@@ -93,20 +93,51 @@ _REGULARIZATION_GROWTH = 10.0
 _MAX_REGULARIZATIONS = 10
 
 
-def bump_field(spec: ProblemSpec, profile: RadialProfile,
-               center: np.ndarray) -> np.ndarray:
-    """The rescaled bump U(|x - center|/eps) sampled on the grid (raw array)."""
-    r = np.linalg.norm(spec.grid.points() - center, axis=1) / spec.eps
-    return eval_profile(profile, r).reshape(spec.grid.counts)
+def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
+                ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], Callable]:
+    """(U, T, hessian): U((x - center)/eps) on the grid, T[a] = d_a U, and
+    hessian(v, inner), the dim x dim pairings inner(spec, v, d_a d_b U)
+    (default: <v, d_a d_b U>_eps), all from one evaluation of the
+    profile's U and U' (no h-error).
+
+    With r = |x - center|/eps, e the unit vector and q = U'/r, the Hessian
+    is ((U'' - q) e_a e_b + q delta_ab) / eps^2.  U'' is read off the
+    profile equation, U'' = v_a U - U^(p-1) - (dim-1) q, and at r = 0
+    q = U''(0) = (v_a U(0) - U(0)^(p-1)) / dim, so no table is differenced.
+    """
+    grid = spec.grid
+    rel = grid.points() - center
+    dist = np.linalg.norm(rel, axis=1)
+    r = dist / spec.eps
+    u, du = eval_profile(profile, r)
+    safe = np.where(dist > 0.0, dist, 1.0)
+    trans = tuple(np.where(dist > 0.0, du * rel[:, a] / (spec.eps * safe),
+                           0.0).reshape(grid.counts) for a in range(grid.dim))
+
+    def hessian(v: ScalarField, inner: Callable = eps_inner) -> np.ndarray:
+        source = profile.v_a * u - power_map(profile.p)(u)
+        q = np.where(dist > 0.0, du / np.where(dist > 0.0, r, 1.0),
+                     source / grid.dim)
+        curv = source - grid.dim * q  # U'' - q
+        unit = rel / safe[:, None]
+        out = np.empty((grid.dim, grid.dim))
+        for a in range(grid.dim):
+            for b in range(a, grid.dim):
+                hess = make_field(grid, curv * unit[:, a] * unit[:, b]
+                                  + q * (a == b))
+                out[a, b] = out[b, a] = inner(spec, v, hess)
+        return out / spec.eps ** 2
+
+    return u.reshape(grid.counts), trans, hessian
 
 
-def bump_centers(spec: ProblemSpec, ansatz: AnsatzSpec) -> np.ndarray:
+def bump_centers(spec: ProblemSpec, bumps: Sequence[BumpSpec]) -> np.ndarray:
     """The bumps' centers, shape (k, dim), each checked to lie in the grid
     box with a profile solved for the spec's equation there (v_a = V at
     the center, p, dim); otherwise the pieces describe other equations."""
     grid = spec.grid
     centers = []
-    for k, bump in enumerate(ansatz.bumps):
+    for k, bump in enumerate(bumps):
         center = np.atleast_1d(np.asarray(bump.center, dtype=float))
         if center.shape != (grid.dim,):
             raise GeometryError(f"bump {k} center has wrong dimension")
@@ -129,7 +160,7 @@ def bump_centers(spec: ProblemSpec, ansatz: AnsatzSpec) -> np.ndarray:
     return np.array(centers).reshape(-1, grid.dim)
 
 
-def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
+def build_ansatz(spec: ProblemSpec, bumps: Sequence[BumpSpec],
                  amp_scale: float = 1.0,
                  centers: Optional[np.ndarray] = None) -> ScalarField:
     """Sum of rescaled radial bumps, sampled on the grid.
@@ -138,11 +169,10 @@ def build_ansatz(spec: ProblemSpec, ansatz: AnsatzSpec,
     k at centers[k]; the checks (bump_centers) see the unperturbed bumps,
     since a moved center is off the well floor.
     """
-    checked = bump_centers(spec, ansatz)
+    checked = bump_centers(spec, bumps)
     total = np.zeros(spec.grid.counts)
-    for bump, center in zip(ansatz.bumps,
-                            checked if centers is None else centers):
-        total += amp_scale * bump_field(spec, bump.profile, center)
+    for bump, center in zip(bumps, checked if centers is None else centers):
+        total += amp_scale * sample_bump(spec, bump.profile, center)[0]
     return make_field(spec.grid, total)
 
 
@@ -229,8 +259,11 @@ def newton_solve(spec: ProblemSpec,
     """Solve F(u) = 0 from the initial iterate u0.
 
     Returns the solution field and a report.  The positivity flag refers to
-    interior nodes (the boundary ring is held at zero).  The trivial flag is
-    set when the result collapsed to sup |u| < 1e-8 sup |u0|.
+    interior nodes (the boundary ring is held at zero): none below -tau,
+    some above tau, tau = _TOL_RESIDUAL / min V.  At the most negative node
+    -lap_h u <= 0, so |F| >= |u| (V - |u|^(p-2)): a converged solve cannot
+    resolve negativity within tau.  The trivial flag is set when the result
+    collapsed to sup |u| < 1e-8 sup |u0|.
 
     The stopping test and final_residual use the sup norm of F; the line
     search accepts steps on the cell-weighted L2 norm (recorded in
@@ -250,6 +283,7 @@ def newton_solve(spec: ProblemSpec,
     u = np.zeros(grid.counts)
     u[inner] = u0.values[inner]
     sup_u0 = float(np.abs(u).max())
+    tau = _TOL_RESIDUAL / float(spec.potential_values()[inner].min())
 
     cell = grid.cell_volume
 
@@ -268,7 +302,7 @@ def newton_solve(spec: ProblemSpec,
     def make_report(converged: bool, iterations: int) -> SolveReport:
         sup_final = float(np.abs(u).max())
         trivial = sup_u0 == 0.0 or sup_final < _TRIVIAL_RATIO * sup_u0
-        positive = bool(u[inner].min() > 0.0)
+        positive = bool(u[inner].min() > -tau and u[inner].max() > tau)
         return SolveReport(converged=converged, iterations=iterations,
                            residual_history=list(history),
                            final_residual=sup_res,

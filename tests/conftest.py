@@ -44,7 +44,7 @@ def radial_pencil_spectrum(profile, v_a, p, ell, r_max=18.0, n=1800):
     r_cells = (np.arange(n) + 0.5) * h
     r_faces = np.arange(n + 1) * h
     w = r_cells ** (dim - 1) * h
-    uu = eval_profile(profile, r_cells)
+    uu = eval_profile(profile, r_cells)[0]
     face = r_faces ** (dim - 1) / h
     main = face[:-1] + face[1:]
     off = -face[1:-1]

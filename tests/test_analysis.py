@@ -15,7 +15,7 @@ import nlsbump.analysis
 import nlsbump.solver
 from nlsbump.analysis import (BumpDecomposition, _reduced_system,
                               coercivity_estimate, decompose, fit_rate,
-                              pohozaev_terms, sample_bump, uniqueness_probe)
+                              pohozaev_terms, uniqueness_probe)
 from nlsbump.config import parse_config, problem_at
 from nlsbump.errors import (ConsistencyError, ConvergenceError, DomainError,
                             GeometryError, SpectralError)
@@ -23,9 +23,9 @@ from nlsbump.grid import (box_integral, eps_inner, eps_norm, make_field,
                           make_grid, make_problem)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
-from nlsbump.solver import (AnsatzSpec, BumpSpec, SolveReport, build_ansatz,
-                            bump_centers, bump_field, interior_operator,
-                            newton_solve)
+from nlsbump.solver import (BumpSpec, SolveReport, build_ansatz,
+                            bump_centers, interior_operator, newton_solve,
+                            sample_bump)
 
 WELLS = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
          WellSpec(center=np.array([1.0, 0.0]), depth=1.21, coeff=1.0)]
@@ -56,8 +56,7 @@ def two_bump_case(get_profile):
     spec = double_well_problem()
     u1 = get_profile(1.0, 4.0, 2)
     u2 = get_profile(1.21, 4.0, 2)
-    ansatz = AnsatzSpec(bumps=(BumpSpec(u1, CENTERS[0]),
-                               BumpSpec(u2, CENTERS[1])))
+    ansatz = (BumpSpec(u1, CENTERS[0]), BumpSpec(u2, CENTERS[1]))
     u0 = build_ansatz(spec, ansatz)
     return spec, (u1, u2), ansatz, u0
 
@@ -66,7 +65,7 @@ def two_bump_case(get_profile):
 def well_case(get_profile):
     spec = single_well_problem()
     prof = get_profile(1.0, 4.0, 2)
-    u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
     u, rep = newton_solve(spec, u0)
     assert rep.converged
     dec = decompose(spec, u, np.zeros((1, 2)), profiles=(prof,))
@@ -77,7 +76,7 @@ def well_case(get_profile):
 def fine_well_case(get_profile):
     spec = single_well_problem(n=321)
     prof = get_profile(1.0, 4.0, 2)
-    u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
     u, rep = newton_solve(spec, u0)
     assert rep.converged
     return spec, u
@@ -89,8 +88,7 @@ def const_solutions(get_profile):
     out = {}
     for n in (161, 321):
         spec = const_problem(n)
-        u0 = build_ansatz(spec,
-                          AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+        u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
         u, rep = newton_solve(spec, u0)
         assert rep.converged
         out[n] = (spec, u)
@@ -127,7 +125,8 @@ def test_decompose_recovers_shifted_centers(two_bump_case):
     spec, (u1, u2), _, _ = two_bump_case
     shift = np.array([0.3 * spec.eps, 0.0])
     truth = np.array([CENTERS[0] + shift, CENTERS[1] - shift])
-    vals = (bump_field(spec, u1, truth[0]) + bump_field(spec, u2, truth[1]))
+    vals = (sample_bump(spec, u1, truth[0])[0]
+            + sample_bump(spec, u2, truth[1])[0])
     u = make_field(spec.grid, vals)
     dec = decompose(spec, u, CENTERS, profiles=(u1, u2))
     # measured: recovered to 1.5e-17 * eps; the contract asks 1e-3 * eps
@@ -186,8 +185,7 @@ def test_decompose_counts_projection_steps_on_benchmark_grid(
     # fields and its Hessian pairings.
     spec = double_well_problem(eps=eps, counts=counts)
     profs = (get_profile(1.0, 4.0, 2), get_profile(1.21, 4.0, 2))
-    ansatz = AnsatzSpec(bumps=tuple(BumpSpec(prof, c)
-                                    for prof, c in zip(profs, CENTERS)))
+    ansatz = tuple(BumpSpec(prof, c) for prof, c in zip(profs, CENTERS))
     u, rep = newton_solve(spec, build_ansatz(spec, ansatz))
     assert rep.converged
     samples = count_calls(monkeypatch, nlsbump.analysis, "sample_bump")
@@ -229,8 +227,9 @@ def test_decomposition_keeps_the_basis_it_converged_on(two_bump_case):
     # Off the ansatz, so the returned basis comes from a moved center.
     spec, profs, _, _ = two_bump_case
     shift = np.array([0.2 * spec.eps, 0.1 * spec.eps])
-    u = make_field(spec.grid, bump_field(spec, profs[0], CENTERS[0] + shift)
-                   + bump_field(spec, profs[1], CENTERS[1] - shift))
+    u = make_field(spec.grid,
+                   sample_bump(spec, profs[0], CENTERS[0] + shift)[0]
+                   + sample_bump(spec, profs[1], CENTERS[1] - shift)[0])
     dec = decompose(spec, u, CENTERS, profiles=profs)
     assert dec.iterations > 0
     for j, prof in enumerate(profs):
@@ -264,7 +263,7 @@ def test_decompose_rejects_bad_geometry(two_bump_case, well_case,
     wspec = well_case[0]
     prof = get_profile(1.0, 4.0, 2)
     stray = make_field(wspec.grid,
-                       bump_field(wspec, prof, np.array([0.45, 0.0])))
+                       sample_bump(wspec, prof, np.array([0.45, 0.0]))[0])
     with pytest.raises(GeometryError, match="drifted"):
         decompose(wspec, stray, np.zeros((1, 2)), profiles=(prof,))
 
@@ -380,7 +379,7 @@ def test_overlap_at_one_center_matches_radial_oracle(get_profile):
     u2 = get_profile(1.21, 4.0, 2)
     val = sampled_overlap(spec, u1, [0.0, 0.0], u2, [0.0, 0.0])
     oracle = spec.eps ** 2 * radial_integral(
-        u1, lambda v: v * eval_profile(u2, u1.r_nodes))
+        u1, lambda v: v * eval_profile(u2, u1.r_nodes)[0])
     # measured: 1.5e-8 relative
     assert abs(val - oracle) <= 1e-6 * oracle
 
@@ -424,7 +423,7 @@ def test_hessian_spectrum_matches_the_radial_pencil(get_profile,
                                                     pencil_oracle):
     spec = const_problem(101)
     prof = get_profile(1.0, 4.0, 2)
-    u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
     u, rep = newton_solve(spec, u0)
     assert rep.converged
     dec = decompose(spec, u, np.zeros((1, 2)), profiles=(prof,))
@@ -548,8 +547,7 @@ def test_identical_initializations_reproduce_bitwise(well_case, get_profile,
     # With no amplitude perturbation both runs start from the ansatz.
     monkeypatch.setattr(nlsbump.analysis, "_PROBE_AMP", 0.0)
     spec = well_case[0]
-    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
-                                        np.zeros(2)),))
+    ansatz = (BumpSpec(get_profile(1.0, 4.0, 2), np.zeros(2)),)
     rep = uniqueness_probe(spec, ansatz, "amplitude")
     assert rep.sup_diff == 0.0
     assert rep.xi_field is None
@@ -561,8 +559,7 @@ def test_probe_starts_are_the_named_pair(well_case, get_profile,
     # +-0.3 eps along axis 0 (here from the origin) before the reduced
     # solve.  Newton is stubbed out: only the starts are under test.
     spec = well_case[0]
-    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
-                                        np.zeros(2)),))
+    ansatz = (BumpSpec(get_profile(1.0, 4.0, 2), np.zeros(2)),)
     ansatz_calls = count_calls(monkeypatch, nlsbump.analysis, "build_ansatz")
     reduced_calls = count_calls(monkeypatch, nlsbump.analysis,
                                 "_reduced_centers")
@@ -586,8 +583,7 @@ def test_probe_starts_are_the_named_pair(well_case, get_profile,
 
 def test_probe_rejects_an_unknown_pair(well_case, get_profile):
     spec = well_case[0]
-    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
-                                        np.zeros(2)),))
+    ansatz = (BumpSpec(get_profile(1.0, 4.0, 2), np.zeros(2)),)
     with pytest.raises(DomainError, match="unknown probe pair 'scale'"):
         uniqueness_probe(spec, ansatz, "scale")
 
@@ -595,7 +591,7 @@ def test_probe_rejects_an_unknown_pair(well_case, get_profile):
 def test_amplitude_perturbations_reach_one_solution(get_profile):
     spec = single_well_problem(n=101)
     prof = get_profile(1.0, 4.0, 2)
-    ansatz = AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),))
+    ansatz = (BumpSpec(prof, np.zeros(2)),)
     u, _ = newton_solve(spec, build_ansatz(spec, ansatz))
     rep = uniqueness_probe(spec, ansatz, "amplitude")
     # measured: 9.8e-13 relative
@@ -604,16 +600,16 @@ def test_amplitude_perturbations_reach_one_solution(get_profile):
 
 def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
     spec = double_well_problem(counts=(205, 157))
-    ansatz = AnsatzSpec(bumps=(
+    ansatz = (
         BumpSpec(get_profile(1.0, 4.0, 2), CENTERS[0]),
-        BumpSpec(get_profile(1.21, 4.0, 2), CENTERS[1])))
+        BumpSpec(get_profile(1.21, 4.0, 2), CENTERS[1]))
     u, _ = newton_solve(spec, build_ansatz(spec, ansatz))
-    samples = count_calls(monkeypatch, nlsbump.solver, "bump_field")
+    samples = count_calls(monkeypatch, nlsbump.solver, "sample_bump")
     rep = uniqueness_probe(spec, ansatz, "shift")
     # measured: 9.1e-14 relative
     assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
     # each run samples every bump once, at the root of its reduced solve
-    assert len(samples) == 2 * len(ansatz.bumps)
+    assert len(samples) == 2 * len(ansatz)
 
 
 def test_probe_normalizes_the_difference_field(get_profile, monkeypatch):
@@ -621,8 +617,7 @@ def test_probe_normalizes_the_difference_field(get_profile, monkeypatch):
     # must produce the normalized difference field
     monkeypatch.setattr(nlsbump.solver, "_TOL_RESIDUAL", 1e-4)
     spec = single_well_problem(n=101)
-    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
-                                        np.zeros(2)),))
+    ansatz = (BumpSpec(get_profile(1.0, 4.0, 2), np.zeros(2)),)
     rep = uniqueness_probe(spec, ansatz, "amplitude")
     assert rep.sup_diff > 0.0
     assert np.abs(rep.xi_field.values).max() == 1.0
@@ -640,8 +635,7 @@ def test_probe_rel_diff_is_relative_to_the_first_solution(get_profile,
     monkeypatch.setattr(nlsbump.analysis, "newton_solve", recording_solve)
     monkeypatch.setattr(nlsbump.solver, "_TOL_RESIDUAL", 1e-4)
     spec = single_well_problem(n=101)
-    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
-                                        np.zeros(2)),))
+    ansatz = (BumpSpec(get_profile(1.0, 4.0, 2), np.zeros(2)),)
     rep = uniqueness_probe(spec, ansatz, "amplitude")
     assert len(solutions) == 2
     assert rep.sup_diff > 0.0
@@ -650,8 +644,7 @@ def test_probe_rel_diff_is_relative_to_the_first_solution(get_profile,
 
 def test_probe_rejects_a_profile_solved_at_another_depth(get_profile):
     spec = single_well_problem(n=101)
-    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.21, 4.0, 2),
-                                        np.zeros(2)),))
+    ansatz = (BumpSpec(get_profile(1.21, 4.0, 2), np.zeros(2)),)
     with pytest.raises(ConsistencyError, match="v_a=1.21"):
         uniqueness_probe(spec, ansatz, "amplitude")
 
@@ -659,8 +652,7 @@ def test_probe_rejects_a_profile_solved_at_another_depth(get_profile):
 def test_probe_rejects_a_center_of_the_wrong_dimension(well_case,
                                                        get_profile):
     spec = well_case[0]
-    ansatz = AnsatzSpec(bumps=(BumpSpec(get_profile(1.0, 4.0, 2),
-                                        np.zeros(3)),))
+    ansatz = (BumpSpec(get_profile(1.0, 4.0, 2), np.zeros(3)),)
     with pytest.raises(GeometryError, match="wrong dimension"):
         uniqueness_probe(spec, ansatz, "shift")
 
@@ -671,9 +663,9 @@ def test_every_bump_is_checked_before_either_pair_starts(get_profile,
     # The second of two bumps has a 3-D center on the 2-D grid: both pairs
     # name it before any reduced solve or Newton run.
     spec = double_well_problem(counts=(86, 66))
-    ansatz = AnsatzSpec(bumps=(
+    ansatz = (
         BumpSpec(get_profile(1.0, 4.0, 2), CENTERS[0]),
-        BumpSpec(get_profile(1.21, 4.0, 2), np.array([1.0, 0.0, 0.0]))))
+        BumpSpec(get_profile(1.21, 4.0, 2), np.array([1.0, 0.0, 0.0])))
     reduced = count_calls(monkeypatch, nlsbump.analysis, "_reduced_centers")
     with pytest.raises(GeometryError, match="bump 1 center has wrong dim"):
         uniqueness_probe(spec, ansatz, pair)
@@ -701,9 +693,9 @@ schedule.eps = 0.4 0.1
 
 def two_well_1d(get_profile, eps):
     cfg = parse_config(TWO_WELL_1D)
-    ansatz = AnsatzSpec(bumps=tuple(
+    ansatz = tuple(
         BumpSpec(get_profile(w.depth, 4.0, 1), np.array(w.center))
-        for w in cfg.potential.wells))
+        for w in cfg.potential.wells)
     return problem_at(cfg, eps), ansatz
 
 
@@ -715,7 +707,7 @@ def test_reduced_jacobian_matches_differenced_centre_equations(get_profile,
     # and 1.1e-8 (2-D, 86 x 66 nodes) relative.
     if dim == 1:
         spec, ansatz = two_well_1d(get_profile, 0.1)
-        profs = [b.profile for b in ansatz.bumps]
+        profs = [b.profile for b in ansatz]
     else:
         spec = double_well_problem(counts=(86, 66))
         profs = [get_profile(1.0, 4.0, 2), get_profile(1.21, 4.0, 2)]

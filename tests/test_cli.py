@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -15,14 +16,14 @@ import pytest
 import nlsbump.analysis
 import nlsbump.cli
 import nlsbump.solver
-from nlsbump.analysis import decompose, sample_bump, uniqueness_probe
+from nlsbump.analysis import decompose, uniqueness_probe
 from nlsbump.cli import (_analyze_one, _base_ansatz, _build_parser, _cell,
                          _row, _solution_name, _write_csv, main)
 from nlsbump.config import load_config, parse_config, problem_at
 from nlsbump.fieldio import read_field
 from nlsbump.grid import box_integral, make_field
 from nlsbump.radial import TABLE_BLOCK, RadialProfile
-from nlsbump.solver import build_ansatz, newton_solve, residual
+from nlsbump.solver import build_ansatz, newton_solve, residual, sample_bump
 
 SMOKE = """
 problem.dim = 2
@@ -279,6 +280,24 @@ def test_scipy_is_imported_only_inside_functions():
                 assert id(node) in in_functions, (source.name, node.lineno)
 
 
+def test_only_the_solver_evaluates_a_profile():
+    # One sampler: every bump on the grid comes from solver.sample_bump,
+    # so no other module of the package takes eval_profile.
+    package = Path(nlsbump.cli.__file__).parent
+    takers = set()
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if "eval_profile" in names:
+                takers.add(source.stem)
+    assert takers == {"solver"}
+
+
 def test_groundstate_and_fieldless_analyze_load_no_scipy(tmp_path):
     # Import, help, a config error, a profile in each dimension and an
     # analyze that finds no solution file need numpy alone.
@@ -384,6 +403,22 @@ def test_solve_failure_ends_the_sweep(tmp_path, monkeypatch):
     assert not list(out.glob("*.nlsb"))
 
 
+def test_solve_removes_the_fields_of_eps_it_did_not_solve(
+        pipeline, tmp_path, monkeypatch):
+    # Fields an earlier run left in the output directory would otherwise
+    # be analyzed against this run's profiles as if this run solved them.
+    cfg_path, out, _ = pipeline
+    for field in out.glob("solution_*.nlsb"):
+        (tmp_path / field.name).write_bytes(field.read_bytes())
+    monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 1)
+    argv = ["--config", str(cfg_path), "--out", str(tmp_path)]
+    assert main(["solve", *argv]) == 4
+    assert not list(tmp_path.glob("*.nlsb"))
+    assert main(["analyze", *argv]) == 4
+    assert [r["error"] for r in read_rows(tmp_path / "coercivity.csv")] == [
+        f"missing solution file solution_eps{e}.nlsb" for e in ("0.4", "0.3")]
+
+
 def test_minres_breakdown_is_a_recorded_solve_failure(tmp_path, monkeypatch):
     # A KrylovError once left cmd_solve before solve.csv was written.
     out = tmp_path / "out"
@@ -477,7 +512,7 @@ def counting_profiles(monkeypatch, solve):
 def test_base_ansatz_solves_each_depth_once(deep, solves, monkeypatch):
     calls = counting_profiles(monkeypatch, lambda *args: object())
     cfg = parse_config(TWO_WELLS.replace("depth = 1.21", f"depth = {deep}"))
-    first, second = _base_ansatz(cfg).bumps
+    first, second = _base_ansatz(cfg)
     assert len(calls) == solves
     assert calls[0] == (1.0, 4.0, 2) and calls[-1] == (float(deep), 4.0, 2)
     assert (first.profile is second.profile) == (solves == 1)
@@ -526,22 +561,22 @@ def two_wells_1d(tmp_path_factory):
 
 def test_analyze_samples_each_bump_once_per_decomposition_step(
         two_wells_1d, tmp_path, monkeypatch, get_profile):
-    # decompose evaluates U and U' once per bump per projection step (plus
-    # the final check), and coercivity and the overlaps read that basis:
-    # neither evaluates a profile again.
+    # decompose evaluates U and U' together once per bump per projection
+    # step (plus the final check), and coercivity and the overlaps read
+    # that basis: neither evaluates a profile again.
     cfg_path, out = two_wells_1d
     for field in out.glob("solution_*.nlsb"):
         (tmp_path / field.name).write_bytes(field.read_bytes())
     counting_profiles(monkeypatch, get_profile)
     where = ["outside"]
     evaluations = []
-    for module, name in ((nlsbump.analysis, "eval_profile"),
-                         (nlsbump.analysis, "eval_profile_deriv"),
-                         (nlsbump.solver, "eval_profile")):
-        def counted(*args, _inner=getattr(module, name), _name=name):
-            evaluations.append((where[0], _name))
-            return _inner(*args)
-        monkeypatch.setattr(module, name, counted)
+    inner = nlsbump.solver.eval_profile
+
+    def counted(*args):
+        evaluations.append(where[0])
+        return inner(*args)
+
+    monkeypatch.setattr(nlsbump.solver, "eval_profile", counted)
     steps = []
 
     def tracked_decompose(*args, **kwargs):
@@ -555,11 +590,7 @@ def test_analyze_samples_each_bump_once_per_decomposition_step(
     assert main(["analyze", "--config", str(cfg_path), "--out",
                  str(tmp_path)]) == 0
     assert len(steps) == 2
-    per_profile = 2 * sum(steps)  # two bumps
-    assert evaluations.count(("decompose", "eval_profile")) == per_profile
-    assert (evaluations.count(("decompose", "eval_profile_deriv"))
-            == per_profile)
-    assert len(evaluations) == 2 * per_profile
+    assert evaluations == ["decompose"] * (2 * sum(steps))  # two bumps
 
 
 def test_analyze_overlap_is_the_box_integral_of_the_sampled_bumps(
@@ -610,6 +641,28 @@ def test_uniqueness_rows_all_pass(pipeline):
     assert {r["pair"] for r in rows} == {"amplitude", "shift"}
     assert all(r["result"] == "pass" for r in rows)
     assert all(float(r["rel_diff"]) <= 1e-8 for r in rows)
+
+
+def test_benchmark_1d_geometry_reads_positive_at_small_eps(
+        tmp_path, monkeypatch, get_profile):
+    # The 1-D two-well benchmark geometry (spacing eps/6) at eps 0.05 and
+    # 0.035: Newton converges, and the far field holds roundoff of either
+    # sign, far within tau = 1e-10 / min V of zero.  The solutions read
+    # positive and both probe pairs pass.
+    counting_profiles(monkeypatch, get_profile)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, TWO_WELLS_1D, **{
+        "grid.spacing_divisor": "6", "schedule.eps": "0.05 0.035",
+        "run.output_dir": str(out)})
+    assert main(["solve", "--config", str(cfg_path)]) == 0
+    rows = read_rows(out / "solve.csv")
+    assert [r["positivity"] for r in rows] == ["true", "true"]
+    for eps in ("0.05", "0.035"):
+        field = read_field(out / f"solution_eps{eps}.nlsb")[0]
+        assert -1e-18 < field.values[1:-1].min() < 0.0
+    assert main(["uniqueness", "--config", str(cfg_path)]) == 0
+    rows = read_rows(out / "uniqueness.csv")
+    assert [r["result"] for r in rows] == ["pass"] * 4
 
 
 def test_uniqueness_solves_four_times_per_eps(pipeline, tmp_path,
@@ -911,14 +964,40 @@ def test_benchmark_command_lines_and_configs_parse(monkeypatch):
 def test_benchmark_tracing_finds_its_call_sites(monkeypatch):
     # The benchmark's spans wrap functions under the names the program's
     # modules import them by; a span whose target is gone reads zero.
-    # These five went with earlier program changes and leave the target
+    # These seven went with earlier program changes and leave the target
     # list at the benchmark's next refresh; any other miss is a broken span.
+    # The profile evaluations all reach nlsbump.solver.eval_profile now.
     tracing = bench_module(monkeypatch, "tracing")
     missing = {f"{module}.{attr}" for module, attr, _, _ in tracing.TARGETS
                if not hasattr(importlib.import_module(module), attr)}
     assert missing == {"nlsbump.analysis.bump_field",
+                       "nlsbump.analysis.eval_profile",
+                       "nlsbump.analysis.eval_profile_deriv",
                        "nlsbump.analysis.eigsh",
                        "nlsbump.analysis.solve_ground_state",
                        "nlsbump.cli.continuation_solve",
                        "nlsbump.cli.overlap_integral"}
     assert hasattr(nlsbump.solver, "minres")  # wrapped outside TARGETS
+
+
+def bench_runner(monkeypatch):
+    """perfbench/run.py, with the sibling modules it imports by name."""
+    for name in ("workloads", "check", "tracing"):
+        monkeypatch.setitem(sys.modules, name, bench_module(monkeypatch, name))
+    return bench_module(monkeypatch, "run")
+
+
+def test_1d_outputs_pass_the_benchmark_check(tmp_path, monkeypatch):
+    # profiles-1d's 1-D groundstate and its sweep, one process per command
+    # as the benchmark runs them, against the stored reference through the
+    # benchmark's own check (digits to 1e-7, contracts for residuals).
+    run = bench_runner(monkeypatch)
+    workload = run.WORKLOADS["profiles-1d"]
+    cheap = dataclasses.replace(workload, commands=tuple(
+        c for c in workload.commands
+        if c.kind != "groundstate" or c.label == "groundstate-va1-p4-dim1"))
+    work = tmp_path / "work"
+    result = run.run_pass(run.Runner(), cheap, run.DEFAULT_SEED, work)
+    assert [r["label"] for r in result["commands"]] == [
+        "groundstate-va1-p4-dim1", "solve", "analyze", "uniqueness"]
+    assert run.check_pass(cheap, work, result) == []

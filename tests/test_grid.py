@@ -200,7 +200,7 @@ def test_eps_norm_of_sampled_bump_matches_radial_identity(get_profile):
     g = make_grid([-2.5, -2.5], [2.5, 2.5], [251, 251])
     spec = make_problem(eps, 4.0, constant_potential(1.0, 2), g)
     r = np.linalg.norm(g.points(), axis=1) / eps
-    u = make_field(g, eval_profile(prof, r))
+    u = make_field(g, eval_profile(prof, r)[0])
     lhs = eps_norm(spec, u) ** 2
     rhs = eps ** 2 * radial_integral(prof, lambda t: t ** 4)
     assert lhs == pytest.approx(rhs, rel=1.5e-3)

@@ -28,9 +28,9 @@ from nlsbump.errors import BracketError, ConvergenceError, DomainError
 from nlsbump.grid import power_map, power_source
 from nlsbump.radial import (_CLASSIFY_RATIO, _OVERSHOOT, _TAIL_RATIO,
                             TABLE_BLOCK, _classify, _linear_tail, _march,
-                            _series_start, eval_profile, eval_profile_deriv,
-                            ode_residual, profile_ode_residual,
-                            radial_integral, solve_ground_state)
+                            _series_start, eval_profile, ode_residual,
+                            profile_ode_residual, radial_integral,
+                            solve_ground_state)
 
 
 def soliton_1d(r, p, v_a=1.0):
@@ -106,8 +106,8 @@ def test_scaling_covariance_dim1(get_profile):
     base = get_profile(1.0, 4.0, 1)
     scaled = get_profile(4.0, 4.0, 1)
     r = np.linspace(0.0, 6.0, 301)
-    lhs = eval_profile(scaled, r)
-    rhs = 2.0 * eval_profile(base, 2.0 * r)
+    lhs = eval_profile(scaled, r)[0]
+    rhs = 2.0 * eval_profile(base, 2.0 * r)[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
@@ -118,8 +118,8 @@ def test_scaling_covariance_property(lam, v_a):
     base = solve_ground_state(v_a, p, 1)
     scaled = solve_ground_state(lam * lam * v_a, p, 1)
     r = np.linspace(0.0, 4.0, 41)
-    lhs = eval_profile(scaled, r)
-    rhs = lam ** (2.0 / (p - 2.0)) * eval_profile(base, lam * r)
+    lhs = eval_profile(scaled, r)[0]
+    rhs = lam ** (2.0 / (p - 2.0)) * eval_profile(base, lam * r)[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-5 * scaled.values[0]
 
 
@@ -168,10 +168,10 @@ def test_decay_rate_windows(get_profile):
 def test_eval_tail_beyond_table(get_profile):
     prof = get_profile(1.0, 4.0, 1)
     r_m = prof.r_max
-    inner = eval_profile(prof, r_m - 1e-9)
-    outer = eval_profile(prof, r_m + 1e-9)
+    inner = eval_profile(prof, r_m - 1e-9)[0]
+    outer = eval_profile(prof, r_m + 1e-9)[0]
     assert abs(inner - outer) < 1e-12 + 1e-9 * prof.values[0]
-    far = eval_profile(prof, np.array([r_m + 1.0, r_m + 3.0, r_m + 6.0]))
+    far = eval_profile(prof, np.array([r_m + 1.0, r_m + 3.0, r_m + 6.0]))[0]
     assert np.all(far > 0.0)
     assert np.all(np.diff(far) < 0.0)
     # tail slope consistent with the matched rate
@@ -183,8 +183,9 @@ def test_eval_profile_deriv_consistent(get_profile):
     prof = get_profile(1.0, 4.0, 2)
     r = np.linspace(0.1, 12.0, 400)
     h = 1e-5
-    fd = (eval_profile(prof, r + h) - eval_profile(prof, r - h)) / (2 * h)
-    an = eval_profile_deriv(prof, r)
+    fd = (eval_profile(prof, r + h)[0]
+          - eval_profile(prof, r - h)[0]) / (2 * h)
+    an = eval_profile(prof, r)[1]
     assert np.max(np.abs(fd - an)) < 1e-6 * prof.values[0]
 
 
@@ -201,18 +202,18 @@ def test_eval_matches_the_hermite_spline_of_the_table(get_profile, v_a, p,
     r = np.concatenate([
         np.random.default_rng(7).uniform(0.0, prof.r_max, 20000),
         prof.r_nodes, [prof.r_max]])
-    assert np.max(np.abs(eval_profile(prof, r) - reference(r))) <= 1e-15 * u0
-    assert np.max(np.abs(eval_profile_deriv(prof, r)
-                         - reference.derivative()(r))) <= 1e-15 * u0 / h
-    assert np.max(np.abs(eval_profile(prof, prof.r_nodes)
+    u, du = eval_profile(prof, r)
+    assert np.max(np.abs(u - reference(r))) <= 1e-15 * u0
+    assert np.max(np.abs(du - reference.derivative()(r))) <= 1e-15 * u0 / h
+    assert np.max(np.abs(eval_profile(prof, prof.r_nodes)[0]
                          - prof.values)) <= 1e-15 * u0
     beyond = prof.r_max + np.array([1e-9, 0.5, 3.0, 40.0])
     shape, logderiv = _linear_tail(dim, prof.decay_rate,
                                    np.append(beyond, prof.r_max))
     tail = prof.values[-1] / shape[-1] * shape[:-1]
-    np.testing.assert_array_equal(eval_profile(prof, beyond), tail)
-    np.testing.assert_array_equal(eval_profile_deriv(prof, beyond),
-                                  tail * logderiv[:-1])
+    u, du = eval_profile(prof, beyond)
+    np.testing.assert_array_equal(u, tail)
+    np.testing.assert_array_equal(du, tail * logderiv[:-1])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -235,14 +236,37 @@ def test_eval_past_the_table_continues_its_tail(get_profile, dim):
     np.testing.assert_allclose(prof.values[last],
                                scale * tail(prof.r_nodes[last]), rtol=1e-12)
     beyond = r_m + np.array([1e-12, 1e-9, 0.5, 3.0, 10.0, 40.0])
-    np.testing.assert_allclose(eval_profile(prof, beyond),
-                               scale * tail(beyond), rtol=1e-12)
-    np.testing.assert_allclose(eval_profile_deriv(prof, beyond),
-                               scale * slope(beyond), rtol=1e-12)
-    edge = np.nextafter(r_m, np.inf)
-    assert abs(eval_profile(prof, edge) / prof.values[-1] - 1.0) <= 1e-13
-    assert abs(eval_profile_deriv(prof, edge) / prof.dvalues[-1]
-               - 1.0) <= 1e-13
+    u, du = eval_profile(prof, beyond)
+    np.testing.assert_allclose(u, scale * tail(beyond), rtol=1e-12)
+    np.testing.assert_allclose(du, scale * slope(beyond), rtol=1e-12)
+    u, du = eval_profile(prof, np.nextafter(r_m, np.inf))
+    assert abs(u / prof.values[-1] - 1.0) <= 1e-13
+    assert abs(du / prof.dvalues[-1] - 1.0) <= 1e-13
+
+
+def test_one_evaluation_gives_u_and_du_in_the_shape_of_r(get_profile):
+    # An array mixing radii inside r_max, r_max itself and past it gives
+    # two float arrays of its shape; a scalar gives two numpy floats, the
+    # same numbers.  At r_max U and U' are the table's last node, and just
+    # past it U' is the tail's slope, which continues it.
+    prof = get_profile(1.0, 4.0, 2)
+    r_m = prof.r_max
+    r = np.array([[0.0, 0.5 * r_m, r_m], [np.nextafter(r_m, np.inf),
+                                          r_m + 2.0, r_m + 40.0]])
+    u, du = eval_profile(prof, r)
+    assert u.shape == du.shape == r.shape
+    assert u.dtype == du.dtype == np.float64
+    for x, want_u, want_du in zip(r.ravel(), u.ravel(), du.ravel()):
+        got_u, got_du = eval_profile(prof, x)
+        assert type(got_u) is type(got_du) is np.float64
+        np.testing.assert_allclose([got_u, got_du], [want_u, want_du],
+                                   rtol=1e-15)
+    assert u[0, 0] == prof.values[0] and du[0, 0] == 0.0
+    assert abs(u[0, 2] / prof.values[-1] - 1.0) <= 1e-13
+    assert abs(du[0, 2] / prof.dvalues[-1] - 1.0) <= 1e-13
+    assert abs(du[1, 0] / du[0, 2] - 1.0) <= 1e-13
+    assert np.all(u[1] > 0.0) and np.all(np.diff(u[1]) < 0.0)
+    assert np.all(du[1] < 0.0)
 
 
 def tail_table(kappa, dim, n=2001, r_max=20.0):

@@ -14,7 +14,7 @@ from nlsbump.errors import ConsistencyError, ConvergenceError, DomainError, \
 import nlsbump.solver
 from nlsbump.grid import make_field, make_grid, make_problem
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
-from nlsbump.solver import (AnsatzSpec, BumpSpec, build_ansatz,
+from nlsbump.solver import (BumpSpec, build_ansatz,
                             dirichlet_inverse, interior_operator,
                             jacobian_diagonal, newton_solve, residual)
 
@@ -44,7 +44,7 @@ def single_well_problem(n=161, eps=0.25):
 def well_solution(get_profile):
     spec = single_well_problem()
     prof = get_profile(1.0, 4.0, 2)
-    u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
     u, rep = newton_solve(spec, u0)
     return spec, u0, u, rep
 
@@ -65,11 +65,10 @@ def test_dim1_matches_radial_oracle_at_second_order(get_profile):
     errs = {}
     for n in (501, 1001):
         spec = const_problem_1d(n)
-        u0 = build_ansatz(spec,
-                          AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(1)),)))
+        u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(1)),))
         u, rep = newton_solve(spec, u0)
         assert rep.converged and rep.positivity
-        exact = eval_profile(prof, np.abs(spec.grid.axes()[0]))
+        exact = eval_profile(prof, np.abs(spec.grid.axes()[0]))[0]
         errs[n] = np.abs(u.values - exact).max()
     # measured: coarse 1.16e-3, fine 2.90e-4, order 2.00
     assert errs[1001] <= 5e-4
@@ -84,12 +83,11 @@ def test_dim2_matches_radial_oracle_at_second_order(get_profile):
     iters = {}
     for n in (129, 257):
         spec = const_problem_2d(n)
-        u0 = build_ansatz(spec,
-                          AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+        u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
         u, rep = newton_solve(spec, u0)
         assert rep.converged and rep.positivity
         r = np.linalg.norm(spec.grid.points(), axis=1)
-        exact = eval_profile(prof, r).reshape(spec.grid.counts)
+        exact = eval_profile(prof, r)[0].reshape(spec.grid.counts)
         errs[n] = np.abs(u.values - exact).max()
         iters[n] = rep.iterations
     assert errs[257] <= 8e-3
@@ -165,8 +163,7 @@ def test_solutions_on_nested_grids_differ_at_second_order(get_profile):
     fields = {}
     for n in (501, 1001):
         spec = const_problem_1d(n)
-        u0 = build_ansatz(spec,
-                          AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(1)),)))
+        u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(1)),))
         u, _ = newton_solve(spec, u0)
         fields[n] = u
     shared = fields[1001].values[::2]
@@ -185,9 +182,9 @@ def benchmark_factory(eps):
 
 
 def benchmark_ansatz(get_profile):
-    return AnsatzSpec(bumps=(
+    return (
         BumpSpec(get_profile(1.0, 4.0, 2), np.array([-1.0, 0.0])),
-        BumpSpec(get_profile(1.21, 4.0, 2), np.array([1.0, 0.0]))))
+        BumpSpec(get_profile(1.21, 4.0, 2), np.array([1.0, 0.0])))
 
 
 def test_preconditioner_keeps_krylov_counts_small(get_profile):
@@ -222,7 +219,7 @@ def test_report_records_backtracks_and_shifts(get_profile):
 def test_minres_stopping_short_is_counted(get_profile, monkeypatch):
     spec = single_well_problem(n=101)
     prof = get_profile(1.0, 4.0, 2)
-    u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
     monkeypatch.setattr(nlsbump.solver, "_KRYLOV_MAX", 2)
     monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 2)
     monkeypatch.setattr(nlsbump.solver, "_TOL_RESIDUAL", 1e-14)
@@ -257,12 +254,10 @@ def test_build_ansatz_validates_center_and_floor(get_profile):
     spec = single_well_problem(n=101)
     prof = get_profile(1.0, 4.0, 2)
     with pytest.raises(GeometryError):
-        build_ansatz(spec, AnsatzSpec(bumps=(
-            BumpSpec(prof, np.array([3.0, 0.0])),)))
+        build_ansatz(spec, (BumpSpec(prof, np.array([3.0, 0.0])),))
     # profile floor 1.0 but V at the off-center point is 1 + 0.25
     with pytest.raises(ConsistencyError):
-        build_ansatz(spec, AnsatzSpec(bumps=(
-            BumpSpec(prof, np.array([0.5, 0.0])),)))
+        build_ansatz(spec, (BumpSpec(prof, np.array([0.5, 0.0])),))
 
 
 def test_build_ansatz_worked_values(get_profile):
@@ -274,23 +269,23 @@ def test_build_ansatz_worked_values(get_profile):
     pot = make_multiwell(wells, exponent=2.0, patch_radius=0.4)
     grid = make_grid(lo=[-4.25, -3.25], hi=[4.25, 3.25], counts=[205, 157])
     spec = make_problem(eps=0.25, p=4.0, potential=pot, grid=grid)
-    u0 = build_ansatz(spec, AnsatzSpec(bumps=(
+    u0 = build_ansatz(spec, (
         BumpSpec(prof1, np.array([-1.0, 0.0])),
-        BumpSpec(prof2, np.array([1.0, 0.0])))))
+        BumpSpec(prof2, np.array([1.0, 0.0]))))
     # (-1, 0) is a grid node: value there is U1(0) plus U2 at separation 2
     ix = int(np.argmin(np.abs(grid.axes()[0] + 1.0)))
     iy = int(np.argmin(np.abs(grid.axes()[1])))
     got = u0.values[ix, iy]
-    expected = (eval_profile(prof1, 0.0)
-                + eval_profile(prof2, 2.0 / 0.25))
+    expected = (eval_profile(prof1, 0.0)[0]
+                + eval_profile(prof2, 2.0 / 0.25)[0])
     assert abs(got - expected) <= 1e-12
-    assert eval_profile(prof2, 8.0) <= np.exp(-0.5 * 8.0)
+    assert eval_profile(prof2, 8.0)[0] <= np.exp(-0.5 * 8.0)
 
 
 def test_convergence_error_carries_partial_state(get_profile, monkeypatch):
     spec = single_well_problem(n=101)
     prof = get_profile(1.0, 4.0, 2)
-    u0 = build_ansatz(spec, AnsatzSpec(bumps=(BumpSpec(prof, np.zeros(2)),)))
+    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
     monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 1)
     monkeypatch.setattr(nlsbump.solver, "_TOL_RESIDUAL", 1e-14)
     with pytest.raises(ConvergenceError) as err:
@@ -307,3 +302,24 @@ def test_mismatched_grid_rejected():
     u0 = make_field(other, np.zeros(other.counts))
     with pytest.raises(DomainError):
         newton_solve(spec, u0)
+
+
+@pytest.mark.parametrize("depth, positive", [(2.0, False), (0.5, True)])
+def test_positivity_ignores_negativity_the_tolerance_cannot_resolve(
+        get_profile, monkeypatch, depth, positive):
+    # tau = tolerance / min V: at the most negative node -lap_h u <= 0, so
+    # |F| >= |u| (V - |u|^(p-2)) there, and a converged solve leaves a
+    # positive solution's far field anywhere within tau of zero.  One
+    # interior node of the ansatz at -depth tau; no Newton step is taken,
+    # so the report describes the start.
+    spec = single_well_problem(n=101)
+    prof = get_profile(1.0, 4.0, 2)
+    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),)).values
+    tau = (nlsbump.solver._TOL_RESIDUAL
+           / spec.potential_values()[1:-1, 1:-1].min())
+    u0[1, 1] = -depth * tau
+    monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 0)
+    with pytest.raises(ConvergenceError) as err:
+        newton_solve(spec, make_field(spec.grid, u0))
+    assert err.value.report.iterations == 0
+    assert err.value.report.positivity is positive
