@@ -9,7 +9,9 @@ Newton's method with its exact Jacobian (see decompose).  The one sampler,
 solver.sample_bump, gives each bump's U and T from one profile evaluation
 per projection or reduced-solve step; the bumps and translation fields
 decompose converged on are the ones coercivity_estimate and the CLI's
-overlap integrals read.
+overlap integrals read.  Every field, the solution, the bumps, the
+remainders and the uniqueness probe's difference quotient, is a float
+array on spec.grid.
 """
 
 import math
@@ -30,13 +32,11 @@ from .errors import (
 )
 from .grid import (
     ProblemSpec,
-    ScalarField,
     ball_volume_integral,
     eps_inner,
     eps_norm,
     field_gradient_on,
     field_values_on,
-    make_field,
     make_sphere_quadrature,
 )
 from .potential import eval_potential, grad_potential
@@ -72,8 +72,8 @@ _PROBE_SHIFT = 0.3
 class BumpDecomposition:
     centers: np.ndarray
     amplitudes: np.ndarray
-    remainder_w: ScalarField
-    remainder_v: ScalarField
+    remainder_w: np.ndarray
+    remainder_v: np.ndarray
     w_norm: float
     v_norm: float
     projection_residuals: np.ndarray
@@ -116,7 +116,7 @@ class ProbeRun:
 class UniquenessReport:
     sup_diff: float
     rel_diff: float  # sup_diff / sup |u| of the first solution
-    xi_field: Optional[ScalarField]  # diff / sup_diff, unless negligible
+    xi_field: Optional[np.ndarray]  # diff / sup_diff, unless negligible
     runs: Tuple[ProbeRun, ...] = ()
 
 
@@ -167,7 +167,7 @@ def _newton_update(theta: np.ndarray, jac: np.ndarray, g: np.ndarray,
     return theta
 
 
-def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
+def decompose(spec: ProblemSpec, u: np.ndarray, initial_centers,
               profiles: Sequence[RadialProfile]) -> BumpDecomposition:
     """Split u into amplitude-corrected bumps plus an orthogonal remainder.
 
@@ -205,14 +205,13 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
     while True:
         bumps, translations, hessians = zip(*(
             sample_bump(spec, profiles[j], theta[j, 1:]) for j in range(k)))
-        basis = [make_field(grid, f) for bump, ts in zip(bumps, translations)
+        basis = [f for bump, ts in zip(bumps, translations)
                  for f in (bump, *ts)]
-        vvals = u.values - sum((1.0 + theta[j, 0]) * bumps[j] for j in range(k))
-        vfield = make_field(grid, vvals)
-        g = np.array([eps_inner(spec, vfield, b) for b in basis])
+        v = u - sum((1.0 + theta[j, 0]) * bumps[j] for j in range(k))
+        g = np.array([eps_inner(spec, v, b) for b in basis])
         gram = np.array([[eps_inner(spec, a, b) for b in basis]
                          for a in basis])
-        v_norm = eps_norm(spec, vfield)
+        v_norm = eps_norm(spec, v)
         basis_norms = np.sqrt(np.diag(gram))
         if np.all(np.abs(g) <= basis_norms * (1e-9 * v_norm
                                                + 5e-15 * u_norm)):
@@ -228,13 +227,13 @@ def decompose(spec: ProblemSpec, u: ScalarField, initial_centers,
         for j in range(k):
             trans = slice(j * n_per + 1, (j + 1) * n_per)
             jac[j * n_per, trans] -= g[trans]
-            jac[trans, trans] -= hessians[j](vfield)
+            jac[trans, trans] -= hessians[j](v)
         theta = _newton_update(theta, jac, g, anchor, drift_limit)
 
-    wfield = make_field(grid, u.values - sum(bumps))
+    w = u - sum(bumps)
     return BumpDecomposition(
-        centers=theta[:, 1:], amplitudes=theta[:, 0], remainder_w=wfield,
-        remainder_v=vfield, w_norm=eps_norm(spec, wfield), v_norm=v_norm,
+        centers=theta[:, 1:], amplitudes=theta[:, 0], remainder_w=w,
+        remainder_v=v, w_norm=eps_norm(spec, w), v_norm=v_norm,
         projection_residuals=np.abs(g), bumps=bumps,
         translations=translations, iterations=iterations)
 
@@ -253,7 +252,7 @@ def default_ball_radius(spec: ProblemSpec) -> float:
     return 0.25 * float(np.min(spec.grid.hi - spec.grid.lo))
 
 
-def pohozaev_terms(spec: ProblemSpec, u: ScalarField, center,
+def pohozaev_terms(spec: ProblemSpec, u: np.ndarray, center,
                    radius: float, direction: int) -> PohozaevReport:
     """Volume and boundary terms of the flux identity on a ball.
 
@@ -265,13 +264,12 @@ def pohozaev_terms(spec: ProblemSpec, u: ScalarField, center,
     if not 0 <= direction < grid.dim:
         raise DomainError(f"direction must be an axis index < {grid.dim}")
     gradv = grad_potential(spec.potential, grid.points())[:, direction]
-    integrand = make_field(grid, (gradv * u.values.ravel()
-                                  ).reshape(grid.counts) * u.values)
+    integrand = (gradv * u.ravel()).reshape(grid.counts) * u
     lhs = ball_volume_integral(spec, integrand, center, radius)
 
     quad = make_sphere_quadrature(center, radius, _POHOZAEV_RESOLUTION)
-    uvals = field_values_on(u, quad.nodes)
-    grads = field_gradient_on(u, quad.nodes)
+    uvals = field_values_on(grid, u, quad.nodes)
+    grads = field_gradient_on(grid, u, quad.nodes)
     vvals = eval_potential(spec.potential, quad.nodes)
     nu_i = quad.normals[:, direction]
     u_nu = np.sum(grads * quad.normals, axis=1)
@@ -450,8 +448,8 @@ def _reduced_system(spec: ProblemSpec, profiles: Sequence[RadialProfile],
     jac = -cell * (tt.T @ j_op(tt))
     for j, hessian in enumerate(hessians):
         block = slice(j * grid.dim, (j + 1) * grid.dim)
-        jac[block, block] -= hessian(make_field(grid, f), lambda _, a, b: (
-            cell * float(np.vdot(a.values, b.values))))
+        jac[block, block] -= hessian(f, lambda _, a, b: (
+            cell * float(np.vdot(a, b))))
     return jac, cell * (tt.T @ f[inner].ravel())
 
 
@@ -522,11 +520,11 @@ def uniqueness_probe(spec: ProblemSpec, bumps: Sequence[BumpSpec],
     except NlsbumpError as exc:
         exc.runs = tuple(runs)
         raise
-    diff = fields[0].values - fields[1].values
+    diff = fields[0] - fields[1]
     sup_diff = float(np.abs(diff).max())
-    sup_u = float(np.abs(fields[0].values).max())  # > 0: the run is positive
+    sup_u = float(np.abs(fields[0]).max())  # > 0: the run is positive
     xi = None
     if sup_diff > 1e-12 * sup_u:
-        xi = make_field(spec.grid, diff / sup_diff)
+        xi = diff / sup_diff
     return UniquenessReport(sup_diff=sup_diff, rel_diff=sup_diff / sup_u,
                             xi_field=xi, runs=tuple(runs))

@@ -16,7 +16,10 @@ analyze       load the persisted fields, run the bump decomposition, the
               rates.csv, pohozaev.csv, coercivity.csv.
 uniqueness    re-solve each eps from perturbed initializations (amplitude
               pair, center-shift pair) and write uniqueness.csv; --verbose
-              prints each run's Newton and reduced steps.
+              prints each run's Newton and reduced steps.  A
+              uniqueness-failure writes the pair's difference quotient
+              xi = (u1 - u2)/sup|u1 - u2| to xi_eps<eps>_<pair>.nlsb; a
+              pair that does not fail leaves no xi file.
 all           solve, then analyze, then uniqueness.
 
 CSV schemas (fixed column order, header row always present)
@@ -266,7 +269,7 @@ def cmd_solve(args, ansatz: Optional[Tuple[BumpSpec, ...]] = None) -> int:
                              else "newton did not converge"))
         else:
             with _writing(out_dir / names[eps]):
-                write_field(out_dir / names[eps], u, eps, cfg.p)
+                write_field(out_dir / names[eps], u, spec.grid, eps, cfg.p)
             rows.append(_row(eps, report.iterations, report.final_residual,
                              report.positivity, True, ""))
             _note(args, f"solve eps={eps:g}: {report.iterations} iterations, "
@@ -293,7 +296,7 @@ def cmd_solve(args, ansatz: Optional[Tuple[BumpSpec, ...]] = None) -> int:
 def _load_solution(cfg: ExperimentConfig, out_dir: Path, eps: float,
                    name: str):
     try:
-        u, eps_file, p_file = read_field(out_dir / name)
+        u, grid, eps_file, p_file = read_field(out_dir / name)
     except FileNotFoundError:
         raise FormatError(f"missing solution file {name}") from None
     except OSError as exc:
@@ -304,7 +307,7 @@ def _load_solution(cfg: ExperimentConfig, out_dir: Path, eps: float,
     if abs(p_file - cfg.p) > 1e-12:
         raise FormatError(f"{name} stores p={p_file!r}, expected {cfg.p!r}")
     spec = problem_at(cfg, eps)
-    if not same_grid(u.grid, spec.grid):
+    if not same_grid(grid, spec.grid):
         raise FormatError(
             f"{name} does not match the grid of the configured spacing rule")
     return spec, u
@@ -470,16 +473,18 @@ def cmd_uniqueness(args,
                 runs = getattr(exc, "runs", ())
             else:
                 runs = report.runs
-                if report.rel_diff <= _UNIQUENESS_RTOL:
-                    result = "pass"
-                else:
-                    result = "uniqueness-failure"
-                    if report.xi_field is not None:
-                        path = out_dir / f"xi_eps{eps:g}_{pair_name}.nlsb"
-                        with _writing(path):
-                            write_field(path, report.xi_field, eps, cfg.p)
+                result = ("pass" if report.rel_diff <= _UNIQUENESS_RTOL
+                          else "uniqueness-failure")
                 rows.append(_row(eps, pair_name, report.sup_diff,
                                  report.rel_diff, result, ""))
+            # An xi file an earlier run left would read as this run's.
+            path = out_dir / f"xi_eps{eps:g}_{pair_name}.nlsb"
+            with _writing(path):
+                if (result == "uniqueness-failure"
+                        and report.xi_field is not None):
+                    write_field(path, report.xi_field, spec.grid, eps, cfg.p)
+                else:
+                    path.unlink(missing_ok=True)
             _note(args, f"uniqueness eps={eps:g} {pair_name}: {result}"
                   + "".join(f"; run {i}: newton {r.newton_iterations}, "
                             f"reduced {r.reduced_iterations} "

@@ -1,5 +1,9 @@
 """Binary persistence for box fields.
 
+A field in memory is a bare array on its grid (grid module docstring); the
+file is the one place a field's grid is stored beside its values, so a
+reader can check the file against the grid it expects.
+
 Layout, all little-endian: magic ``NLSB``, format version (u32), dim (u32),
 per-axis node counts (dim u32 values), box corners lo then hi (dim f64
 each), eps (f64), p (f64), then the row-major float64 payload holding
@@ -14,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import FormatError, GridMismatchError, NlsbumpError
-from .grid import ScalarField, make_grid
+from .grid import TensorGrid, make_grid
 
 MAGIC = b"NLSB"
 FORMAT_VERSION = 1
@@ -23,9 +27,9 @@ _HEAD = struct.Struct("<4sII")
 _TAIL = struct.Struct("<dd")
 
 
-def write_field(path, field: ScalarField, eps: float, p: float) -> None:
-    grid = field.grid
-    if tuple(field.values.shape) != tuple(grid.counts):
+def write_field(path, values: np.ndarray, grid: TensorGrid, eps: float,
+                p: float) -> None:
+    if tuple(values.shape) != tuple(grid.counts):
         raise GridMismatchError("field values do not match their grid")
     parts = [
         _HEAD.pack(MAGIC, FORMAT_VERSION, grid.dim),
@@ -33,7 +37,7 @@ def write_field(path, field: ScalarField, eps: float, p: float) -> None:
         np.asarray(grid.lo, dtype="<f8").tobytes(),
         np.asarray(grid.hi, dtype="<f8").tobytes(),
         _TAIL.pack(float(eps), float(p)),
-        np.ascontiguousarray(field.values, dtype="<f8").tobytes(),
+        np.ascontiguousarray(values, dtype="<f8").tobytes(),
     ]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
@@ -45,8 +49,8 @@ def _take(buf: bytes, offset: int, size: int, what: str) -> Tuple[bytes, int]:
     return buf[offset:offset + size], offset + size
 
 
-def read_field(path) -> Tuple[ScalarField, float, float]:
-    """Read a field file back as (field, eps, p).
+def read_field(path) -> Tuple[np.ndarray, TensorGrid, float, float]:
+    """Read a field file back as (values, grid, eps, p).
 
     Raises FormatError for anything structurally wrong: bad magic, an
     unsupported version, truncation, or a payload whose length disagrees
@@ -90,4 +94,4 @@ def read_field(path) -> Tuple[ScalarField, float, float]:
     except NlsbumpError as exc:
         raise FormatError(f"header describes an unusable grid: {exc}") \
             from exc
-    return ScalarField(grid=grid, values=values), float(eps), float(p)
+    return values, grid, float(eps), float(p)

@@ -1,5 +1,10 @@
 """Uniform tensor grids, sampled fields, and matrix-free operators.
 
+A field is a float array of shape spec.grid.counts, row-major over the
+nodes; the functions here take the grid (or the spec holding it) beside
+the array.  Only the field file format (fieldio) stores a grid with its
+values.
+
 eps_inner assembles the energy inner product from forward differences on
 cell edges, which makes it the exact adjoint pairing of the central
 second-difference stencil under the plain node quadrature: for fields
@@ -19,7 +24,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, GridMismatchError
+from .errors import DomainError, GeometryError
 from .potential import PotentialModel, eval_potential
 
 
@@ -76,24 +81,6 @@ def make_grid(lo, hi, counts) -> TensorGrid:
 
 
 @dataclass(eq=False)
-class ScalarField:
-    grid: TensorGrid
-    values: np.ndarray
-
-
-def make_field(grid: TensorGrid, values) -> ScalarField:
-    values = np.asarray(values, dtype=float)
-    if values.shape == (grid.node_count,):
-        values = values.reshape(grid.counts)
-    if values.shape != tuple(grid.counts):
-        raise GridMismatchError(
-            f"field shape {values.shape} does not match grid {grid.counts}")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("field values must be finite")
-    return ScalarField(grid=grid, values=values)
-
-
-@dataclass(eq=False)
 class ProblemSpec:
     eps: float
     p: float
@@ -144,11 +131,6 @@ def same_grid(a: TensorGrid, b: TensorGrid) -> bool:
     return a is b or (tuple(a.counts) == tuple(b.counts)
                       and np.array_equal(a.lo, b.lo)
                       and np.array_equal(a.hi, b.hi))
-
-
-def _check_same_grid(a: ScalarField, grid: TensorGrid) -> None:
-    if not same_grid(a.grid, grid):
-        raise GridMismatchError("fields live on different grids")
 
 
 def neg_weighted_laplacian(values: np.ndarray, spacing,
@@ -210,7 +192,7 @@ def box_integral(grid: TensorGrid, values: np.ndarray) -> float:
     return float(np.sum(values * w) * grid.cell_volume)
 
 
-def eps_inner(spec: ProblemSpec, u: ScalarField, v: ScalarField) -> float:
+def eps_inner(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> float:
     """Energy inner product: integral of eps^2 grad u . grad v + V u v.
 
     The gradient term is assembled from forward differences on cell edges
@@ -218,27 +200,24 @@ def eps_inner(spec: ProblemSpec, u: ScalarField, v: ScalarField) -> float:
     axes).  With that choice it pairs exactly with the stencil for
     boundary-zero fields (module docstring), not just up to O(h^2).
     """
-    _check_same_grid(u, spec.grid)
-    _check_same_grid(v, spec.grid)
     grid = spec.grid
     cell = grid.cell_volume
     total = 0.0
     e2 = spec.eps ** 2
     for a, h in enumerate(grid.spacing):
-        du = np.diff(u.values, axis=a)
-        dv = np.diff(v.values, axis=a)
+        du = np.diff(u, axis=a)
+        dv = np.diff(v, axis=a)
         edge_counts = list(grid.counts)
         edge_counts[a] -= 1
         trans = set(range(grid.dim)) - {a}
         w = _weight_array(tuple(edge_counts), trap_axes=trans)
         total += e2 / (h * h) * float(np.sum(du * dv * w)) * cell
     w = _weight_array(grid.counts, trap_axes=set(range(grid.dim)))
-    total += float(np.sum(spec.potential_values() * u.values * v.values * w)
-                   ) * cell
+    total += float(np.sum(spec.potential_values() * u * v * w)) * cell
     return total
 
 
-def eps_norm(spec: ProblemSpec, u: ScalarField) -> float:
+def eps_norm(spec: ProblemSpec, u: np.ndarray) -> float:
     return math.sqrt(eps_inner(spec, u, u))
 
 
@@ -257,10 +236,9 @@ def _coverage(s: np.ndarray) -> np.ndarray:
     return 0.5 - _COVER_C1 * sc + _COVER_C3 * sc ** 3 - _COVER_C5 * sc ** 5
 
 
-def ball_volume_integral(spec: ProblemSpec, f: ScalarField, center,
+def ball_volume_integral(spec: ProblemSpec, f: np.ndarray, center,
                          radius: float) -> float:
     """Integral of f over the ball, via smoothed cell coverage."""
-    _check_same_grid(f, spec.grid)
     grid = spec.grid
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (grid.dim,):
@@ -274,7 +252,7 @@ def ball_volume_integral(spec: ProblemSpec, f: ScalarField, center,
             "ball (plus its smoothing skirt) exits the grid box")
     dist = np.linalg.norm(grid.points() - center, axis=1)
     cov = _coverage((dist - radius) / width).reshape(grid.counts)
-    return float(np.sum(f.values * cov) * grid.cell_volume)
+    return float(np.sum(f * cov) * grid.cell_volume)
 
 
 @dataclass(eq=False)
@@ -330,7 +308,8 @@ def make_sphere_quadrature(center, radius: float,
                             weights=weights, normals=normals)
 
 
-def _multilinear(grid: TensorGrid, values: np.ndarray, points) -> np.ndarray:
+def field_values_on(grid: TensorGrid, values: np.ndarray,
+                    points) -> np.ndarray:
     """Multilinear interpolation of node values at points in the box: the
     cell index from (x - lo)/h, then a sum over the 2^dim cell corners."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -346,13 +325,9 @@ def _multilinear(grid: TensorGrid, values: np.ndarray, points) -> np.ndarray:
                for corner in itertools.product((0, 1), repeat=grid.dim))
 
 
-def field_values_on(f: ScalarField, points) -> np.ndarray:
-    """Multilinear interpolation of a field at arbitrary points in the box."""
-    return _multilinear(f.grid, f.values, points)
-
-
-def field_gradient_on(f: ScalarField, points) -> np.ndarray:
-    """Central-difference gradient of a field, interpolated at points."""
-    grads = np.reshape(np.gradient(f.values, *f.grid.axes(), edge_order=2),
-                       (f.grid.dim, *f.grid.counts))
-    return np.stack([_multilinear(f.grid, g, points) for g in grads], axis=1)
+def field_gradient_on(grid: TensorGrid, values: np.ndarray,
+                      points) -> np.ndarray:
+    """Central-difference gradient of node values, interpolated at points."""
+    grads = np.reshape(np.gradient(values, *grid.axes(), edge_order=2),
+                       (grid.dim, *grid.counts))
+    return np.stack([field_values_on(grid, g, points) for g in grads], axis=1)

@@ -28,6 +28,8 @@ also preconditions that estimate's LOBPCG eigensolve.
 One sampler, sample_bump, puts a bump on the grid: U, its translation
 fields and their Hessian pairings from one eval_profile call.  The ansatz
 (build_ansatz, over a tuple of BumpSpec) and analysis sample through it.
+Every field (the ansatz, Newton's iterate, a sampled bump) is a float
+array of shape spec.grid.counts.
 """
 
 import math
@@ -45,9 +47,7 @@ from .errors import (
 )
 from .grid import (
     ProblemSpec,
-    ScalarField,
     eps_inner,
-    make_field,
     neg_weighted_laplacian,
     power_map,
 )
@@ -114,7 +114,7 @@ def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
     trans = tuple(np.where(dist > 0.0, du * rel[:, a] / (spec.eps * safe),
                            0.0).reshape(grid.counts) for a in range(grid.dim))
 
-    def hessian(v: ScalarField, inner: Callable = eps_inner) -> np.ndarray:
+    def hessian(v: np.ndarray, inner: Callable = eps_inner) -> np.ndarray:
         source = profile.v_a * u - power_map(profile.p)(u)
         q = np.where(dist > 0.0, du / np.where(dist > 0.0, r, 1.0),
                      source / grid.dim)
@@ -123,8 +123,8 @@ def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
         out = np.empty((grid.dim, grid.dim))
         for a in range(grid.dim):
             for b in range(a, grid.dim):
-                hess = make_field(grid, curv * unit[:, a] * unit[:, b]
-                                  + q * (a == b))
+                hess = (curv * unit[:, a] * unit[:, b]
+                        + q * (a == b)).reshape(grid.counts)
                 out[a, b] = out[b, a] = inner(spec, v, hess)
         return out / spec.eps ** 2
 
@@ -162,7 +162,7 @@ def bump_centers(spec: ProblemSpec, bumps: Sequence[BumpSpec]) -> np.ndarray:
 
 def build_ansatz(spec: ProblemSpec, bumps: Sequence[BumpSpec],
                  amp_scale: float = 1.0,
-                 centers: Optional[np.ndarray] = None) -> ScalarField:
+                 centers: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum of rescaled radial bumps, sampled on the grid.
 
     A perturbed start scales every amplitude by amp_scale and samples bump
@@ -173,7 +173,7 @@ def build_ansatz(spec: ProblemSpec, bumps: Sequence[BumpSpec],
     total = np.zeros(spec.grid.counts)
     for bump, center in zip(bumps, checked if centers is None else centers):
         total += amp_scale * sample_bump(spec, bump.profile, center)[0]
-    return make_field(spec.grid, total)
+    return total
 
 
 def _interior(spec: ProblemSpec) -> Tuple[slice, ...]:
@@ -255,10 +255,10 @@ def jacobian_diagonal(spec: ProblemSpec, u_int: np.ndarray) -> np.ndarray:
 
 
 def newton_solve(spec: ProblemSpec,
-                 u0: ScalarField) -> Tuple[ScalarField, SolveReport]:
-    """Solve F(u) = 0 from the initial iterate u0.
+                 u0: np.ndarray) -> Tuple[np.ndarray, SolveReport]:
+    """Solve F(u) = 0 from the initial iterate u0, an array on spec.grid.
 
-    Returns the solution field and a report.  The positivity flag refers to
+    Returns the solution and a report.  The positivity flag refers to
     interior nodes (the boundary ring is held at zero): none below -tau,
     some above tau, tau = _TOL_RESIDUAL / min V.  At the most negative node
     -lap_h u <= 0, so |F| >= |u| (V - |u|^(p-2)): a converged solve cannot
@@ -270,18 +270,22 @@ def newton_solve(spec: ProblemSpec,
     residual_history), which stays smooth where the sup norm is pinned to
     a single stubborn node, as happens on coarse three-dimensional grids.
 
-    Raises ConvergenceError when Newton runs out of iterations or
-    backtracking cannot find a descent step, KrylovError if MINRES breaks
-    down; either carries the .report and .field of the steps taken.
+    Raises DomainError when u0 is not on spec.grid or not finite (a NaN
+    residual would pass the stopping test), ConvergenceError when Newton
+    runs out of iterations or backtracking cannot find a descent step,
+    KrylovError if MINRES breaks down; either of the last two carries the
+    .report and the .field (the iterate) of the steps taken.
     """
     from scipy.sparse.linalg import LinearOperator
     grid = spec.grid
-    if u0.values.shape != tuple(grid.counts):
+    if u0.shape != tuple(grid.counts):
         raise DomainError("initial iterate does not live on the spec's grid")
+    if not np.all(np.isfinite(u0)):
+        raise DomainError("initial iterate must be finite")
 
     inner = _interior(spec)
     u = np.zeros(grid.counts)
-    u[inner] = u0.values[inner]
+    u[inner] = u0[inner]
     sup_u0 = float(np.abs(u).max())
     tau = _TOL_RESIDUAL / float(spec.potential_values()[inner].min())
 
@@ -314,7 +318,7 @@ def newton_solve(spec: ProblemSpec,
     def fail(error, message: str):
         exc = error(message)
         exc.report = make_report(False, it)
-        exc.field = make_field(grid, u)
+        exc.field = u
         return exc
 
     # Seed for the adaptive shift when a pure Newton step cannot make
@@ -385,4 +389,4 @@ def newton_solve(spec: ProblemSpec,
             lam = lam_seed if lam == 0.0 else _REGULARIZATION_GROWTH * lam
         history.append(m_res)
 
-    return make_field(grid, u), make_report(True, it)
+    return u, make_report(True, it)

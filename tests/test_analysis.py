@@ -19,8 +19,8 @@ from nlsbump.analysis import (BumpDecomposition, _reduced_system,
 from nlsbump.config import parse_config, problem_at
 from nlsbump.errors import (ConsistencyError, ConvergenceError, DomainError,
                             GeometryError, SpectralError)
-from nlsbump.grid import (box_integral, eps_inner, eps_norm, make_field,
-                          make_grid, make_problem)
+from nlsbump.grid import (box_integral, eps_inner, eps_norm, make_grid,
+                          make_problem)
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
 from nlsbump.solver import (BumpSpec, SolveReport, build_ansatz,
@@ -125,9 +125,8 @@ def test_decompose_recovers_shifted_centers(two_bump_case):
     spec, (u1, u2), _, _ = two_bump_case
     shift = np.array([0.3 * spec.eps, 0.0])
     truth = np.array([CENTERS[0] + shift, CENTERS[1] - shift])
-    vals = (sample_bump(spec, u1, truth[0])[0]
-            + sample_bump(spec, u2, truth[1])[0])
-    u = make_field(spec.grid, vals)
+    u = (sample_bump(spec, u1, truth[0])[0]
+         + sample_bump(spec, u2, truth[1])[0])
     dec = decompose(spec, u, CENTERS, profiles=(u1, u2))
     # measured: recovered to 1.5e-17 * eps; the contract asks 1e-3 * eps
     assert np.abs(dec.centers - truth).max() <= 1e-3 * spec.eps
@@ -144,31 +143,27 @@ def test_decompose_puts_perturbation_into_remainder(two_bump_case):
     for prof, c in zip(profs, CENTERS):
         bump, trans, _ = sample_bump(spec, prof, c)
         basis += [bump, *trans]
-    gram = np.array([[eps_inner(spec, make_field(grid, a),
-                                make_field(grid, b)) for b in basis]
+    gram = np.array([[eps_inner(spec, a, b) for b in basis]
                      for a in basis])
-    rhs = np.array([eps_inner(spec, make_field(grid, smooth),
-                              make_field(grid, b)) for b in basis])
+    rhs = np.array([eps_inner(spec, smooth, b) for b in basis])
     coef = np.linalg.solve(gram, rhs)
     orth = smooth - sum(c * b for c, b in zip(coef, basis))
-    pert_norm = 0.01 * eps_norm(spec, make_field(grid, orth))
+    pert_norm = 0.01 * eps_norm(spec, orth)
 
-    u = make_field(grid, u0.values + 0.01 * orth)
+    u = u0 + 0.01 * orth
     dec = decompose(spec, u, CENTERS, profiles=profs)
     assert np.abs(dec.amplitudes).max() <= 1e-8
     assert abs(dec.w_norm / pert_norm - 1.0) <= 0.01
     assert abs(dec.v_norm / pert_norm - 1.0) <= 0.01
 
     # both reconstruction identities hold pointwise
-    sup = np.abs(u.values).max()
+    sup = np.abs(u).max()
     rec_v = sum((1.0 + a) * b for a, b in zip(dec.amplitudes, dec.bumps))
-    assert np.abs(rec_v + dec.remainder_v.values - u.values).max() \
-        <= 1e-12 * sup
-    assert np.abs(sum(dec.bumps) + dec.remainder_w.values - u.values).max() \
-        <= 1e-12 * sup
+    assert np.abs(rec_v + dec.remainder_v - u).max() <= 1e-12 * sup
+    assert np.abs(sum(dec.bumps) + dec.remainder_w - u).max() <= 1e-12 * sup
 
     # remainder orthogonality at the documented tolerance
-    norms = np.array([eps_norm(spec, make_field(grid, b)) for b in basis])
+    norms = np.array([eps_norm(spec, b) for b in basis])
     assert np.all(dec.projection_residuals <= 1e-8 * dec.v_norm * norms)
 
 
@@ -208,7 +203,8 @@ def test_bump_hessian_pairings_match_differenced_translations(get_profile,
     prof = get_profile(1.0, 4.0, dim)
     center = np.zeros(dim)
     x0 = np.array([0.3, 0.2, -0.25])[:dim]
-    v = make_field(grid, np.exp(-np.sum((grid.points() - x0) ** 2, axis=1)))
+    v = np.exp(-np.sum((grid.points() - x0) ** 2, axis=1)).reshape(
+        grid.counts)
     got = sample_bump(spec, prof, center)[2](v)
     h = 1e-4 * spec.eps
     want = np.empty((dim, dim))
@@ -217,8 +213,8 @@ def test_bump_hessian_pairings_match_differenced_translations(get_profile,
         plus = sample_bump(spec, prof, center + step)[1]
         minus = sample_bump(spec, prof, center - step)[1]
         for a in range(dim):
-            want[a, b] = -eps_inner(
-                spec, v, make_field(grid, (plus[a] - minus[a]) / (2.0 * h)))
+            want[a, b] = -eps_inner(spec, v,
+                                    (plus[a] - minus[a]) / (2.0 * h))
     assert np.array_equal(got, got.T)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
@@ -227,9 +223,8 @@ def test_decomposition_keeps_the_basis_it_converged_on(two_bump_case):
     # Off the ansatz, so the returned basis comes from a moved center.
     spec, profs, _, _ = two_bump_case
     shift = np.array([0.2 * spec.eps, 0.1 * spec.eps])
-    u = make_field(spec.grid,
-                   sample_bump(spec, profs[0], CENTERS[0] + shift)[0]
-                   + sample_bump(spec, profs[1], CENTERS[1] - shift)[0])
+    u = (sample_bump(spec, profs[0], CENTERS[0] + shift)[0]
+         + sample_bump(spec, profs[1], CENTERS[1] - shift)[0])
     dec = decompose(spec, u, CENTERS, profiles=profs)
     assert dec.iterations > 0
     for j, prof in enumerate(profs):
@@ -262,8 +257,7 @@ def test_decompose_rejects_bad_geometry(two_bump_case, well_case,
 
     wspec = well_case[0]
     prof = get_profile(1.0, 4.0, 2)
-    stray = make_field(wspec.grid,
-                       sample_bump(wspec, prof, np.array([0.45, 0.0]))[0])
+    stray = sample_bump(wspec, prof, np.array([0.45, 0.0]))[0]
     with pytest.raises(GeometryError, match="drifted"):
         decompose(wspec, stray, np.zeros((1, 2)), profiles=(prof,))
 
@@ -595,7 +589,7 @@ def test_amplitude_perturbations_reach_one_solution(get_profile):
     u, _ = newton_solve(spec, build_ansatz(spec, ansatz))
     rep = uniqueness_probe(spec, ansatz, "amplitude")
     # measured: 9.8e-13 relative
-    assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
+    assert rep.sup_diff <= 1e-8 * np.abs(u).max()
 
 
 def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
@@ -607,7 +601,7 @@ def test_center_perturbations_reach_one_solution(get_profile, monkeypatch):
     samples = count_calls(monkeypatch, nlsbump.solver, "sample_bump")
     rep = uniqueness_probe(spec, ansatz, "shift")
     # measured: 9.1e-14 relative
-    assert rep.sup_diff <= 1e-8 * np.abs(u.values).max()
+    assert rep.sup_diff <= 1e-8 * np.abs(u).max()
     # each run samples every bump once, at the root of its reduced solve
     assert len(samples) == 2 * len(ansatz)
 
@@ -620,7 +614,7 @@ def test_probe_normalizes_the_difference_field(get_profile, monkeypatch):
     ansatz = (BumpSpec(get_profile(1.0, 4.0, 2), np.zeros(2)),)
     rep = uniqueness_probe(spec, ansatz, "amplitude")
     assert rep.sup_diff > 0.0
-    assert np.abs(rep.xi_field.values).max() == 1.0
+    assert np.abs(rep.xi_field).max() == 1.0
 
 
 def test_probe_rel_diff_is_relative_to_the_first_solution(get_profile,
@@ -639,7 +633,7 @@ def test_probe_rel_diff_is_relative_to_the_first_solution(get_profile,
     rep = uniqueness_probe(spec, ansatz, "amplitude")
     assert len(solutions) == 2
     assert rep.sup_diff > 0.0
-    assert rep.rel_diff == rep.sup_diff / np.abs(solutions[0].values).max()
+    assert rep.rel_diff == rep.sup_diff / np.abs(solutions[0]).max()
 
 
 def test_probe_rejects_a_profile_solved_at_another_depth(get_profile):
@@ -743,7 +737,7 @@ def test_reduced_solve_leaving_its_patch_keeps_the_shifted_start(
     starts = []
 
     def recording_solve(spec, u0):
-        starts.append(u0.values)
+        starts.append(u0)
         return newton_solve(spec, u0)
 
     monkeypatch.setattr(nlsbump.analysis, "newton_solve", recording_solve)
@@ -757,4 +751,4 @@ def test_reduced_solve_leaving_its_patch_keeps_the_shifted_start(
     assert run.reduced_iterations >= 1
     shifted = build_ansatz(spec, ansatz, 1.0,
                            bump_centers(spec, ansatz) + 0.3 * spec.eps)
-    assert np.array_equal(starts[0], shifted.values)
+    assert np.array_equal(starts[0], shifted)

@@ -20,8 +20,8 @@ from nlsbump.analysis import decompose, uniqueness_probe
 from nlsbump.cli import (_analyze_one, _base_ansatz, _build_parser, _cell,
                          _row, _solution_name, _write_csv, main)
 from nlsbump.config import load_config, parse_config, problem_at
-from nlsbump.fieldio import read_field
-from nlsbump.grid import box_integral, make_field
+from nlsbump.fieldio import read_field, write_field
+from nlsbump.grid import box_integral
 from nlsbump.radial import TABLE_BLOCK, RadialProfile
 from nlsbump.solver import build_ansatz, newton_solve, residual, sample_bump
 
@@ -379,9 +379,10 @@ def test_solve_fields_are_cold_solves_from_the_ansatz(pipeline):
     for eps in cfg.eps_schedule:
         spec = problem_at(cfg, eps)
         cold, _ = newton_solve(spec, build_ansatz(spec, ansatz))
-        written, eps_file, _ = read_field(out / f"solution_eps{eps:g}.nlsb")
+        written, _, eps_file, _ = read_field(
+            out / f"solution_eps{eps:g}.nlsb")
         assert eps_file == eps
-        assert np.array_equal(written.values, cold.values)
+        assert np.array_equal(written, cold)
 
 
 def test_solve_failure_ends_the_sweep(tmp_path, monkeypatch):
@@ -443,7 +444,7 @@ def test_minres_breakdown_is_a_recorded_solve_failure(tmp_path, monkeypatch):
     # the report of the step that broke down: the ansatz's residual
     cfg = load_config(cfg_path)
     spec = problem_at(cfg, 0.3)
-    start = build_ansatz(spec, _base_ansatz(cfg)).values
+    start = build_ansatz(spec, _base_ansatz(cfg))
     start[[0, -1], :] = start[:, [0, -1]] = 0.0
     assert (second["iterations"], second["positivity"]) == ("1", "true")
     assert second["final_residual"] == _cell(
@@ -659,10 +660,23 @@ def test_benchmark_1d_geometry_reads_positive_at_small_eps(
     assert [r["positivity"] for r in rows] == ["true", "true"]
     for eps in ("0.05", "0.035"):
         field = read_field(out / f"solution_eps{eps}.nlsb")[0]
-        assert -1e-18 < field.values[1:-1].min() < 0.0
+        assert -1e-18 < field[1:-1].min() < 0.0
     assert main(["uniqueness", "--config", str(cfg_path)]) == 0
     rows = read_rows(out / "uniqueness.csv")
     assert [r["result"] for r in rows] == ["pass"] * 4
+
+
+def test_uniqueness_removes_the_xi_files_of_pairs_that_do_not_fail(
+        pipeline, tmp_path, get_profile, monkeypatch):
+    # An xi file is written for a uniqueness-failure only; one an earlier
+    # run left beside a passing row would read as this run's.
+    cfg_path, _, _ = pipeline
+    monkeypatch.setattr(nlsbump.cli, "solve_ground_state", get_profile)
+    for pair in ("amplitude", "shift"):
+        (tmp_path / f"xi_eps0.4_{pair}.nlsb").write_bytes(b"an earlier run's")
+    assert main(["uniqueness", "--config", str(cfg_path), "--out",
+                 str(tmp_path)]) == 0
+    assert not list(tmp_path.glob("xi_*.nlsb"))
 
 
 def test_uniqueness_solves_four_times_per_eps(pipeline, tmp_path,
@@ -710,7 +724,7 @@ def test_probe_runs_off_the_positive_branch_are_solver_failures(
     # negative solution; in both cases the two runs of a pair agree, but
     # the claim under test is about positive solutions.
     def diverted_solve(spec, u0):
-        return newton_solve(spec, make_field(spec.grid, start(u0.values)))
+        return newton_solve(spec, start(u0))
 
     monkeypatch.setattr(nlsbump.analysis, "newton_solve", diverted_solve)
     out = tmp_path / "out"
@@ -895,6 +909,32 @@ def test_analyze_rejects_fields_from_another_eps(pipeline, tmp_path):
     bad = [r for r in rows if r["error"]]
     assert len(bad) == 1
     assert "stores eps" in bad[0]["error"]
+    # the right eps with another p
+    values, grid, eps, _ = read_field(out / "solution_eps0.4.nlsb")
+    write_field(scratch / "solution_eps0.4.nlsb", values, grid, eps, 3.0)
+    assert main(["analyze", "--config", str(cfg_path)]) == 4
+    assert [r["error"] for r in read_rows(scratch / "coercivity.csv")] == [
+        "solution_eps0.4.nlsb stores p=3.0, expected 4.0",
+        "solution_eps0.3.nlsb stores eps=0.4, expected 0.3"]
+
+
+def test_analyze_rejects_fields_on_another_grid(pipeline, tmp_path,
+                                                get_profile, monkeypatch):
+    # Fields solved at spacing eps/4, analyzed under the rule eps/5: each
+    # file's grid is compared with the configured one, not reshaped.
+    _, out, _ = pipeline
+    monkeypatch.setattr(nlsbump.cli, "solve_ground_state", get_profile)
+    scratch = tmp_path / "out"
+    scratch.mkdir()
+    for field in out.glob("solution_*.nlsb"):
+        (scratch / field.name).write_bytes(field.read_bytes())
+    cfg_path = write_config(tmp_path, SMOKE, **{
+        "grid.spacing_divisor": "5", "run.output_dir": str(scratch)})
+    assert main(["analyze", "--config", str(cfg_path)]) == 4
+    for name in ("pohozaev.csv", "coercivity.csv"):
+        assert [r["error"] for r in read_rows(scratch / name)] == [
+            f"solution_eps{e}.nlsb does not match the grid of the "
+            "configured spacing rule" for e in ("0.4", "0.3")]
 
 
 def test_verbose_progress_goes_to_stderr_only_when_asked(pipeline, tmp_path,

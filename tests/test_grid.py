@@ -7,20 +7,19 @@ import pytest
 from scipy.integrate import dblquad, quad
 from scipy.interpolate import RegularGridInterpolator
 
-from nlsbump.errors import DomainError, GeometryError, GridMismatchError
+from nlsbump.errors import DomainError, GeometryError
 from nlsbump.grid import (
-    _multilinear,
     ball_volume_integral,
     box_integral,
     eps_inner,
     eps_norm,
     field_gradient_on,
     field_values_on,
-    make_field,
     make_grid,
     make_problem,
     make_sphere_quadrature,
     power_map,
+    same_grid,
 )
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
@@ -45,7 +44,7 @@ def linear_operator(spec):
 
 def pde_residual(spec, u):
     """Newton's residual at the interior nodes of a sampled field."""
-    u_int = interior(u.values).ravel()
+    u_int = interior(u).ravel()
     return linear_operator(spec)(u_int) - power_map(spec.p)(u_int)
 
 
@@ -56,7 +55,7 @@ def boundary_zero(rng, grid):
         last = tuple(-1 if b == a else slice(None) for b in range(grid.dim))
         vals[first] = 0.0
         vals[last] = 0.0
-    return make_field(grid, vals)
+    return vals
 
 
 def test_make_grid_and_field_validation():
@@ -71,12 +70,6 @@ def test_make_grid_and_field_validation():
         make_grid([0.0] * 4, [1.0] * 4, [9] * 4)
     with pytest.raises(GeometryError):
         make_grid([0.0, 0.0], [1.0, 1.0], [9, 9, 9])
-    flat = make_field(g, np.zeros(99))
-    assert flat.values.shape == (9, 11)
-    with pytest.raises(GridMismatchError):
-        make_field(g, np.zeros((9, 9)))
-    with pytest.raises(DomainError):
-        make_field(g, np.full((9, 11), np.nan))
 
 
 def test_make_problem_validation():
@@ -104,8 +97,8 @@ def test_make_problem_validation():
 def test_zero_field_maps_to_zero():
     g = make_grid([-1.0, -1.0], [1.0, 1.0], [12, 12])
     spec = unit_problem(g)
-    z = make_field(g, np.zeros(g.counts))
-    assert np.all(linear_operator(spec)(interior(z.values).ravel()) == 0.0)
+    z = np.zeros(g.counts)
+    assert np.all(linear_operator(spec)(interior(z).ravel()) == 0.0)
     assert np.all(pde_residual(spec, z) == 0.0)
 
 
@@ -119,9 +112,9 @@ def test_eigen_relation_interior():
         g = make_grid([0.0], [L], [n])
         spec = unit_problem(g)
         x = g.axes()[0]
-        u = make_field(g, np.sin(np.pi * x / L))
-        out = linear_operator(spec)(interior(u.values).ravel())
-        errs[n] = np.abs(out - lam * u.values[1:-1]).max()
+        u = np.sin(np.pi * x / L)
+        out = linear_operator(spec)(interior(u).ravel())
+        errs[n] = np.abs(out - lam * u[1:-1]).max()
     assert errs[101] < 1e-4
     assert 3.4 < errs[101] / errs[201] < 4.6
 
@@ -131,7 +124,7 @@ def test_sampled_soliton_residual_second_order():
     for n in (2001, 4001):
         g = make_grid([-25.0], [25.0], [n])
         spec = unit_problem(g)
-        u = make_field(g, np.sqrt(2.0) / np.cosh(g.axes()[0]))
+        u = np.sqrt(2.0) / np.cosh(g.axes()[0])
         errs[n] = np.abs(pde_residual(spec, u)).max()
     assert errs[2001] < 5e-4
     assert 3.4 < errs[2001] / errs[4001] < 4.6
@@ -168,7 +161,7 @@ def test_inner_product_adjoint_to_operator():
     u = boundary_zero(rng, g)
     v = boundary_zero(rng, g)
     metric = linear_operator(spec)
-    u_int, v_int = interior(u.values).ravel(), interior(v.values).ravel()
+    u_int, v_int = interior(u).ravel(), interior(v).ravel()
     lhs = eps_inner(spec, u, v)
     rhs = float(u_int @ metric(v_int)) * g.cell_volume
     assert lhs == pytest.approx(rhs, rel=1e-13)
@@ -181,13 +174,13 @@ def test_eps_inner_symmetry_and_bilinearity():
     g = make_grid([-1.0, -1.0], [1.0, 1.0], [9, 8])
     spec = make_problem(0.5, 3.0, constant_potential(2.0, 2), g)
     rng = np.random.default_rng(5)
-    u, v, w = (make_field(g, rng.normal(size=g.counts)) for _ in range(3))
+    u, v, w = (rng.normal(size=g.counts) for _ in range(3))
     assert eps_inner(spec, u, v) == eps_inner(spec, v, u)
     a = 0.731
-    lhs = eps_inner(spec, u, make_field(g, a * v.values + w.values))
+    lhs = eps_inner(spec, u, a * v + w)
     rhs = a * eps_inner(spec, u, v) + eps_inner(spec, u, w)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    l2_squared = box_integral(g, u.values ** 2)
+    l2_squared = box_integral(g, u ** 2)
     assert eps_inner(spec, u, u) >= 2.0 * l2_squared * (1 - 1e-12)
 
 
@@ -200,7 +193,7 @@ def test_eps_norm_of_sampled_bump_matches_radial_identity(get_profile):
     g = make_grid([-2.5, -2.5], [2.5, 2.5], [251, 251])
     spec = make_problem(eps, 4.0, constant_potential(1.0, 2), g)
     r = np.linalg.norm(g.points(), axis=1) / eps
-    u = make_field(g, eval_profile(prof, r)[0])
+    u = eval_profile(prof, r)[0].reshape(g.counts)
     lhs = eps_norm(spec, u) ** 2
     rhs = eps ** 2 * radial_integral(prof, lambda t: t ** 4)
     assert lhs == pytest.approx(rhs, rel=1.5e-3)
@@ -214,13 +207,13 @@ def test_box_integral_of_one_is_volume():
 def test_ball_volume_worked_values():
     g = make_grid([-1.5] * 3, [1.5] * 3, [49] * 3)
     spec = unit_problem(g, eps=0.5)
-    one = make_field(g, np.ones(g.counts))
+    one = np.ones(g.counts)
     vol = ball_volume_integral(spec, one, [0.0, 0.0, 0.0], 1.0)
     assert vol == pytest.approx(4.0 * np.pi / 3.0, rel=0.01)
-    odd = make_field(g, g.points()[:, 0].reshape(g.counts))
+    odd = g.points()[:, 0].reshape(g.counts)
     assert abs(ball_volume_integral(spec, odd, [0.0] * 3, 1.0)) < 1e-12
-    gauss = make_field(
-        g, np.exp(-np.linalg.norm(g.points(), axis=1) ** 2).reshape(g.counts))
+    gauss = np.exp(-np.linalg.norm(g.points(), axis=1) ** 2).reshape(
+        g.counts)
     oracle = 4.0 * np.pi * quad(
         lambda rr: np.exp(-rr * rr) * rr * rr, 0.0, 1.0)[0]
     got = ball_volume_integral(spec, gauss, [0.0] * 3, 1.0)
@@ -238,8 +231,8 @@ def test_ball_volume_convergence_order():
     for n in (41, 81, 161, 321):
         g = make_grid([-1.5, -1.5], [1.5, 1.5], [n, n])
         spec = unit_problem(g, eps=0.5)
-        f = make_field(g, np.exp(
-            -np.linalg.norm(g.points(), axis=1) ** 2).reshape(g.counts))
+        f = np.exp(-np.linalg.norm(g.points(), axis=1) ** 2).reshape(
+            g.counts)
         errs.append(abs(ball_volume_integral(spec, f, c, radius) - oracle))
         hs.append(g.spacing[0])
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -249,7 +242,7 @@ def test_ball_volume_convergence_order():
 def test_ball_volume_geometry_errors():
     g = make_grid([-1.0, -1.0], [1.0, 1.0], [33, 33])
     spec = unit_problem(g, eps=0.5)
-    one = make_field(g, np.ones(g.counts))
+    one = np.ones(g.counts)
     with pytest.raises(GeometryError):
         ball_volume_integral(spec, one, [0.5, 0.0], 0.8)
     with pytest.raises(GeometryError):
@@ -295,19 +288,19 @@ def test_sphere_surface_polynomial_exact():
 
 def test_sphere_integral_of_interpolated_field():
     g = make_grid([-1.5] * 3, [1.5] * 3, [97] * 3)
-    f = make_field(g, g.points()[:, 0] ** 2)
+    f = (g.points()[:, 0] ** 2).reshape(g.counts)
     q = make_sphere_quadrature([0.2, -0.1, 0.3], 0.7)
-    got = float(np.dot(q.weights, field_values_on(f, q.nodes)))
+    got = float(np.dot(q.weights, field_values_on(g, f, q.nodes)))
     exact = 4.0 * np.pi * 0.49 * (0.2 ** 2 + 0.49 / 3.0)
     assert got == pytest.approx(exact, rel=1e-3)
-    grads = field_gradient_on(f, q.nodes)
+    grads = field_gradient_on(g, f, q.nodes)
     assert np.allclose(grads[:, 0], 2.0 * q.nodes[:, 0], atol=1e-10)
     assert np.allclose(grads[:, 1:], 0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("counts", [[37], [23, 19], [11, 9, 13]],
                          ids=["1d", "2d", "3d"])
-def test_multilinear_matches_regular_grid_interpolator(counts):
+def test_field_values_on_matches_regular_grid_interpolator(counts):
     rng = np.random.default_rng(len(counts))
     dim = len(counts)
     g = make_grid(rng.uniform(-2.0, -1.0, dim), rng.uniform(1.0, 3.0, dim),
@@ -319,26 +312,25 @@ def test_multilinear_matches_regular_grid_interpolator(counts):
     reference = RegularGridInterpolator(g.axes(), values, method="linear",
                                         bounds_error=True)(points)
     # measured: at most 5.1e-15
-    assert np.abs(_multilinear(g, values, points) - reference).max() <= 1e-13
+    assert np.abs(field_values_on(g, values, points)
+                  - reference).max() <= 1e-13
 
 
 def test_interpolation_outside_box_raises():
     g = make_grid([-1.0, -1.0], [1.0, 1.0], [17, 17])
-    f = make_field(g, np.ones(g.counts))
+    f = np.ones(g.counts)
     with pytest.raises(GeometryError):
-        field_values_on(f, np.array([[1.5, 0.0]]))
+        field_values_on(g, f, np.array([[1.5, 0.0]]))
     with pytest.raises(GeometryError):
-        field_gradient_on(f, np.array([[0.0, -1.2]]))
+        field_gradient_on(g, f, np.array([[0.0, -1.2]]))
     for bad in (np.nan, np.inf):
         with pytest.raises(GeometryError, match="not in the grid box"):
-            field_values_on(f, np.array([[0.0, bad]]))
+            field_values_on(g, f, np.array([[0.0, bad]]))
 
 
 def test_grid_mismatch_rejected():
+    # Fields carry no grid; a field file's grid is checked with same_grid.
     g1 = make_grid([-1.0], [1.0], [33])
-    g2 = make_grid([-1.0], [1.0], [65])
-    spec = unit_problem(g1)
-    u2 = make_field(g2, np.zeros(g2.counts))
-    u1 = make_field(g1, np.zeros(g1.counts))
-    with pytest.raises(GridMismatchError):
-        eps_inner(spec, u1, u2)
+    assert same_grid(g1, make_grid([-1.0], [1.0], [33]))
+    assert not same_grid(g1, make_grid([-1.0], [1.0], [65]))
+    assert not same_grid(g1, make_grid([-1.0], [1.5], [33]))

@@ -12,7 +12,7 @@ import pytest
 from nlsbump.errors import ConsistencyError, ConvergenceError, DomainError, \
     GeometryError
 import nlsbump.solver
-from nlsbump.grid import make_field, make_grid, make_problem
+from nlsbump.grid import make_grid, make_problem
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.solver import (BumpSpec, build_ansatz,
                             dirichlet_inverse, interior_operator,
@@ -51,12 +51,12 @@ def well_solution(get_profile):
 
 def test_zero_start_returns_trivial_fixed_point():
     spec = const_problem_1d(201)
-    u0 = make_field(spec.grid, np.zeros(spec.grid.counts))
+    u0 = np.zeros(spec.grid.counts)
     u, rep = newton_solve(spec, u0)
     assert rep.converged
     assert rep.trivial
     assert not rep.positivity
-    assert np.all(u.values == 0.0)
+    assert np.all(u == 0.0)
 
 
 def test_dim1_matches_radial_oracle_at_second_order(get_profile):
@@ -69,7 +69,7 @@ def test_dim1_matches_radial_oracle_at_second_order(get_profile):
         u, rep = newton_solve(spec, u0)
         assert rep.converged and rep.positivity
         exact = eval_profile(prof, np.abs(spec.grid.axes()[0]))[0]
-        errs[n] = np.abs(u.values - exact).max()
+        errs[n] = np.abs(u - exact).max()
     # measured: coarse 1.16e-3, fine 2.90e-4, order 2.00
     assert errs[1001] <= 5e-4
     order = np.log2(errs[501] / errs[1001])
@@ -88,7 +88,7 @@ def test_dim2_matches_radial_oracle_at_second_order(get_profile):
         assert rep.converged and rep.positivity
         r = np.linalg.norm(spec.grid.points(), axis=1)
         exact = eval_profile(prof, r)[0].reshape(spec.grid.counts)
-        errs[n] = np.abs(u.values - exact).max()
+        errs[n] = np.abs(u - exact).max()
         iters[n] = rep.iterations
     assert errs[257] <= 8e-3
     assert np.log2(errs[129] / errs[257]) >= 1.9
@@ -119,7 +119,7 @@ def test_jacobian_symmetry_and_fd_consistency(well_solution):
     rng = np.random.default_rng(7)
     inner = (slice(1, -1), slice(1, -1))
     v_int = spec.potential_values()[inner]
-    u_int = u.values[inner]
+    u_int = u[inner]
     e2 = spec.eps ** 2
     assert np.array_equal(jacobian_diagonal(spec, u_int),
                           v_int - 3.0 * u_int ** 2)
@@ -166,8 +166,8 @@ def test_solutions_on_nested_grids_differ_at_second_order(get_profile):
         u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(1)),))
         u, _ = newton_solve(spec, u0)
         fields[n] = u
-    shared = fields[1001].values[::2]
-    assert np.abs(shared - fields[501].values).max() <= 1.2e-3
+    shared = fields[1001][::2]
+    assert np.abs(shared - fields[501]).max() <= 1.2e-3
 
 
 def benchmark_factory(eps):
@@ -275,7 +275,7 @@ def test_build_ansatz_worked_values(get_profile):
     # (-1, 0) is a grid node: value there is U1(0) plus U2 at separation 2
     ix = int(np.argmin(np.abs(grid.axes()[0] + 1.0)))
     iy = int(np.argmin(np.abs(grid.axes()[1])))
-    got = u0.values[ix, iy]
+    got = u0[ix, iy]
     expected = (eval_profile(prof1, 0.0)[0]
                 + eval_profile(prof2, 2.0 / 0.25)[0])
     assert abs(got - expected) <= 1e-12
@@ -293,13 +293,24 @@ def test_convergence_error_carries_partial_state(get_profile, monkeypatch):
     assert err.value.report.iterations == 1
     assert len(err.value.report.krylov_iterations) == 1
     assert not err.value.report.converged
-    assert err.value.field.values.shape == tuple(spec.grid.counts)
+    assert err.value.field.shape == tuple(spec.grid.counts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_is_rejected(bad):
+    # A NaN residual reads as converged in the stopping test, so a start
+    # with one non-finite node would return at once with converged=True.
+    spec = const_problem_1d(64)
+    u0 = np.zeros(spec.grid.counts)
+    u0[20] = bad
+    with pytest.raises(DomainError, match="finite"):
+        newton_solve(spec, u0)
 
 
 def test_mismatched_grid_rejected():
     spec = const_problem_1d(64)
     other = make_grid(lo=[-25.0], hi=[25.0], counts=[65])
-    u0 = make_field(other, np.zeros(other.counts))
+    u0 = np.zeros(other.counts)
     with pytest.raises(DomainError):
         newton_solve(spec, u0)
 
@@ -314,12 +325,12 @@ def test_positivity_ignores_negativity_the_tolerance_cannot_resolve(
     # so the report describes the start.
     spec = single_well_problem(n=101)
     prof = get_profile(1.0, 4.0, 2)
-    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),)).values
+    u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
     tau = (nlsbump.solver._TOL_RESIDUAL
            / spec.potential_values()[1:-1, 1:-1].min())
     u0[1, 1] = -depth * tau
     monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 0)
     with pytest.raises(ConvergenceError) as err:
-        newton_solve(spec, make_field(spec.grid, u0))
+        newton_solve(spec, u0)
     assert err.value.report.iterations == 0
     assert err.value.report.positivity is positive
