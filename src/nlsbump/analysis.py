@@ -17,7 +17,7 @@ array on spec.grid.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .grid import (
     ProblemSpec,
-    ball_volume_integral,
+    ball_coverage,
     eps_inner,
     eps_norm,
     field_gradient_on,
@@ -85,14 +85,12 @@ class BumpDecomposition:
 
 @dataclass
 class PohozaevReport:
-    direction: int
-    center: np.ndarray
-    radius: float
     lhs_volume: float
     i1: float
     i2: float
     i3: float
     residual: float
+    rel_residual: float  # |residual| / max |term|, 0 when all terms vanish
 
 
 @dataclass(frozen=True)
@@ -253,41 +251,45 @@ def default_ball_radius(spec: ProblemSpec) -> float:
 
 
 def pohozaev_terms(spec: ProblemSpec, u: np.ndarray, center,
-                   radius: float, direction: int) -> PohozaevReport:
-    """Volume and boundary terms of the flux identity on a ball.
+                   radius: float) -> List[PohozaevReport]:
+    """Volume and boundary terms of the flux identity on a ball, one
+    report per direction i.
 
     For a solution, the volume integral of (dV/dx_i) u^2 equals the sum of
     the three boundary groups; the reported residual is their mismatch.
+    One ball coverage and one evaluation of grad V on the grid, one sphere
+    quadrature and one interpolation of u and grad u on it serve every
+    direction.
     """
     grid = spec.grid
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if not 0 <= direction < grid.dim:
-        raise DomainError(f"direction must be an axis index < {grid.dim}")
-    gradv = grad_potential(spec.potential, grid.points())[:, direction]
-    integrand = (gradv * u.ravel()).reshape(grid.counts) * u
-    lhs = ball_volume_integral(spec, integrand, center, radius)
+    cov = ball_coverage(grid, center, radius)
+    lhs = [float(np.sum(gradv * u * u * cov) * grid.cell_volume)
+           for gradv in grad_potential(spec.potential, grid.mesh())]
 
     quad = make_sphere_quadrature(center, radius, _POHOZAEV_RESOLUTION)
     uvals = field_values_on(grid, u, quad.nodes)
     grads = field_gradient_on(grid, u, quad.nodes)
-    vvals = eval_potential(spec.potential, quad.nodes)
-    nu_i = quad.normals[:, direction]
+    vvals = eval_potential(spec.potential, quad.nodes.T)
     u_nu = np.sum(grads * quad.normals, axis=1)
-    u_i = grads[:, direction]
     e2 = spec.eps ** 2
-    i1 = -2.0 * e2 * float(np.dot(quad.weights, u_nu * u_i))
-    i2 = float(np.dot(quad.weights,
-                      (e2 * np.sum(grads ** 2, axis=1)
-                       + vvals * uvals ** 2) * nu_i))
-    i3 = -(2.0 / spec.p) * float(
-        np.dot(quad.weights, np.abs(uvals) ** spec.p * nu_i))
-    residual = lhs - (i1 + i2 + i3)
-    for name, val in (("lhs", lhs), ("i1", i1), ("i2", i2), ("i3", i3)):
-        if not math.isfinite(val):
-            raise DomainError(f"flux term {name} is not finite")
-    return PohozaevReport(direction=direction, center=center, radius=radius,
-                          lhs_volume=lhs, i1=i1, i2=i2, i3=i3,
-                          residual=residual)
+    energy = e2 * np.sum(grads ** 2, axis=1) + vvals * uvals ** 2
+    power = np.abs(uvals) ** spec.p
+    reports = []
+    for i in range(grid.dim):
+        nu_i = quad.normals[:, i]
+        i1 = -2.0 * e2 * float(np.dot(quad.weights, u_nu * grads[:, i]))
+        i2 = float(np.dot(quad.weights, energy * nu_i))
+        i3 = -(2.0 / spec.p) * float(np.dot(quad.weights, power * nu_i))
+        terms = {"lhs": lhs[i], "i1": i1, "i2": i2, "i3": i3}
+        for name, val in terms.items():
+            if not math.isfinite(val):
+                raise DomainError(f"flux term {name} is not finite")
+        residual = lhs[i] - (i1 + i2 + i3)
+        scale = max(abs(val) for val in terms.values())
+        reports.append(PohozaevReport(
+            lhs_volume=lhs[i], i1=i1, i2=i2, i3=i3, residual=residual,
+            rel_residual=abs(residual) / scale if scale > 0.0 else 0.0))
+    return reports
 
 
 def fit_rate(samples: Sequence[Tuple[float, float]],
@@ -402,7 +404,7 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
     inner = tuple(slice(1, -1) for _ in grid.counts)
     e2 = spec.eps ** 2
     weight = (spec.p - 1.0) * sum(b ** (spec.p - 2.0) for b in dec.bumps)
-    v_int = spec.potential_values()[inner]
+    v_int = spec.potential_values[inner]
     h_op = interior_operator(v_int - weight[inner], grid.spacing, e2)
     m_op = interior_operator(v_int, grid.spacing, e2)
     precond = dirichlet_inverse(spec)

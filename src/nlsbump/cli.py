@@ -38,6 +38,14 @@ rates.csv       quantity, well, slope, expected, max_deviation, error
                 the separation).
 pohozaev.csv    eps, well, direction, lhs, i1, i2, i3, residual,
                 rel_residual, error
+                one row per well and direction i, on that well's ball B
+                (fixed numerical policy, below) with outer normal nu:
+                lhs = int_B d_iV u^2, i1 = -2 eps^2 oint d_nu u d_i u,
+                i2 = oint (eps^2 |grad u|^2 + V u^2) nu_i,
+                i3 = -(2/p) oint |u|^p nu_i,
+                residual = lhs - (i1 + i2 + i3), and rel_residual =
+                |residual| / max(|lhs|, |i1|, |i2|, |i3|), or 0 when all
+                four vanish.
 coercivity.csv  eps, rho, unprojected_min, unprojected_second,
                 max_translation_quotient, error
 uniqueness.csv  eps, pair, sup_diff, rel_diff, result, error
@@ -56,11 +64,12 @@ tabulated on [0, 10/sqrt(v_a) + 10] from a first step of
 1e-3/max(1, sqrt(v_a)), refined until its residual meets the target, with
 u(0) bisected to a bracket width of 1e-13 (radial.solve_ground_state).
 Newton stops at a residual sup norm of 1e-10, within 40 steps of at most
-1500 MINRES iterations each.  Each flux identity uses a ball of radius
-min(default_ball_radius, 1.5 patch_radius) and a boundary quadrature of
-resolution 48 (analysis.pohozaev_terms: 192 nodes on a circle, 48 x 96 on
-a sphere).  Rate fits use every eps whose value is above the fit floor
-1e-12.  The uniqueness probe's amplitude pair
+1500 MINRES iterations each.  Each well's flux identity uses a ball of
+radius min(default_ball_radius, 1.5 patch_radius) centred at the well's
+decomposed centre plus 0.75 patch_radius (1, 1/2, 1/4)[:dim], and a
+boundary quadrature of resolution 48 (analysis.pohozaev_terms: 192 nodes
+on a circle, 48 x 96 on a sphere).  Rate fits use every eps whose value
+is above the fit floor 1e-12.  The uniqueness probe's amplitude pair
 starts from 0.9 and 1.1 times the ansatz.  Its shift pair moves every
 bump by +0.3 eps and -0.3 eps along axis 0, solves the k*N centre
 equations <F(sum_l U_l(. - xi_l)), d_a U_j(. - xi_j)> = 0 from there by
@@ -330,15 +339,8 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
     radius = min(default_ball_radius(spec), 1.5 * patch)
     offset = np.array([0.75 * patch / 2.0 ** i
                        for i in range(cfg.dim)])
-    pohozaev = []
-    for j in range(len(wells)):
-        ball_center = dec.centers[j] + offset
-        for direction in range(cfg.dim):
-            rep = pohozaev_terms(spec, u, ball_center, radius, direction)
-            scale = max(abs(rep.lhs_volume), abs(rep.i1), abs(rep.i2),
-                        abs(rep.i3))
-            rel = abs(rep.residual) / scale if scale > 0.0 else 0.0
-            pohozaev.append((j, direction, rep, rel))
+    pohozaev = [pohozaev_terms(spec, u, dec.centers[j] + offset, radius)
+                for j in range(len(wells))]
 
     coercivity = coercivity_estimate(spec, dec, seed=cfg.seed)
 
@@ -406,10 +408,11 @@ def cmd_analyze(args, ansatz: Optional[Tuple[BumpSpec, ...]] = None) -> int:
             coercivity_rows.append(
                 _row(eps, None, None, None, None, rec["error"]))
             continue
-        for j, direction, rep, rel in rec["pohozaev"]:
-            pohozaev_rows.append(
+        for j, reports in enumerate(rec["pohozaev"]):
+            pohozaev_rows += [
                 _row(eps, j, direction, rep.lhs_volume, rep.i1, rep.i2,
-                     rep.i3, rep.residual, rel, ""))
+                     rep.i3, rep.residual, rep.rel_residual, "")
+                for direction, rep in enumerate(reports)]
         co = rec["coercivity"]
         coercivity_rows.append(
             _row(eps, co.rho, co.unprojected_min, co.unprojected_second,

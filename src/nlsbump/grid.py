@@ -3,7 +3,10 @@
 A field is a float array of shape spec.grid.counts, row-major over the
 nodes; the functions here take the grid (or the spec holding it) beside
 the array.  Only the field file format (fieldio) stores a grid with its
-values.
+values.  A point set is its coordinates: grid.mesh()[a] is axis a's
+coordinate vector shaped to broadcast against the others, so per-node
+quantities (V, distances, bumps) are computed in the grid's shape with no
+node list.  V at the nodes is computed once, by make_problem.
 
 eps_inner assembles the energy inner product from forward differences on
 cell edges, which makes it the exact adjoint pairing of the central
@@ -20,39 +23,28 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .potential import PotentialModel, eval_potential
+from .potential import PotentialModel, displacement, eval_potential
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TensorGrid:
     dim: int
     counts: Tuple[int, ...]
     lo: np.ndarray
     hi: np.ndarray
     spacing: Tuple[float, ...]
-    _axes: Optional[Tuple[np.ndarray, ...]] = field(
-        default=None, repr=False, compare=False)
-    _points: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False)
+    axes: Tuple[np.ndarray, ...] = field(repr=False)
 
-    def axes(self) -> Tuple[np.ndarray, ...]:
-        if self._axes is None:
-            self._axes = tuple(
-                np.linspace(self.lo[a], self.hi[a], self.counts[a])
-                for a in range(self.dim))
-        return self._axes
-
-    def points(self) -> np.ndarray:
-        """All node coordinates, shape (node_count, dim), row-major order."""
-        if self._points is None:
-            mesh = np.meshgrid(*self.axes(), indexing="ij")
-            self._points = np.stack(mesh, axis=-1).reshape(-1, self.dim)
-        return self._points
+    def mesh(self) -> Tuple[np.ndarray, ...]:
+        """The node coordinates as views that broadcast to counts: entry a
+        holds axes[a] along axis a and has length 1 on every other axis."""
+        return tuple(x.reshape([-1 if b == a else 1 for b in range(self.dim)])
+                     for a, x in enumerate(self.axes))
 
     @property
     def node_count(self) -> int:
@@ -77,23 +69,18 @@ def make_grid(lo, hi, counts) -> TensorGrid:
     if any(n < 8 for n in counts):
         raise DomainError(f"need at least 8 nodes per axis, got {counts}")
     spacing = tuple((hi[a] - lo[a]) / (counts[a] - 1) for a in range(dim))
-    return TensorGrid(dim=dim, counts=counts, lo=lo, hi=hi, spacing=spacing)
+    axes = tuple(np.linspace(lo[a], hi[a], counts[a]) for a in range(dim))
+    return TensorGrid(dim=dim, counts=counts, lo=lo, hi=hi, spacing=spacing,
+                      axes=axes)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     eps: float
     p: float
     potential: PotentialModel
     grid: TensorGrid
-    _vgrid: Optional[np.ndarray] = field(default=None, repr=False,
-                                         compare=False)
-
-    def potential_values(self) -> np.ndarray:
-        if self._vgrid is None:
-            self._vgrid = eval_potential(
-                self.potential, self.grid.points()).reshape(self.grid.counts)
-        return self._vgrid
+    potential_values: np.ndarray = field(repr=False)  # V at the nodes
 
     @property
     def min_depth(self) -> float:
@@ -114,7 +101,9 @@ def make_problem(eps: float, p: float, potential: PotentialModel,
         raise GeometryError(
             f"grid is {grid.dim}-d but potential is {potential.dim}-d")
     spec = ProblemSpec(eps=float(eps), p=float(p), potential=potential,
-                       grid=grid)
+                       grid=grid,
+                       potential_values=eval_potential(potential,
+                                                       grid.mesh()))
     margin = 5.0 * eps / math.sqrt(spec.min_depth)
     reach = 2.0 * potential.patch_radius + margin
     for k, w in enumerate(potential.wells):
@@ -213,7 +202,7 @@ def eps_inner(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> float:
         w = _weight_array(tuple(edge_counts), trap_axes=trans)
         total += e2 / (h * h) * float(np.sum(du * dv * w)) * cell
     w = _weight_array(grid.counts, trap_axes=set(range(grid.dim)))
-    total += float(np.sum(spec.potential_values() * u * v * w)) * cell
+    total += float(np.sum(spec.potential_values * u * v * w)) * cell
     return total
 
 
@@ -236,10 +225,9 @@ def _coverage(s: np.ndarray) -> np.ndarray:
     return 0.5 - _COVER_C1 * sc + _COVER_C3 * sc ** 3 - _COVER_C5 * sc ** 5
 
 
-def ball_volume_integral(spec: ProblemSpec, f: np.ndarray, center,
-                         radius: float) -> float:
-    """Integral of f over the ball, via smoothed cell coverage."""
-    grid = spec.grid
+def ball_coverage(grid: TensorGrid, center, radius: float) -> np.ndarray:
+    """Smoothed cell coverage of the ball at the nodes: a field f
+    integrates over the ball to sum(f * coverage) * cell_volume."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (grid.dim,):
         raise GeometryError("ball center has wrong dimension")
@@ -250,9 +238,8 @@ def ball_volume_integral(spec: ProblemSpec, f: np.ndarray, center,
             np.any(center + radius + width > grid.hi):
         raise GeometryError(
             "ball (plus its smoothing skirt) exits the grid box")
-    dist = np.linalg.norm(grid.points() - center, axis=1)
-    cov = _coverage((dist - radius) / width).reshape(grid.counts)
-    return float(np.sum(f * cov) * grid.cell_volume)
+    dist = displacement(grid.mesh(), center)[1]
+    return _coverage((dist - radius) / width)
 
 
 @dataclass(eq=False)
@@ -328,6 +315,6 @@ def field_values_on(grid: TensorGrid, values: np.ndarray,
 def field_gradient_on(grid: TensorGrid, values: np.ndarray,
                       points) -> np.ndarray:
     """Central-difference gradient of node values, interpolated at points."""
-    grads = np.reshape(np.gradient(values, *grid.axes(), edge_order=2),
+    grads = np.reshape(np.gradient(values, *grid.axes, edge_order=2),
                        (grid.dim, *grid.counts))
     return np.stack([field_values_on(grid, g, points) for g in grads], axis=1)

@@ -9,6 +9,12 @@ on) blends that local shape into a constant background between patches:
 with d = |x - a_j| on the patch owning x, and V = bg outside every patch.
 Wells must be separated by more than 4 delta, so the 2 delta support balls
 never overlap and each point is owned by at most one well.
+
+eval_potential and grad_potential take points as coordinates: coords[a]
+holds the a-th coordinate, as arrays that broadcast against each other.
+Pass grid.mesh() for the grid nodes (the result has the grid's shape),
+nodes.T for a row array of points, or one point's (dim,) vector for a
+0-d result.
 """
 
 from dataclasses import dataclass
@@ -117,25 +123,30 @@ def _cutoff_deriv(t: np.ndarray) -> np.ndarray:
     return -6.0 * s * (1.0 - s)
 
 
-def _as_points(model: PotentialModel, points) -> Tuple[np.ndarray, bool]:
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[-1] != model.dim:
+def displacement(coords, center) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """(x - center per axis, |x - center|) at coords (module docstring);
+    the norm adds the squares in axis order, as np.linalg.norm does on a
+    row of coordinates."""
+    rel = tuple(x - c for x, c in zip(coords, center))
+    return rel, np.sqrt(sum(r * r for r in rel))
+
+
+def _coords(model: PotentialModel, coords):
+    """coords as float arrays, and their broadcast shape."""
+    if len(coords) != model.dim:
         raise GeometryError(
-            f"points have dimension {pts.shape[-1]}, model is {model.dim}-d")
-    return pts.reshape(-1, model.dim), single
+            f"points have dimension {len(coords)}, model is {model.dim}-d")
+    coords = tuple(np.asarray(x, dtype=float) for x in coords)
+    return coords, np.broadcast_shapes(*(x.shape for x in coords))
 
 
-def eval_potential(model: PotentialModel, points) -> np.ndarray:
-    """V at one point (shape (dim,)) or many (shape (..., dim))."""
-    pts_in = np.asarray(points, dtype=float)
-    pts, single = _as_points(model, pts_in)
-    v = np.full(pts.shape[0], model.background)
+def eval_potential(model: PotentialModel, coords) -> np.ndarray:
+    """V at coords (module docstring), in their broadcast shape."""
+    coords, shape = _coords(model, coords)
+    v = np.full(shape, model.background)
     delta = model.patch_radius
     for w in model.wells:
-        d = np.linalg.norm(pts - w.center, axis=1)
+        d = displacement(coords, w.center)[1]
         mask = d < 2.0 * delta
         if not np.any(mask):
             continue
@@ -143,38 +154,34 @@ def eval_potential(model: PotentialModel, points) -> np.ndarray:
         chi = _cutoff(dm / delta)
         local = w.depth + w.coeff * dm ** model.exponent
         v[mask] = chi * local + (1.0 - chi) * model.background
-    if single:
-        return v[0]
-    return v.reshape(pts_in.shape[:-1])
+    return v
 
 
-def grad_potential(model: PotentialModel, points) -> np.ndarray:
-    """Analytic gradient of V; exactly zero outside all support balls.
+def grad_potential(model: PotentialModel, coords) -> np.ndarray:
+    """Analytic gradient of V at coords (as eval_potential), component a
+    at index a of the leading axis; exactly zero outside all support
+    balls.
 
     At a well center the gradient is the continuous extension 0 (for
     1 < m < 2 the radial factor d^(m-2) alone blows up, but the full vector
     m coeff d^(m-2) (x - a) still vanishes).
     """
-    pts_in = np.asarray(points, dtype=float)
-    pts, single = _as_points(model, pts_in)
-    g = np.zeros_like(pts)
+    coords, shape = _coords(model, coords)
+    g = np.zeros((model.dim, *shape))
     delta = model.patch_radius
     m = model.exponent
     for w in model.wells:
-        rel = pts - w.center
-        d = np.linalg.norm(rel, axis=1)
+        rel, d = displacement(coords, w.center)
         mask = (d < 2.0 * delta) & (d > 0.0)
         if not np.any(mask):
             continue
         dm = d[mask]
-        relm = rel[mask]
         t = dm / delta
         chi = _cutoff(t)
         dchi = _cutoff_deriv(t) / delta
         local = w.depth + w.coeff * dm ** m
         radial = chi * w.coeff * m * dm ** (m - 2.0) \
             + dchi * (local - model.background) / dm
-        g[mask] = radial[:, None] * relm
-    if single:
-        return g[0]
-    return g.reshape(pts_in.shape)
+        for a, ra in enumerate(rel):
+            g[a, mask] = radial * np.broadcast_to(ra, shape)[mask]
+    return g

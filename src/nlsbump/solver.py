@@ -51,7 +51,7 @@ from .grid import (
     neg_weighted_laplacian,
     power_map,
 )
-from .potential import eval_potential
+from .potential import displacement, eval_potential
 from .radial import RadialProfile, eval_profile
 
 
@@ -106,29 +106,27 @@ def sample_bump(spec: ProblemSpec, profile: RadialProfile, center
     q = U''(0) = (v_a U(0) - U(0)^(p-1)) / dim, so no table is differenced.
     """
     grid = spec.grid
-    rel = grid.points() - center
-    dist = np.linalg.norm(rel, axis=1)
+    rel, dist = displacement(grid.mesh(), center)
     r = dist / spec.eps
     u, du = eval_profile(profile, r)
     safe = np.where(dist > 0.0, dist, 1.0)
-    trans = tuple(np.where(dist > 0.0, du * rel[:, a] / (spec.eps * safe),
-                           0.0).reshape(grid.counts) for a in range(grid.dim))
+    trans = tuple(np.where(dist > 0.0, du * x / (spec.eps * safe), 0.0)
+                  for x in rel)
 
     def hessian(v: np.ndarray, inner: Callable = eps_inner) -> np.ndarray:
         source = profile.v_a * u - power_map(profile.p)(u)
         q = np.where(dist > 0.0, du / np.where(dist > 0.0, r, 1.0),
                      source / grid.dim)
         curv = source - grid.dim * q  # U'' - q
-        unit = rel / safe[:, None]
+        unit = [x / safe for x in rel]
         out = np.empty((grid.dim, grid.dim))
         for a in range(grid.dim):
             for b in range(a, grid.dim):
-                hess = (curv * unit[:, a] * unit[:, b]
-                        + q * (a == b)).reshape(grid.counts)
+                hess = curv * unit[a] * unit[b] + q * (a == b)
                 out[a, b] = out[b, a] = inner(spec, v, hess)
         return out / spec.eps ** 2
 
-    return u.reshape(grid.counts), trans, hessian
+    return u, trans, hessian
 
 
 def bump_centers(spec: ProblemSpec, bumps: Sequence[BumpSpec]) -> np.ndarray:
@@ -194,7 +192,7 @@ def dirichlet_inverse(spec: ProblemSpec):
     eigenvalues, as a scipy LinearOperator."""
     from scipy.fft import dstn
     from scipy.sparse.linalg import LinearOperator
-    v_int = spec.potential_values()[_interior(spec)]
+    v_int = spec.potential_values[_interior(spec)]
     axes = tuple(range(v_int.ndim))
     symbol = np.full(v_int.shape, float(v_int.min()))
     for a, (n, h) in enumerate(zip(v_int.shape, spec.grid.spacing)):
@@ -240,7 +238,7 @@ def interior_operator(diag: np.ndarray, spacing,
 def residual(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """F(u) on the grid nodes (u a raw array over them), zero on the ring."""
     inner = _interior(spec)
-    v_int, u_int = spec.potential_values()[inner], u[inner].ravel()
+    v_int, u_int = spec.potential_values[inner], u[inner].ravel()
     r = np.zeros(spec.grid.counts)
     r[inner] = (interior_operator(v_int, spec.grid.spacing, spec.eps ** 2)(
         u_int) - power_map(spec.p)(u_int)).reshape(v_int.shape)
@@ -250,7 +248,7 @@ def residual(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
 def jacobian_diagonal(spec: ProblemSpec, u_int: np.ndarray) -> np.ndarray:
     """V - (p-1)|u|^(p-2) on the interior unknowns: J[u] is
     interior_operator of it."""
-    return (spec.potential_values()[_interior(spec)]
+    return (spec.potential_values[_interior(spec)]
             - (spec.p - 1.0) * np.abs(u_int) ** (spec.p - 2.0))
 
 
@@ -287,7 +285,7 @@ def newton_solve(spec: ProblemSpec,
     u = np.zeros(grid.counts)
     u[inner] = u0[inner]
     sup_u0 = float(np.abs(u).max())
-    tau = _TOL_RESIDUAL / float(spec.potential_values()[inner].min())
+    tau = _TOL_RESIDUAL / float(spec.potential_values[inner].min())
 
     cell = grid.cell_volume
 
@@ -323,7 +321,7 @@ def newton_solve(spec: ProblemSpec,
 
     # Seed for the adaptive shift when a pure Newton step cannot make
     # progress (nearly singular translation modes); same units as V.
-    lam_seed = 1e-4 * float(np.abs(spec.potential_values()).max())
+    lam_seed = 1e-4 * float(np.abs(spec.potential_values).max())
     lam = 0.0
 
     it = 0

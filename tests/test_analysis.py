@@ -24,8 +24,15 @@ from nlsbump.grid import (box_integral, eps_inner, eps_norm, make_grid,
 from nlsbump.potential import WellSpec, constant_potential, make_multiwell
 from nlsbump.radial import eval_profile, radial_integral
 from nlsbump.solver import (BumpSpec, SolveReport, build_ansatz,
-                            bump_centers, interior_operator, newton_solve,
-                            sample_bump)
+                            bump_centers, interior_operator,
+                            jacobian_diagonal, newton_solve, sample_bump)
+
+
+def node_points(grid):
+    """The grid nodes as a (node_count, dim) row array, row-major."""
+    return np.stack(np.meshgrid(*grid.axes, indexing="ij"),
+                    axis=-1).reshape(-1, grid.dim)
+
 
 WELLS = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
          WellSpec(center=np.array([1.0, 0.0]), depth=1.21, coeff=1.0)]
@@ -136,7 +143,7 @@ def test_decompose_recovers_shifted_centers(two_bump_case):
 def test_decompose_puts_perturbation_into_remainder(two_bump_case):
     spec, profs, _, u0 = two_bump_case
     grid = spec.grid
-    pts = grid.points()
+    pts = node_points(grid)
     smooth = np.exp(-0.5 * np.sum((pts - np.array([0.0, 0.5])) ** 2, axis=1)
                     / 0.6 ** 2).reshape(grid.counts)
     basis = []
@@ -203,7 +210,7 @@ def test_bump_hessian_pairings_match_differenced_translations(get_profile,
     prof = get_profile(1.0, 4.0, dim)
     center = np.zeros(dim)
     x0 = np.array([0.3, 0.2, -0.25])[:dim]
-    v = np.exp(-np.sum((grid.points() - x0) ** 2, axis=1)).reshape(
+    v = np.exp(-np.sum((node_points(grid) - x0) ** 2, axis=1)).reshape(
         grid.counts)
     got = sample_bump(spec, prof, center)[2](v)
     h = 1e-4 * spec.eps
@@ -269,10 +276,11 @@ BALL_CENTER = np.array([0.3, 0.1])
 
 def test_flux_identity_on_converged_solution(well_case):
     spec, _, u, _ = well_case
-    rep = pohozaev_terms(spec, u, BALL_CENTER, 0.8, 0)
+    rep = pohozaev_terms(spec, u, BALL_CENTER, 0.8)[0]
     scale = max(abs(rep.lhs_volume), abs(rep.i1), abs(rep.i2), abs(rep.i3))
     # measured: relative residual 1.1e-3 on the 161-point grid
     assert abs(rep.residual) / scale <= 0.01
+    assert rep.rel_residual == abs(rep.residual) / scale
     assert rep.residual == rep.lhs_volume - (rep.i1 + rep.i2 + rep.i3)
 
 
@@ -280,8 +288,8 @@ def test_flux_residual_refines_at_three_halves_order(well_case,
                                                      fine_well_case):
     spec, _, u, _ = well_case
     fspec, fu = fine_well_case
-    coarse = pohozaev_terms(spec, u, BALL_CENTER, 0.8, 0)
-    fine = pohozaev_terms(fspec, fu, BALL_CENTER, 0.8, 0)
+    coarse = pohozaev_terms(spec, u, BALL_CENTER, 0.8)[0]
+    fine = pohozaev_terms(fspec, fu, BALL_CENTER, 0.8)[0]
     order = np.log2(abs(coarse.residual) / abs(fine.residual))
     # measured: 2.0
     assert order >= 1.5
@@ -289,23 +297,18 @@ def test_flux_residual_refines_at_three_halves_order(well_case,
 
 def test_flux_identity_flags_a_non_solution(well_case):
     spec, u0, u, _ = well_case
-    good = pohozaev_terms(spec, u, BALL_CENTER, 0.8, 0)
-    bad = pohozaev_terms(spec, u0, BALL_CENTER, 0.8, 0)
-
-    def rel(rep):
-        scale = max(abs(rep.lhs_volume), abs(rep.i1), abs(rep.i2),
-                    abs(rep.i3))
-        return abs(rep.residual) / scale
+    good = pohozaev_terms(spec, u, BALL_CENTER, 0.8)[0]
+    bad = pohozaev_terms(spec, u0, BALL_CENTER, 0.8)[0]
 
     # measured: 8.6e-2 for the raw ansatz vs 1.1e-3 for the solution
-    assert rel(bad) >= 0.05
-    assert rel(bad) >= 5.0 * rel(good)
+    assert bad.rel_residual >= 0.05
+    assert bad.rel_residual >= 5.0 * good.rel_residual
 
 
 def test_flux_volume_term_vanishes_at_constant_potential(const_solutions):
     reps = {}
     for n, (spec, u) in const_solutions.items():
-        reps[n] = pohozaev_terms(spec, u, BALL_CENTER, 0.8, 0)
+        reps[n] = pohozaev_terms(spec, u, BALL_CENTER, 0.8)[0]
         assert reps[n].lhs_volume == 0.0
     # boundary groups cancel on their own; measured 2.0e-4 then 5.0e-5
     sums = {n: abs(r.i1 + r.i2 + r.i3) for n, r in reps.items()}
@@ -316,11 +319,9 @@ def test_flux_volume_term_vanishes_at_constant_potential(const_solutions):
 def test_flux_ball_validation(well_case):
     spec, _, u, _ = well_case
     with pytest.raises(GeometryError):
-        pohozaev_terms(spec, u, np.array([2.0, 0.0]), 1.0, 0)
+        pohozaev_terms(spec, u, np.array([2.0, 0.0]), 1.0)
     with pytest.raises(GeometryError):
-        pohozaev_terms(spec, u, BALL_CENTER, -0.5, 0)
-    with pytest.raises(DomainError, match="axis index"):
-        pohozaev_terms(spec, u, BALL_CENTER, 0.8, 2)
+        pohozaev_terms(spec, u, BALL_CENTER, -0.5)
 
 
 # --- rate fitting ---
@@ -499,7 +500,7 @@ def test_coercivity_matches_dense_pencils(case, get_profile):
 
     # the same pencils, assembled densely from the shared stencil
     inner = tuple(slice(1, -1) for _ in spec.grid.counts)
-    v_int = spec.potential_values()[inner]
+    v_int = spec.potential_values[inner]
     bump, trans, _ = sample_bump(spec, prof, center)
     weight = (spec.p - 1.0) * bump ** (spec.p - 2.0)
     eye = np.eye(v_int.size)
@@ -691,6 +692,46 @@ def two_well_1d(get_profile, eps):
         BumpSpec(get_profile(w.depth, 4.0, 1), np.array(w.center))
         for w in cfg.potential.wells)
     return problem_at(cfg, eps), ansatz
+
+
+@pytest.mark.parametrize("coeffs, index, drift", [
+    ((1.0, 1.0), 2, (1.0, -1.0)),
+    ((1.0, -1.0), 3, (1.0, 1.0)),
+    ((-1.0, -1.0), 4, (-1.0, 1.0)),
+], ids=["min-min", "min-max", "max-max"])
+def test_solutions_at_maxima_of_v_follow_the_morse_index_rule(
+        get_profile, coeffs, index, drift):
+    # The 1-D benchmark geometry with background 1.21, so a coeff -1 well
+    # is a maximum of V.  The Morse index (negative eigenvalues of the
+    # dense pencil (J(u), M) at Newton's solution) is k plus the number of
+    # maxima at every eps; each decomposed amplitude has the sign of its
+    # well's coeff.  The centres move toward each other at two minima,
+    # apart at two maxima, and both in +x for a minimum at -1 and a
+    # maximum at +1 (measured offset/eps at eps 0.2: +2.9e-3, +3.0e-3);
+    # at eps 0.1 the offsets are ~1e-7 eps, so their signs are not pinned.
+    cfg = parse_config(TWO_WELL_1D + "problem.background = 1.21\n" + "".join(
+        f"problem.well.{j}.coeff = {c}\n" for j, c in enumerate(coeffs)))
+    wells = cfg.potential.wells
+    centers = np.array([w.center for w in wells])
+    profs = [get_profile(w.depth, 4.0, 1) for w in wells]
+    ansatz = tuple(BumpSpec(prof, c) for prof, c in zip(profs, centers))
+    for eps in (0.3, 0.2, 0.15, 0.1):
+        spec = problem_at(cfg, eps)
+        u, rep = newton_solve(spec, build_ansatz(spec, ansatz))
+        assert rep.converged and rep.positivity
+        inner = (slice(1, -1),)
+        eye = np.eye(spec.grid.counts[0] - 2)
+        j_mat, m_mat = (interior_operator(diag, spec.grid.spacing,
+                                          eps ** 2)(eye)
+                        for diag in (jacobian_diagonal(spec, u[inner]),
+                                     spec.potential_values[inner]))
+        lam = scipy.linalg.eigh(j_mat, m_mat, eigvals_only=True)
+        assert np.sum(lam < 0.0) == index
+        dec = decompose(spec, u, centers, profs)
+        assert np.array_equal(np.sign(dec.amplitudes), np.sign(coeffs))
+        if eps >= 0.15:
+            assert np.array_equal(np.sign(dec.centers - centers)[:, 0],
+                                  drift)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

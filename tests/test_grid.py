@@ -9,7 +9,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from nlsbump.errors import DomainError, GeometryError
 from nlsbump.grid import (
-    ball_volume_integral,
+    ball_coverage,
     box_integral,
     eps_inner,
     eps_norm,
@@ -26,6 +26,18 @@ from nlsbump.radial import eval_profile, radial_integral
 from nlsbump.solver import interior_operator
 
 
+def node_points(grid):
+    """The grid nodes as a (node_count, dim) row array, row-major."""
+    return np.stack(np.meshgrid(*grid.axes, indexing="ij"),
+                    axis=-1).reshape(-1, grid.dim)
+
+
+def ball_volume_integral(spec, f, center, radius):
+    """Integral of f over the ball, weighted by the ball's coverage."""
+    cov = ball_coverage(spec.grid, center, radius)
+    return float(np.sum(f * cov) * spec.grid.cell_volume)
+
+
 def unit_problem(grid, p=4.0, eps=1.0):
     return make_problem(eps, p, constant_potential(1.0, grid.dim), grid)
 
@@ -38,7 +50,7 @@ def interior(values):
 def linear_operator(spec):
     """-eps^2 lap_h + V on the flattened interior unknowns: Newton's
     stencil."""
-    return interior_operator(interior(spec.potential_values()),
+    return interior_operator(interior(spec.potential_values),
                              spec.grid.spacing, spec.eps ** 2)
 
 
@@ -111,7 +123,7 @@ def test_eigen_relation_interior():
     for n in (101, 201):
         g = make_grid([0.0], [L], [n])
         spec = unit_problem(g)
-        x = g.axes()[0]
+        x = g.axes[0]
         u = np.sin(np.pi * x / L)
         out = linear_operator(spec)(interior(u).ravel())
         errs[n] = np.abs(out - lam * u[1:-1]).max()
@@ -124,7 +136,7 @@ def test_sampled_soliton_residual_second_order():
     for n in (2001, 4001):
         g = make_grid([-25.0], [25.0], [n])
         spec = unit_problem(g)
-        u = np.sqrt(2.0) / np.cosh(g.axes()[0])
+        u = np.sqrt(2.0) / np.cosh(g.axes[0])
         errs[n] = np.abs(pde_residual(spec, u)).max()
     assert errs[2001] < 5e-4
     assert 3.4 < errs[2001] / errs[4001] < 4.6
@@ -192,7 +204,7 @@ def test_eps_norm_of_sampled_bump_matches_radial_identity(get_profile):
     eps = 0.3
     g = make_grid([-2.5, -2.5], [2.5, 2.5], [251, 251])
     spec = make_problem(eps, 4.0, constant_potential(1.0, 2), g)
-    r = np.linalg.norm(g.points(), axis=1) / eps
+    r = np.linalg.norm(node_points(g), axis=1) / eps
     u = eval_profile(prof, r)[0].reshape(g.counts)
     lhs = eps_norm(spec, u) ** 2
     rhs = eps ** 2 * radial_integral(prof, lambda t: t ** 4)
@@ -210,9 +222,9 @@ def test_ball_volume_worked_values():
     one = np.ones(g.counts)
     vol = ball_volume_integral(spec, one, [0.0, 0.0, 0.0], 1.0)
     assert vol == pytest.approx(4.0 * np.pi / 3.0, rel=0.01)
-    odd = g.points()[:, 0].reshape(g.counts)
+    odd = node_points(g)[:, 0].reshape(g.counts)
     assert abs(ball_volume_integral(spec, odd, [0.0] * 3, 1.0)) < 1e-12
-    gauss = np.exp(-np.linalg.norm(g.points(), axis=1) ** 2).reshape(
+    gauss = np.exp(-np.linalg.norm(node_points(g), axis=1) ** 2).reshape(
         g.counts)
     oracle = 4.0 * np.pi * quad(
         lambda rr: np.exp(-rr * rr) * rr * rr, 0.0, 1.0)[0]
@@ -231,7 +243,7 @@ def test_ball_volume_convergence_order():
     for n in (41, 81, 161, 321):
         g = make_grid([-1.5, -1.5], [1.5, 1.5], [n, n])
         spec = unit_problem(g, eps=0.5)
-        f = np.exp(-np.linalg.norm(g.points(), axis=1) ** 2).reshape(
+        f = np.exp(-np.linalg.norm(node_points(g), axis=1) ** 2).reshape(
             g.counts)
         errs.append(abs(ball_volume_integral(spec, f, c, radius) - oracle))
         hs.append(g.spacing[0])
@@ -288,7 +300,7 @@ def test_sphere_surface_polynomial_exact():
 
 def test_sphere_integral_of_interpolated_field():
     g = make_grid([-1.5] * 3, [1.5] * 3, [97] * 3)
-    f = (g.points()[:, 0] ** 2).reshape(g.counts)
+    f = (node_points(g)[:, 0] ** 2).reshape(g.counts)
     q = make_sphere_quadrature([0.2, -0.1, 0.3], 0.7)
     got = float(np.dot(q.weights, field_values_on(g, f, q.nodes)))
     exact = 4.0 * np.pi * 0.49 * (0.2 ** 2 + 0.49 / 3.0)
@@ -308,8 +320,8 @@ def test_field_values_on_matches_regular_grid_interpolator(counts):
     values = rng.standard_normal(g.counts)
     corners = np.array(list(itertools.product(*zip(g.lo, g.hi))))
     points = np.vstack([rng.uniform(g.lo, g.hi, (400, dim)), corners,
-                        g.points()[::7]])
-    reference = RegularGridInterpolator(g.axes(), values, method="linear",
+                        node_points(g)[::7]])
+    reference = RegularGridInterpolator(g.axes, values, method="linear",
                                         bounds_error=True)(points)
     # measured: at most 5.1e-15
     assert np.abs(field_values_on(g, values, points)

@@ -74,7 +74,7 @@ def test_local_shape_exact_inside_patch():
         rng = np.random.default_rng(7)
         pts = rng.uniform(-0.6, 0.6, size=(200, 2))
         pts = pts[np.linalg.norm(pts, axis=1) < 0.6]
-        v = eval_potential(pot, pts)
+        v = eval_potential(pot, pts.T)
         r = np.linalg.norm(pts, axis=1)
         assert np.allclose(v, 1.3 + 0.7 * r ** m, rtol=1e-14, atol=1e-14)
 
@@ -84,8 +84,7 @@ def test_positive_and_bounded_on_dense_sample():
              WellSpec(np.array([1.0, 0.0]), 1.21, -0.3)]
     pot = make_multiwell(wells, 2.0, 0.4, background=1.3)
     xs = np.linspace(-3.0, 3.0, 151)
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-    v = eval_potential(pot, grid)
+    v = eval_potential(pot, np.meshgrid(xs, xs, indexing="ij"))
     assert v.shape == (151, 151)
     assert np.all(np.isfinite(v))
     assert v.min() > 0.0
@@ -124,13 +123,13 @@ def test_gradient_matches_central_differences(m):
 
     def max_fd_error(h):
         err = 0.0
-        exact = grad_potential(pot, pts)
+        exact = grad_potential(pot, pts.T)
         for axis in range(2):
             e = np.zeros(2)
             e[axis] = h
-            fd = (eval_potential(pot, pts + e)
-                  - eval_potential(pot, pts - e)) / (2.0 * h)
-            err = max(err, np.abs(fd - exact[:, axis]).max())
+            fd = (eval_potential(pot, (pts + e).T)
+                  - eval_potential(pot, (pts - e).T)) / (2.0 * h)
+            err = max(err, np.abs(fd - exact[axis]).max())
         return err
 
     e1 = max_fd_error(1e-3)
@@ -144,8 +143,8 @@ def test_gradient_zero_outside_patches():
     pot = single_well(2.0, delta=0.5, dim=3)
     rng = np.random.default_rng(3)
     pts = rng.uniform(1.2, 4.0, size=(50, 3))
-    assert np.all(grad_potential(pot, pts) == 0.0)
-    assert np.all(eval_potential(pot, pts) == pot.background)
+    assert np.all(grad_potential(pot, pts.T) == 0.0)
+    assert np.all(eval_potential(pot, pts.T) == pot.background)
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,16 +173,16 @@ def test_negative_coeff_well():
     v_edge = eval_potential(pot, np.array([1.0, 0.0]))
     assert v_edge == pytest.approx(0.95, abs=1e-15)
     xs = np.linspace(-3, 3, 301)
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-    assert eval_potential(pot, grid).min() > 0.0
+    assert eval_potential(pot, np.meshgrid(xs, xs,
+                                           indexing="ij")).min() > 0.0
 
 
 def test_constant_potential():
     pot = constant_potential(1.5, 3)
     assert pot.wells == ()
     pts = np.random.default_rng(1).normal(size=(20, 3))
-    assert np.all(eval_potential(pot, pts) == 1.5)
-    assert np.all(grad_potential(pot, pts) == 0.0)
+    assert np.all(eval_potential(pot, pts.T) == 1.5)
+    assert np.all(grad_potential(pot, pts.T) == 0.0)
     with pytest.raises(PositivityError):
         constant_potential(0.0, 2)
     with pytest.raises(DomainError):

@@ -6,6 +6,8 @@ in h.  The remaining tests pin down iteration behavior (quadratic tail,
 Krylov counts, backtracks and shifts) and the error paths.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,19 @@ from nlsbump.errors import ConsistencyError, ConvergenceError, DomainError, \
     GeometryError
 import nlsbump.solver
 from nlsbump.grid import make_grid, make_problem
-from nlsbump.potential import WellSpec, constant_potential, make_multiwell
+from nlsbump.potential import (WellSpec, constant_potential, eval_potential,
+                               grad_potential, make_multiwell)
+from nlsbump.radial import eval_profile
 from nlsbump.solver import (BumpSpec, build_ansatz,
                             dirichlet_inverse, interior_operator,
-                            jacobian_diagonal, newton_solve, residual)
+                            jacobian_diagonal, newton_solve, residual,
+                            sample_bump)
+
+
+def node_points(grid):
+    """The grid nodes as a (node_count, dim) row array, row-major."""
+    return np.stack(np.meshgrid(*grid.axes, indexing="ij"),
+                    axis=-1).reshape(-1, grid.dim)
 
 
 def const_problem_1d(n, eps=1.0):
@@ -60,7 +71,6 @@ def test_zero_start_returns_trivial_fixed_point():
 
 
 def test_dim1_matches_radial_oracle_at_second_order(get_profile):
-    from nlsbump.radial import eval_profile
     prof = get_profile(1.0, 4.0, 1)
     errs = {}
     for n in (501, 1001):
@@ -68,7 +78,7 @@ def test_dim1_matches_radial_oracle_at_second_order(get_profile):
         u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(1)),))
         u, rep = newton_solve(spec, u0)
         assert rep.converged and rep.positivity
-        exact = eval_profile(prof, np.abs(spec.grid.axes()[0]))[0]
+        exact = eval_profile(prof, np.abs(spec.grid.axes[0]))[0]
         errs[n] = np.abs(u - exact).max()
     # measured: coarse 1.16e-3, fine 2.90e-4, order 2.00
     assert errs[1001] <= 5e-4
@@ -77,7 +87,6 @@ def test_dim1_matches_radial_oracle_at_second_order(get_profile):
 
 
 def test_dim2_matches_radial_oracle_at_second_order(get_profile):
-    from nlsbump.radial import eval_profile
     prof = get_profile(1.0, 4.0, 2)
     errs = {}
     iters = {}
@@ -86,7 +95,7 @@ def test_dim2_matches_radial_oracle_at_second_order(get_profile):
         u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
         u, rep = newton_solve(spec, u0)
         assert rep.converged and rep.positivity
-        r = np.linalg.norm(spec.grid.points(), axis=1)
+        r = np.linalg.norm(node_points(spec.grid), axis=1)
         exact = eval_profile(prof, r)[0].reshape(spec.grid.counts)
         errs[n] = np.abs(u - exact).max()
         iters[n] = rep.iterations
@@ -118,7 +127,7 @@ def test_jacobian_symmetry_and_fd_consistency(well_solution):
     spec, _, u, _ = well_solution
     rng = np.random.default_rng(7)
     inner = (slice(1, -1), slice(1, -1))
-    v_int = spec.potential_values()[inner]
+    v_int = spec.potential_values[inner]
     u_int = u[inner]
     e2 = spec.eps ** 2
     assert np.array_equal(jacobian_diagonal(spec, u_int),
@@ -147,7 +156,7 @@ def test_jacobian_symmetry_and_fd_consistency(well_solution):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     # finite differences of the full residual approach Jv at first order
-    x = spec.grid.points()
+    x = node_points(spec.grid)
     smooth = np.exp(-np.sum(x ** 2, axis=1)).reshape(spec.grid.counts)
     smooth = smooth[inner].ravel()
     errs = []
@@ -239,7 +248,7 @@ def test_dirichlet_inverse_inverts_constant_potential_metric(counts, eps):
     spec = make_problem(eps=eps, p=4.0,
                         potential=constant_potential(1.7, dim), grid=grid)
     inner = tuple(slice(1, -1) for _ in counts)
-    v_int = spec.potential_values()[inner]
+    v_int = spec.potential_values[inner]
     eye = np.eye(v_int.size)
     metric = interior_operator(v_int, grid.spacing, eps ** 2)(eye)
     inverse = dirichlet_inverse(spec) @ eye
@@ -261,7 +270,6 @@ def test_build_ansatz_validates_center_and_floor(get_profile):
 
 
 def test_build_ansatz_worked_values(get_profile):
-    from nlsbump.radial import eval_profile
     prof1 = get_profile(1.0, 4.0, 2)
     prof2 = get_profile(1.21, 4.0, 2)
     wells = [WellSpec(center=np.array([-1.0, 0.0]), depth=1.0, coeff=1.0),
@@ -273,13 +281,49 @@ def test_build_ansatz_worked_values(get_profile):
         BumpSpec(prof1, np.array([-1.0, 0.0])),
         BumpSpec(prof2, np.array([1.0, 0.0]))))
     # (-1, 0) is a grid node: value there is U1(0) plus U2 at separation 2
-    ix = int(np.argmin(np.abs(grid.axes()[0] + 1.0)))
-    iy = int(np.argmin(np.abs(grid.axes()[1])))
+    ix = int(np.argmin(np.abs(grid.axes[0] + 1.0)))
+    iy = int(np.argmin(np.abs(grid.axes[1])))
     got = u0[ix, iy]
     expected = (eval_profile(prof1, 0.0)[0]
                 + eval_profile(prof2, 2.0 / 0.25)[0])
     assert abs(got - expected) <= 1e-12
     assert eval_profile(prof2, 8.0)[0] <= np.exp(-0.5 * 8.0)
+
+
+@pytest.mark.parametrize("dim, counts", [(1, (61,)), (2, (31, 17)),
+                                         (3, (23, 13, 11))],
+                         ids=["1d", "2d", "3d"])
+def test_coordinate_path_agrees_with_nodewise_evaluation(get_profile, dim,
+                                                         counts):
+    # V, grad V and a sampled bump on the grid's broadcast coordinates
+    # (grid.mesh()) equal the same evaluations one node at a time, bit for
+    # bit: a minimum, and a maximum (coeff < 0) under an explicit
+    # background, with nodes in both patches and both blend shells.
+    wells = [WellSpec(np.eye(dim)[0] * sign, depth, coeff)
+             for sign, depth, coeff in ((-1.0, 1.0, 1.0), (1.0, 1.21, -0.3))]
+    pot = make_multiwell(wells, exponent=2.0, patch_radius=0.4,
+                         background=1.3)
+    grid = make_grid(lo=[-2.4] + [-1.4] * (dim - 1),
+                     hi=[2.4] + [1.4] * (dim - 1), counts=list(counts))
+    spec = make_problem(eps=0.1, p=4.0, potential=pot, grid=grid)
+    prof = get_profile(1.0, 4.0, dim)
+    center = np.array([-0.97, 0.05, -0.02])[:dim]
+    bump = sample_bump(spec, prof, center)[0]
+    want_v, want_bump = np.empty(counts), np.empty(counts)
+    want_g = np.empty((dim, *counts))
+    for idx in np.ndindex(*counts):
+        node = np.array([grid.axes[a][i] for a, i in enumerate(idx)])
+        want_v[idx] = eval_potential(pot, node)
+        want_g[(slice(None), *idx)] = grad_potential(pot, node)
+        dist = math.sqrt(sum((x - c) * (x - c) for x, c in zip(node, center)))
+        want_bump[idx] = eval_profile(prof, dist / spec.eps)[0]
+    assert np.array_equal(eval_potential(pot, grid.mesh()), want_v)
+    assert np.array_equal(spec.potential_values, want_v)
+    assert np.array_equal(grad_potential(pot, grid.mesh()), want_g)
+    assert np.array_equal(bump, want_bump)
+    for w in wells:  # nodes in each well's core and blend shell
+        d = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.mesh(), w.center)))
+        assert np.any(d < 0.4) and np.any((d > 0.4) & (d < 0.8))
 
 
 def test_convergence_error_carries_partial_state(get_profile, monkeypatch):
@@ -327,7 +371,7 @@ def test_positivity_ignores_negativity_the_tolerance_cannot_resolve(
     prof = get_profile(1.0, 4.0, 2)
     u0 = build_ansatz(spec, (BumpSpec(prof, np.zeros(2)),))
     tau = (nlsbump.solver._TOL_RESIDUAL
-           / spec.potential_values()[1:-1, 1:-1].min())
+           / spec.potential_values[1:-1, 1:-1].min())
     u0[1, 1] = -depth * tau
     monkeypatch.setattr(nlsbump.solver, "_MAX_NEWTON", 0)
     with pytest.raises(ConvergenceError) as err:
