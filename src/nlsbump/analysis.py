@@ -11,7 +11,8 @@ per projection or reduced-solve step; the bumps and translation fields
 decompose converged on are the ones coercivity_estimate and the CLI's
 overlap integrals read.  Every field, the solution, the bumps, the
 remainders and the uniqueness probe's difference quotient, is a float
-array on spec.grid.
+array on spec.grid.  pohozaev_terms takes every ball of an eps in one
+call, so grad V and grad u are formed on the grid once per eps.
 """
 
 import math
@@ -35,7 +36,6 @@ from .grid import (
     ball_coverage,
     eps_inner,
     eps_norm,
-    field_gradient_on,
     field_values_on,
     make_sphere_quadrature,
 )
@@ -60,8 +60,6 @@ _REDUCED_STEP_TOL = 1e-6
 # LOBPCG's bound on the residual norm of each M-normalized eigenpair
 _LOBPCG_TOL = 1e-8
 _LOBPCG_MAX_ITER = 1000
-# Sphere quadrature resolution of the flux identity's boundary terms
-_POHOZAEV_RESOLUTION = 48
 # The uniqueness probe's pairs start from 1 -/+ _PROBE_AMP times the ansatz
 # ("amplitude") and from every bump moved +/- _PROBE_SHIFT eps on axis 0
 _PROBE_AMP = 0.1
@@ -95,7 +93,6 @@ class PohozaevReport:
 
 @dataclass(frozen=True)
 class RateFit:
-    samples: Tuple[Tuple[float, float], ...]
     slope: float
     intercept: float
     max_deviation: float
@@ -250,46 +247,55 @@ def default_ball_radius(spec: ProblemSpec) -> float:
     return 0.25 * float(np.min(spec.grid.hi - spec.grid.lo))
 
 
-def pohozaev_terms(spec: ProblemSpec, u: np.ndarray, center,
-                   radius: float) -> List[PohozaevReport]:
-    """Volume and boundary terms of the flux identity on a ball, one
-    report per direction i.
+def pohozaev_terms(spec: ProblemSpec, u: np.ndarray, centers,
+                   radius: float) -> List[List[PohozaevReport]]:
+    """Volume and boundary terms of the flux identity on the ball of the
+    given radius about each centre: per ball, one report per direction i.
 
     For a solution, the volume integral of (dV/dx_i) u^2 equals the sum of
     the three boundary groups; the reported residual is their mismatch.
-    One ball coverage and one evaluation of grad V on the grid, one sphere
-    quadrature and one interpolation of u and grad u on it serve every
-    direction.
+    grad V on the grid and the central-difference grad u are formed once
+    for every ball; each ball takes one coverage, one sphere quadrature
+    and one interpolation of the stack [u, grad u].
     """
     grid = spec.grid
-    cov = ball_coverage(grid, center, radius)
-    lhs = [float(np.sum(gradv * u * u * cov) * grid.cell_volume)
-           for gradv in grad_potential(spec.potential, grid.mesh())]
-
-    quad = make_sphere_quadrature(center, radius, _POHOZAEV_RESOLUTION)
-    uvals = field_values_on(grid, u, quad.nodes)
-    grads = field_gradient_on(grid, u, quad.nodes)
-    vvals = eval_potential(spec.potential, quad.nodes.T)
-    u_nu = np.sum(grads * quad.normals, axis=1)
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != grid.dim:
+        raise GeometryError("ball centers must be k points of grid dim")
+    grad_v = grad_potential(spec.potential, grid.mesh())
+    # in 1-D np.gradient returns one array, not a list
+    stack = np.concatenate([u[None], np.reshape(
+        np.gradient(u, *grid.axes, edge_order=2), (grid.dim, *grid.counts))])
     e2 = spec.eps ** 2
-    energy = e2 * np.sum(grads ** 2, axis=1) + vvals * uvals ** 2
-    power = np.abs(uvals) ** spec.p
-    reports = []
-    for i in range(grid.dim):
-        nu_i = quad.normals[:, i]
-        i1 = -2.0 * e2 * float(np.dot(quad.weights, u_nu * grads[:, i]))
-        i2 = float(np.dot(quad.weights, energy * nu_i))
-        i3 = -(2.0 / spec.p) * float(np.dot(quad.weights, power * nu_i))
-        terms = {"lhs": lhs[i], "i1": i1, "i2": i2, "i3": i3}
-        for name, val in terms.items():
-            if not math.isfinite(val):
-                raise DomainError(f"flux term {name} is not finite")
-        residual = lhs[i] - (i1 + i2 + i3)
-        scale = max(abs(val) for val in terms.values())
-        reports.append(PohozaevReport(
-            lhs_volume=lhs[i], i1=i1, i2=i2, i3=i3, residual=residual,
-            rel_residual=abs(residual) / scale if scale > 0.0 else 0.0))
-    return reports
+    balls = []
+    for center in centers:
+        cov = ball_coverage(grid, center, radius)
+        lhs = [float(np.sum(gradv * u * u * cov) * grid.cell_volume)
+               for gradv in grad_v]
+        quad = make_sphere_quadrature(center, radius)
+        vals = field_values_on(grid, stack, quad.nodes)
+        uvals, grads = vals[0], np.stack(vals[1:], axis=1)
+        vvals = eval_potential(spec.potential, quad.nodes.T)
+        u_nu = np.sum(grads * quad.normals, axis=1)
+        energy = e2 * np.sum(grads ** 2, axis=1) + vvals * uvals ** 2
+        power = np.abs(uvals) ** spec.p
+        reports = []
+        for i in range(grid.dim):
+            nu_i = quad.normals[:, i]
+            i1 = -2.0 * e2 * float(np.dot(quad.weights, u_nu * grads[:, i]))
+            i2 = float(np.dot(quad.weights, energy * nu_i))
+            i3 = -(2.0 / spec.p) * float(np.dot(quad.weights, power * nu_i))
+            terms = {"lhs": lhs[i], "i1": i1, "i2": i2, "i3": i3}
+            for name, val in terms.items():
+                if not math.isfinite(val):
+                    raise DomainError(f"flux term {name} is not finite")
+            residual = lhs[i] - (i1 + i2 + i3)
+            scale = max(abs(val) for val in terms.values())
+            reports.append(PohozaevReport(
+                lhs_volume=lhs[i], i1=i1, i2=i2, i3=i3, residual=residual,
+                rel_residual=abs(residual) / scale if scale > 0.0 else 0.0))
+        balls.append(reports)
+    return balls
 
 
 def fit_rate(samples: Sequence[Tuple[float, float]],
@@ -313,8 +319,8 @@ def fit_rate(samples: Sequence[Tuple[float, float]],
     le, lv = abscissa(eps), np.log(vals)
     slope, intercept = np.polyfit(le, lv, 1)
     dev = float(np.abs(lv - (slope * le + intercept)).max())
-    return RateFit(samples=tuple(pts), slope=float(slope),
-                   intercept=float(intercept), max_deviation=dev)
+    return RateFit(slope=float(slope), intercept=float(intercept),
+                   max_deviation=dev)
 
 
 def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):

@@ -66,10 +66,11 @@ u(0) bisected to a bracket width of 1e-13 (radial.solve_ground_state).
 Newton stops at a residual sup norm of 1e-10, within 40 steps of at most
 1500 MINRES iterations each.  Each well's flux identity uses a ball of
 radius min(default_ball_radius, 1.5 patch_radius) centred at the well's
-decomposed centre plus 0.75 patch_radius (1, 1/2, 1/4)[:dim], and a
-boundary quadrature of resolution 48 (analysis.pohozaev_terms: 192 nodes
-on a circle, 48 x 96 on a sphere).  Rate fits use every eps whose value
-is above the fit floor 1e-12.  The uniqueness probe's amplitude pair
+decomposed centre plus 0.75 patch_radius (1, 1/2, 1/4)[:dim], and the
+boundary quadrature of grid.make_sphere_quadrature (192 nodes on a
+circle, 48 x 96 on a sphere); grad u and grad V are formed once per eps
+for every ball (analysis.pohozaev_terms).  Rate fits use every eps whose
+value is above the fit floor 1e-12.  The uniqueness probe's amplitude pair
 starts from 0.9 and 1.1 times the ansatz.  Its shift pair moves every
 bump by +0.3 eps and -0.3 eps along axis 0, solves the k*N centre
 equations <F(sum_l U_l(. - xi_l)), d_a U_j(. - xi_j)> = 0 from there by
@@ -339,8 +340,7 @@ def _analyze_one(cfg: ExperimentConfig, out_dir: Path, eps: float,
     radius = min(default_ball_radius(spec), 1.5 * patch)
     offset = np.array([0.75 * patch / 2.0 ** i
                        for i in range(cfg.dim)])
-    pohozaev = [pohozaev_terms(spec, u, dec.centers[j] + offset, radius)
-                for j in range(len(wells))]
+    pohozaev = pohozaev_terms(spec, u, dec.centers + offset, radius)
 
     coercivity = coercivity_estimate(spec, dec, seed=cfg.seed)
 

@@ -15,8 +15,9 @@ vanishing on the boundary ring, eps_inner(u, v) = cell_volume * u_int .
 (M v_int) up to roundoff, M = solver.interior_operator(V_int, spacing,
 eps^2).  Quadrature over balls uses a smooth cell-coverage profile whose
 zeroth and first moments match the sharp indicator, and sphere integrals
-use product rules that resolve smooth surface data to spectral accuracy in
-angle.
+use product rules of one fixed resolution that resolve smooth surface data
+to spectral accuracy in angle.  field_values_on interpolates one field, or
+a stack of fields with one set of corner weights, at any points.
 """
 
 import functools
@@ -244,21 +245,21 @@ def ball_coverage(grid: TensorGrid, center, radius: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class SphereQuadrature:
-    center: np.ndarray
-    radius: float
     nodes: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
 
 
-def make_sphere_quadrature(center, radius: float,
-                           resolution: int = 32) -> SphereQuadrature:
+_SPHERE_RESOLUTION = 48  # the sphere quadrature's one resolution
+
+
+def make_sphere_quadrature(center, radius: float) -> SphereQuadrature:
     """Quadrature for integrals over the sphere |x - center| = radius.
 
-    dim 1: the two endpoints with unit weights.  dim 2: `4*resolution`
-    equispaced angles (trapezoid rule, spectrally accurate on smooth
-    periodic data).  dim 3: Gauss-Legendre in the polar cosine times a
-    uniform azimuthal rule.  Weights sum to the exact surface measure.
+    dim 1: the two endpoints with unit weights.  dim 2: 4 * 48 equispaced
+    angles (trapezoid rule, spectrally accurate on smooth periodic data).
+    dim 3: 48-point Gauss-Legendre in the polar cosine times a uniform
+    96-point azimuthal rule.  Weights sum to the exact surface measure.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dim = center.shape[0]
@@ -266,21 +267,19 @@ def make_sphere_quadrature(center, radius: float,
         raise DomainError(f"dim must be 1, 2, or 3, got {dim}")
     if not radius > 0.0:
         raise GeometryError(f"radius must be positive, got {radius}")
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
     if dim == 1:
         normals = np.array([[-1.0], [1.0]])
         nodes = center + radius * normals
         weights = np.array([1.0, 1.0])
     elif dim == 2:
-        n = 4 * resolution
+        n = 4 * _SPHERE_RESOLUTION
         theta = 2.0 * np.pi * np.arange(n) / n
         normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         nodes = center + radius * normals
         weights = np.full(n, 2.0 * np.pi * radius / n)
     else:
-        n_pol = resolution
-        n_az = 2 * resolution
+        n_pol = _SPHERE_RESOLUTION
+        n_az = 2 * _SPHERE_RESOLUTION
         x, w_pol = np.polynomial.legendre.leggauss(n_pol)
         phi = 2.0 * np.pi * np.arange(n_az) / n_az
         sin_t = np.sqrt(1.0 - x ** 2)
@@ -291,14 +290,16 @@ def make_sphere_quadrature(center, radius: float,
         nodes = center + radius * normals
         weights = (radius ** 2 * 2.0 * np.pi / n_az) * np.outer(
             w_pol, np.ones(n_az)).ravel()
-    return SphereQuadrature(center=center, radius=float(radius), nodes=nodes,
-                            weights=weights, normals=normals)
+    return SphereQuadrature(nodes=nodes, weights=weights, normals=normals)
 
 
 def field_values_on(grid: TensorGrid, values: np.ndarray,
                     points) -> np.ndarray:
     """Multilinear interpolation of node values at points in the box: the
-    cell index from (x - lo)/h, then a sum over the 2^dim cell corners."""
+    cell index from (x - lo)/h, then a sum over the 2^dim cell corners.
+    A stack of fields, shape (..., *counts), gives shape (..., points):
+    every field gets the same weights in the same corner order, so each
+    is bitwise what interpolating it alone gives."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1:] != (grid.dim,):
         raise GeometryError(f"interpolation points must be {grid.dim}-d")
@@ -308,13 +309,5 @@ def field_values_on(grid: TensorGrid, values: np.ndarray,
     cell = np.minimum(s.astype(int), np.array(grid.counts) - 2)
     t = s - cell
     return sum(np.prod(np.where(corner, t, 1.0 - t), axis=1)
-               * values[tuple((cell + corner).T)]
+               * values[(..., *(cell + corner).T)]
                for corner in itertools.product((0, 1), repeat=grid.dim))
-
-
-def field_gradient_on(grid: TensorGrid, values: np.ndarray,
-                      points) -> np.ndarray:
-    """Central-difference gradient of node values, interpolated at points."""
-    grads = np.reshape(np.gradient(values, *grid.axes, edge_order=2),
-                       (grid.dim, *grid.counts))
-    return np.stack([field_values_on(grid, g, points) for g in grads], axis=1)

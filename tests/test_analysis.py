@@ -276,7 +276,7 @@ BALL_CENTER = np.array([0.3, 0.1])
 
 def test_flux_identity_on_converged_solution(well_case):
     spec, _, u, _ = well_case
-    rep = pohozaev_terms(spec, u, BALL_CENTER, 0.8)[0]
+    rep = pohozaev_terms(spec, u, [BALL_CENTER], 0.8)[0][0]
     scale = max(abs(rep.lhs_volume), abs(rep.i1), abs(rep.i2), abs(rep.i3))
     # measured: relative residual 1.1e-3 on the 161-point grid
     assert abs(rep.residual) / scale <= 0.01
@@ -288,8 +288,8 @@ def test_flux_residual_refines_at_three_halves_order(well_case,
                                                      fine_well_case):
     spec, _, u, _ = well_case
     fspec, fu = fine_well_case
-    coarse = pohozaev_terms(spec, u, BALL_CENTER, 0.8)[0]
-    fine = pohozaev_terms(fspec, fu, BALL_CENTER, 0.8)[0]
+    coarse = pohozaev_terms(spec, u, [BALL_CENTER], 0.8)[0][0]
+    fine = pohozaev_terms(fspec, fu, [BALL_CENTER], 0.8)[0][0]
     order = np.log2(abs(coarse.residual) / abs(fine.residual))
     # measured: 2.0
     assert order >= 1.5
@@ -297,8 +297,8 @@ def test_flux_residual_refines_at_three_halves_order(well_case,
 
 def test_flux_identity_flags_a_non_solution(well_case):
     spec, u0, u, _ = well_case
-    good = pohozaev_terms(spec, u, BALL_CENTER, 0.8)[0]
-    bad = pohozaev_terms(spec, u0, BALL_CENTER, 0.8)[0]
+    good = pohozaev_terms(spec, u, [BALL_CENTER], 0.8)[0][0]
+    bad = pohozaev_terms(spec, u0, [BALL_CENTER], 0.8)[0][0]
 
     # measured: 8.6e-2 for the raw ansatz vs 1.1e-3 for the solution
     assert bad.rel_residual >= 0.05
@@ -308,7 +308,7 @@ def test_flux_identity_flags_a_non_solution(well_case):
 def test_flux_volume_term_vanishes_at_constant_potential(const_solutions):
     reps = {}
     for n, (spec, u) in const_solutions.items():
-        reps[n] = pohozaev_terms(spec, u, BALL_CENTER, 0.8)[0]
+        reps[n] = pohozaev_terms(spec, u, [BALL_CENTER], 0.8)[0][0]
         assert reps[n].lhs_volume == 0.0
     # boundary groups cancel on their own; measured 2.0e-4 then 5.0e-5
     sums = {n: abs(r.i1 + r.i2 + r.i3) for n, r in reps.items()}
@@ -316,12 +316,30 @@ def test_flux_volume_term_vanishes_at_constant_potential(const_solutions):
     assert np.log2(sums[161] / sums[321]) >= 1.5
 
 
+def test_flux_identity_takes_every_ball_of_an_eps_in_one_pass(
+        two_bump_case, monkeypatch):
+    # One call forms grad V and grad u on the grid once for both balls and
+    # interpolates the stack [u, grad u] once per ball; each ball's reports
+    # are bitwise those of a call on that ball alone.
+    spec, _, _, u0 = two_bump_case
+    centers = CENTERS + np.array([0.3, 0.15])
+    alone = [pohozaev_terms(spec, u0, [c], 0.6)[0] for c in centers]
+    grads = count_calls(monkeypatch, nlsbump.analysis, "grad_potential")
+    interps = count_calls(monkeypatch, nlsbump.analysis, "field_values_on")
+    both = pohozaev_terms(spec, u0, centers, 0.6)
+    assert len(grads) == 1
+    assert len(interps) == len(centers)
+    assert both == alone
+
+
 def test_flux_ball_validation(well_case):
     spec, _, u, _ = well_case
+    with pytest.raises(GeometryError, match="k points of grid dim"):
+        pohozaev_terms(spec, u, BALL_CENTER, 0.8)
     with pytest.raises(GeometryError):
-        pohozaev_terms(spec, u, np.array([2.0, 0.0]), 1.0)
+        pohozaev_terms(spec, u, [np.array([2.0, 0.0])], 1.0)
     with pytest.raises(GeometryError):
-        pohozaev_terms(spec, u, BALL_CENTER, -0.5)
+        pohozaev_terms(spec, u, [BALL_CENTER], -0.5)
 
 
 # --- rate fitting ---
@@ -694,6 +712,17 @@ def two_well_1d(get_profile, eps):
     return problem_at(cfg, eps), ansatz
 
 
+def pencil_eigenvalues(spec, u):
+    """Eigenvalues of the dense 1-D pencil (J(u), M) on the interior."""
+    inner = (slice(1, -1),)
+    eye = np.eye(spec.grid.counts[0] - 2)
+    j_mat, m_mat = (interior_operator(diag, spec.grid.spacing,
+                                      spec.eps ** 2)(eye)
+                    for diag in (jacobian_diagonal(spec, u[inner]),
+                                 spec.potential_values[inner]))
+    return scipy.linalg.eigh(j_mat, m_mat, eigvals_only=True)
+
+
 @pytest.mark.parametrize("coeffs, index, drift", [
     ((1.0, 1.0), 2, (1.0, -1.0)),
     ((1.0, -1.0), 3, (1.0, 1.0)),
@@ -719,19 +748,39 @@ def test_solutions_at_maxima_of_v_follow_the_morse_index_rule(
         spec = problem_at(cfg, eps)
         u, rep = newton_solve(spec, build_ansatz(spec, ansatz))
         assert rep.converged and rep.positivity
-        inner = (slice(1, -1),)
-        eye = np.eye(spec.grid.counts[0] - 2)
-        j_mat, m_mat = (interior_operator(diag, spec.grid.spacing,
-                                          eps ** 2)(eye)
-                        for diag in (jacobian_diagonal(spec, u[inner]),
-                                     spec.potential_values[inner]))
-        lam = scipy.linalg.eigh(j_mat, m_mat, eigvals_only=True)
+        lam = pencil_eigenvalues(spec, u)
         assert np.sum(lam < 0.0) == index
         dec = decompose(spec, u, centers, profs)
         assert np.array_equal(np.sign(dec.amplitudes), np.sign(coeffs))
         if eps >= 0.15:
             assert np.array_equal(np.sign(dec.centers - centers)[:, 0],
                                   drift)
+
+
+@pytest.mark.parametrize("exponent", [2, 4])
+def test_smallest_pencil_eigenvalue_falls_like_eps_to_the_exponent(
+        get_profile, exponent):
+    # The two eigenvalues of (J(u), M) nearest zero, one per well, are the
+    # translation modes.  With V - V(x_j) ~ |x - x_j|^m at both minima they
+    # fall like eps^m, so a flatter well is nearer to degenerate.  Measured
+    # smallest |lambda| at eps 0.1, 0.07, 0.05: m = 2: 8.02e-3, 4.03e-3,
+    # 2.08e-3 (slopes 1.93, 1.97); m = 4: 3.37e-4, 8.17e-5, 2.13e-5
+    # (slopes 3.97, 4.00).  The Morse index stays k = 2.
+    cfg = parse_config(TWO_WELL_1D.replace(
+        "problem.exponent = 2", f"problem.exponent = {exponent}"))
+    ansatz = tuple(BumpSpec(get_profile(w.depth, 4.0, 1), np.array(w.center))
+                   for w in cfg.potential.wells)
+    schedule = (0.1, 0.07, 0.05)
+    smallest = []
+    for eps in schedule:
+        spec = problem_at(cfg, eps)
+        u, rep = newton_solve(spec, build_ansatz(spec, ansatz))
+        assert rep.converged
+        lam = pencil_eigenvalues(spec, u)
+        assert np.sum(lam < 0.0) == 2
+        smallest.append(np.abs(lam).min())
+    slopes = np.diff(np.log(smallest)) / np.diff(np.log(schedule))
+    assert np.all(np.abs(slopes - exponent) <= 0.1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
