@@ -64,12 +64,15 @@ tabulated on [0, 10/sqrt(v_a) + 10] from a first step of
 1e-3/max(1, sqrt(v_a)), refined until its residual meets the target, with
 u(0) bisected to a bracket width of 1e-13 (radial.solve_ground_state).
 Newton stops at a residual sup norm of 1e-10, within 40 steps of at most
-1500 MINRES iterations each.  Each well's flux identity uses a ball of
-radius min(default_ball_radius, 1.5 patch_radius) centred at the well's
-decomposed centre plus 0.75 patch_radius (1, 1/2, 1/4)[:dim], and the
-boundary quadrature of grid.make_sphere_quadrature (192 nodes on a
-circle, 48 x 96 on a sphere); grad u and grad V are formed once per eps
-for every ball (analysis.pohozaev_terms).  Rate fits use every eps whose
+1500 MINRES iterations each; step k's MINRES runs to relative tolerance
+max(1e-8, min(1e-3, 0.9 (|F_k|/|F_{k-1}|)^2)), 1e-3 at the first step,
+with |F| the cell-weighted L2 norm of the residual.  Each well's flux
+identity uses a ball of radius min(default_ball_radius, 1.5 patch_radius)
+centred at the well's decomposed centre plus 0.75 patch_radius
+(1, 1/2, 1/4)[:dim], and the boundary quadrature of
+grid.make_sphere_quadrature (192 nodes on a circle, 48 x 96 on a
+sphere); grad u and grad V are formed once per eps for every ball
+(analysis.pohozaev_terms).  Rate fits use every eps whose
 value is above the fit floor 1e-12.  The uniqueness probe's amplitude pair
 starts from 0.9 and 1.1 times the ansatz.  Its shift pair moves every
 bump by +0.3 eps and -0.3 eps along axis 0, solves the k*N centre

@@ -20,6 +20,19 @@ preconditioned MINRES (Paige and Saunders 1975) needs, and it still
 minimizes a residual, in the P^-1 norm, in steps that no longer grow in
 number as the grid refines.
 
+Each step's MINRES runs only as far as the outer iteration needs
+(inexact Newton).  Its relative tolerance is the forcing term of
+Eisenstat and Walker (1996), choice 2: eta_1 = _FORCING_MAX and
+eta_k = min(_FORCING_MAX, 0.9 (m_k/m_{k-1})^2), m the merit the line
+search accepts on, floored at _KRYLOV_TOL.  The cap 1e-3 is tight: at
+0.1, Newton ran out of steps from the unscaled and amplitude-scaled
+ansatz at eps 0.4 and 0.3 in 2-D.  There is no floor that stops a step
+solving past the Newton tolerance (0.1 * 1e-10/|F_k|): with it the 2-D
+sweep's drift fit moved by 2.5e-7 relative, probably because the last
+step then leaves more residual along the near-kernel translation modes.
+EW's safeguard (0.9 eta_{k-1}^2 when that exceeds 0.1) is left out,
+since under this cap it cannot fire.
+
 One stencil, interior_operator (-eps^2 lap_h + diag on the interior
 unknowns), applies F (residual), J (on jacobian_diagonal) and the
 coercivity estimate's Hessian and metric in analysis; dirichlet_inverse
@@ -73,6 +86,7 @@ class SolveReport:
     krylov_iterations: List[int] = field(default_factory=list)
     backtracks: List[int] = field(default_factory=list)
     shifts: List[float] = field(default_factory=list)
+    forcing: List[float] = field(default_factory=list)  # MINRES rtol
     krylov_short: int = 0  # MINRES calls that stopped short (info > 0)
 
 
@@ -83,9 +97,12 @@ _TOL_RESIDUAL = 1e-10
 _MAX_NEWTON = 40
 _KRYLOV_MAX = 1500
 _TRIVIAL_RATIO = 1e-8
-# MINRES rtol.  Translation modes of flat wells make the Jacobian nearly
-# singular; pushing the inner solve further buys nothing but stagnation.
+# Floor of the forcing term (MINRES rtol).  Translation modes of flat
+# wells make the Jacobian nearly singular; pushing the inner solve further
+# buys nothing but stagnation.
 _KRYLOV_TOL = 1e-8
+# Cap of the forcing term, and the first step's MINRES rtol
+_FORCING_MAX = 1e-3
 # Line search from the full step, then shift growth, per Newton step
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 12
@@ -298,7 +315,7 @@ def newton_solve(spec: ProblemSpec,
     m_res = merit(res)
     history = [m_res]
     precond = dirichlet_inverse(spec)
-    krylov_iterations, backtracks, shifts = [], [], []
+    krylov_iterations, backtracks, shifts, forcing = [], [], [], []
     krylov_short = 0
 
     def make_report(converged: bool, iterations: int) -> SolveReport:
@@ -311,7 +328,7 @@ def newton_solve(spec: ProblemSpec,
                            positivity=positive, trivial=trivial,
                            krylov_iterations=krylov_iterations,
                            backtracks=backtracks, shifts=shifts,
-                           krylov_short=krylov_short)
+                           forcing=forcing, krylov_short=krylov_short)
 
     def fail(error, message: str):
         exc = error(message)
@@ -334,6 +351,9 @@ def newton_solve(spec: ProblemSpec,
         base_diag = jacobian_diagonal(spec, u[inner])
         krylov_iterations.append(0)
         backtracks.append(0)
+        eta = _FORCING_MAX if it == 1 else min(
+            _FORCING_MAX, 0.9 * (history[-1] / history[-2]) ** 2)
+        forcing.append(max(_KRYLOV_TOL, eta))
 
         accepted = False
         for _ in range(_MAX_REGULARIZATIONS):
@@ -347,7 +367,7 @@ def newton_solve(spec: ProblemSpec,
 
             rhs = -res[inner].ravel()
             op = LinearOperator((rhs.size,) * 2, matvec=matvec, dtype=float)
-            step_flat, info = minres(op, rhs, rtol=_KRYLOV_TOL,
+            step_flat, info = minres(op, rhs, rtol=forcing[-1],
                                      maxiter=_KRYLOV_MAX, M=precond)
             if info < 0:
                 raise fail(KrylovError, f"MINRES breakdown (info={info})")
