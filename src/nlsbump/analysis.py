@@ -34,12 +34,12 @@ from .errors import (
 from .grid import (
     ProblemSpec,
     ball_coverage,
-    eps_inner,
+    eps_gram,
     eps_norm,
     field_values_on,
     make_sphere_quadrature,
 )
-from .potential import eval_potential, grad_potential
+from .potential import displacement, eval_potential, grad_potential
 from .radial import RadialProfile
 from .solver import (
     BumpSpec,
@@ -203,9 +203,8 @@ def decompose(spec: ProblemSpec, u: np.ndarray, initial_centers,
         basis = [f for bump, ts in zip(bumps, translations)
                  for f in (bump, *ts)]
         v = u - sum((1.0 + theta[j, 0]) * bumps[j] for j in range(k))
-        g = np.array([eps_inner(spec, v, b) for b in basis])
-        gram = np.array([[eps_inner(spec, a, b) for b in basis]
-                         for a in basis])
+        pairings = eps_gram(spec, [v, *basis], basis)
+        g, gram = pairings[0], pairings[1:]
         v_norm = eps_norm(spec, v)
         basis_norms = np.sqrt(np.diag(gram))
         if np.all(np.abs(g) <= basis_norms * (1e-9 * v_norm
@@ -323,17 +322,15 @@ def fit_rate(samples: Sequence[Tuple[float, float]],
                    max_deviation=dev)
 
 
-def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):
-    """Smallest pencil eigenvalues by preconditioned LOBPCG.
+def _smallest_eigs(a_op, m_op, precond, x0):
+    """Smallest pencil eigenvalues by preconditioned LOBPCG from the start
+    block x0, one column per eigenvalue, all of which must converge.
 
-    The seeded start block, one column per wanted eigenvalue, is the only
-    source of randomness; fixing it keeps repeated runs bit-identical.
     Returns the eigenvalues and the iteration count (one preconditioner
     application per iteration; LOBPCG solves tiny problems densely, in
     none).
     """
     from scipy.sparse.linalg import lobpcg
-    x0 = np.random.default_rng(seed).standard_normal((n_int, how_many))
     iterations = 0
 
     def counted(block):
@@ -348,7 +345,7 @@ def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):
                             maxiter=_LOBPCG_MAX_ITER, largest=False)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    for i in range(how_many):
+    for i in range(x0.shape[1]):
         x = vecs[:, i]
         ax = a_op(x)
         mx = m_op(x)
@@ -365,18 +362,17 @@ def _smallest_eigs(a_op, m_op, precond, n_int, how_many, seed):
     return vals, iterations
 
 
-def _penalized_operator(h_op, m_op, precond, constraints, shift):
-    """H plus a rank-k penalty pushing span(constraints) Y up by shift,
-    and the inverse of P plus the same penalty, P^-1 = precond.
+def _penalized_operator(h_op, precond, my, gram, shift):
+    """H plus a rank-k penalty pushing span(Y) up by shift, and the
+    inverse of P plus the same penalty, P^-1 = precond; my = MY and
+    gram = G = Y^T MY for the constraint columns Y.
 
     Eigenvectors M-orthogonal to the constraints keep their eigenvalues;
     constrained directions move near +shift, so the bottom of the spectrum
-    becomes the constrained minimum.  With G = Y^T MY and W = P^-1 MY,
-    Woodbury gives (P + shift MY G^-1 (MY)^T)^-1 = P^-1 - W S^-1 W^T,
+    becomes the constrained minimum.  With W = P^-1 MY, Woodbury gives
+    (P + shift MY G^-1 (MY)^T)^-1 = P^-1 - W S^-1 W^T,
     S = G/shift + (MY)^T W, k x k like G.
     """
-    my = m_op(constraints)
-    gram = constraints.T @ my
     gram_inv = np.linalg.inv(gram)
     w = precond @ my
     s_inv = np.linalg.inv(gram / shift + my.T @ w)
@@ -392,19 +388,28 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
     over the energy-norm sphere, restricted to the complement of the bumps
     and their translation derivatives.  The restriction is enforced by a
     rank-k(N+1) penalty that lifts the constrained directions above the
-    spectrum of interest, after which a seeded LOBPCG iteration (Knyazev
-    2001) reads off the bottom.  Also reports the two smallest
-    unconstrained quotients and the quotients of the translation modes
-    themselves.
+    spectrum of interest, after which an LOBPCG iteration (Knyazev 2001)
+    reads off the bottom.  Also reports the two smallest unconstrained
+    quotients and the quotients of the translation modes themselves.
 
     H = -eps^2 lap_h + V - weight and the metric M = -eps^2 lap_h + V act
     on the interior unknowns through Newton's stencil (interior_operator);
     the plain-node pairing of M is the energy inner product for
     boundary-zero fields, so M-orthogonality is eps-orthogonality.  LOBPCG
     needs only products with H and M, and is preconditioned by the exact
-    DST-I inverse of P = -eps^2 lap_h + min V, so nothing is factorized;
-    the projected solve's inverts P plus the penalty, by a Woodbury
-    correction of rank k(N+1) (_penalized_operator).
+    DST-I inverse of the far-field operator P = -eps^2 lap_h + V_inf, so
+    nothing is factorized; the projected solve's inverts P plus the
+    penalty, by a Woodbury correction of rank k(N+1) (_penalized_operator).
+
+    Both solves start from the structure of the linearization.  Each bump
+    U_j is an exact eigenvector of its single-bump pencil (H U = -(p-2)
+    M U there), so the unprojected solve starts from the k bumps, with
+    seeded normal columns up to its two wanted eigenvalues.  The scaling
+    generators Lambda U_j = (2/(p-2)) U_j + (x - x_j) . grad U_j solve
+    H Lambda U_j = -2 V(x_j) U_j on their bump, so the projected solve
+    starts from their sum, M-orthogonalized against the constraints.
+    seed drives only the normal columns (one, for a single bump; none for
+    k >= 2), so one seed gives one start block.
     """
     grid = spec.grid
     inner = tuple(slice(1, -1) for _ in grid.counts)
@@ -424,13 +429,23 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
             col = t[inner].ravel()
             tq.append(float(col @ h_op(col)) / float(col @ m_op(col)))
 
-    un_vals, un_iters = _smallest_eigs(h_op, m_op, precond, v_int.size, 2,
-                                       seed)
+    filler = np.random.default_rng(seed).standard_normal(
+        (v_int.size, max(0, 2 - len(dec.bumps))))
+    un_vals, un_iters = _smallest_eigs(h_op, m_op, precond, np.column_stack(
+        [b[inner].ravel() for b in dec.bumps] + [filler]))
+    start = np.zeros(grid.counts)
+    for bump, trans, c in zip(dec.bumps, dec.translations, dec.centers):
+        rel = displacement(grid.mesh(), c)[0]
+        start += (2.0 / (spec.p - 2.0)) * bump + sum(
+            x * t for x, t in zip(rel, trans))
+    start = start[inner].ravel()
+    my = m_op(constraints)
+    gram = constraints.T @ my
+    start -= constraints @ np.linalg.solve(gram, my.T @ start)
     lift = 10.0 * (1.0 + abs(float(un_vals[0])))
-    pen_op, pen_precond = _penalized_operator(h_op, m_op, precond,
-                                              constraints, lift)
-    pr_vals, pr_iters = _smallest_eigs(pen_op, m_op, pen_precond, v_int.size,
-                                       1, seed)
+    pen_op, pen_precond = _penalized_operator(h_op, precond, my, gram, lift)
+    pr_vals, pr_iters = _smallest_eigs(pen_op, m_op, pen_precond,
+                                       start[:, None])
     return CoercivityReport(rho=float(pr_vals[0]),
                             unprojected_min=float(un_vals[0]),
                             unprojected_second=float(un_vals[1]),

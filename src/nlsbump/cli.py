@@ -66,7 +66,13 @@ u(0) bisected to a bracket width of 1e-13 (radial.solve_ground_state).
 Newton stops at a residual sup norm of 1e-10, within 40 steps of at most
 1500 MINRES iterations each; step k's MINRES runs to relative tolerance
 max(1e-8, min(1e-3, 0.9 (|F_k|/|F_{k-1}|)^2)), 1e-3 at the first step,
-with |F| the cell-weighted L2 norm of the residual.  Each well's flux
+with |F| the cell-weighted L2 norm of the residual.  Newton's MINRES and
+the coercivity estimate's LOBPCG are preconditioned by the exact inverse
+of the far-field operator -eps^2 lap_h + V_inf, V_inf the potential's
+background.  The coercivity estimate's unprojected LOBPCG starts from the
+bumps, with normal columns drawn from run.seed up to two (so the seed
+matters only for a single well), and its projected LOBPCG from the sum of
+the bumps' scaling modes.  Each well's flux
 identity uses a ball of radius min(default_ball_radius, 1.5 patch_radius)
 centred at the well's decomposed centre plus 0.75 patch_radius
 (1, 1/2, 1/4)[:dim], and the boundary quadrature of

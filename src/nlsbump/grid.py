@@ -8,16 +8,17 @@ coordinate vector shaped to broadcast against the others, so per-node
 quantities (V, distances, bumps) are computed in the grid's shape with no
 node list.  V at the nodes is computed once, by make_problem.
 
-eps_inner assembles the energy inner product from forward differences on
-cell edges, which makes it the exact adjoint pairing of the central
-second-difference stencil under the plain node quadrature: for fields
-vanishing on the boundary ring, eps_inner(u, v) = cell_volume * u_int .
-(M v_int) up to roundoff, M = solver.interior_operator(V_int, spacing,
-eps^2).  Quadrature over balls uses a smooth cell-coverage profile whose
-zeroth and first moments match the sharp indicator, and sphere integrals
-use product rules of one fixed resolution that resolve smooth surface data
-to spectral accuracy in angle.  field_values_on interpolates one field, or
-a stack of fields with one set of corner weights, at any points.
+eps_gram (and its 1 x 1 case eps_inner) assembles the energy inner
+product from forward differences on cell edges, which makes it the exact
+adjoint pairing of the central second-difference stencil under the plain
+node quadrature: for fields vanishing on the boundary ring, eps_inner(u,
+v) = cell_volume * u_int . (M v_int) up to roundoff, M =
+solver.interior_operator(V_int, spacing, eps^2).  Quadrature over balls
+uses a smooth cell-coverage profile whose zeroth and first moments match
+the sharp indicator, and sphere integrals use product rules of one fixed
+resolution that resolve smooth surface data to spectral accuracy in
+angle.  field_values_on interpolates one field, or a stack of fields with
+one set of corner weights, at any points.
 """
 
 import functools
@@ -46,10 +47,6 @@ class TensorGrid:
         holds axes[a] along axis a and has length 1 on every other axis."""
         return tuple(x.reshape([-1 if b == a else 1 for b in range(self.dim)])
                      for a, x in enumerate(self.axes))
-
-    @property
-    def node_count(self) -> int:
-        return int(np.prod(self.counts))
 
     @property
     def cell_volume(self) -> float:
@@ -182,8 +179,11 @@ def box_integral(grid: TensorGrid, values: np.ndarray) -> float:
     return float(np.sum(values * w) * grid.cell_volume)
 
 
-def eps_inner(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> float:
-    """Energy inner product: integral of eps^2 grad u . grad v + V u v.
+def eps_gram(spec: ProblemSpec, left, right) -> np.ndarray:
+    """Energy inner products, the integrals of eps^2 grad a . grad b
+    + V a b, as the matrix [[eps_inner(a, b) for b in right] for a in
+    left]; each field's edge differences and V a, and the weights, are
+    formed once.
 
     The gradient term is assembled from forward differences on cell edges
     (one midpoint sample per edge, trapezoid weights across the transverse
@@ -192,19 +192,33 @@ def eps_inner(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> float:
     """
     grid = spec.grid
     cell = grid.cell_volume
-    total = 0.0
     e2 = spec.eps ** 2
-    for a, h in enumerate(grid.spacing):
-        du = np.diff(u, axis=a)
-        dv = np.diff(v, axis=a)
-        edge_counts = list(grid.counts)
-        edge_counts[a] -= 1
-        trans = set(range(grid.dim)) - {a}
-        w = _weight_array(tuple(edge_counts), trap_axes=trans)
-        total += e2 / (h * h) * float(np.sum(du * dv * w)) * cell
-    w = _weight_array(grid.counts, trap_axes=set(range(grid.dim)))
-    total += float(np.sum(spec.potential_values * u * v * w)) * cell
-    return total
+    every = set(range(grid.dim))
+    edge_weights = [_weight_array(
+        tuple(n - (b == a) for b, n in enumerate(grid.counts)),
+        trap_axes=every - {a}) for a in range(grid.dim)]
+    w = _weight_array(grid.counts, trap_axes=every)
+
+    def diffs(f):
+        return [np.diff(f, axis=a) for a in range(grid.dim)]
+
+    right_diffs = [diffs(f) for f in right]
+    out = np.empty((len(left), len(right)))
+    for i, a_field in enumerate(left):
+        da, va = diffs(a_field), spec.potential_values * a_field
+        for j, (b_field, db) in enumerate(zip(right, right_diffs)):
+            total = 0.0
+            for a, h in enumerate(grid.spacing):
+                total += e2 / (h * h) * float(
+                    np.sum(da[a] * db[a] * edge_weights[a])) * cell
+            total += float(np.sum(va * b_field * w)) * cell
+            out[i, j] = total
+    return out
+
+
+def eps_inner(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> float:
+    """Energy inner product of u and v: eps_gram's 1 x 1 case."""
+    return float(eps_gram(spec, [u], [v])[0, 0])
 
 
 def eps_norm(spec: ProblemSpec, u: np.ndarray) -> float:

@@ -42,16 +42,6 @@ class PotentialModel:
     dim: int
 
 
-def constant_potential(value: float, dim: int) -> PotentialModel:
-    """A well-free model: V identically equal to `value`."""
-    if not value > 0.0:
-        raise PositivityError(f"constant potential must be positive, got {value}")
-    if dim not in (1, 2, 3):
-        raise DomainError(f"dim must be 1, 2, or 3, got {dim}")
-    return PotentialModel(wells=(), exponent=2.0, patch_radius=1.0,
-                          background=value, dim=dim)
-
-
 def make_multiwell(wells: Sequence[WellSpec], exponent: float,
                    patch_radius: float,
                    background: Optional[float] = None) -> PotentialModel:

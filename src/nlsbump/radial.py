@@ -598,15 +598,3 @@ def _hermite(profile: RadialProfile, r: np.ndarray
     return (((c3 * s + c2) * s + d0) * s + u[i],
             (3.0 * c3 * s + 2.0 * c2) * s + d0)
 
-
-def radial_integral(profile: RadialProfile, transform=None) -> float:
-    """Integral over R^dim of transform(U(|y|)) for a radial integrand.
-
-    transform maps the table values elementwise (default: identity).  Uses
-    the full-resolution table with trapezoid weights; the neglected tail
-    beyond r_max is below 1e-15 relative for any monomial transform.
-    """
-    f = profile.values if transform is None else transform(profile.values)
-    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[profile.dim]
-    w = profile.r_nodes ** (profile.dim - 1)
-    return area * float(np.trapezoid(f * w, profile.r_nodes))

@@ -12,10 +12,13 @@ MINRES rather than conjugate gradients because J is indefinite near a bump
 (one negative eigenvalue), which CG does not tolerate.  Steps are accepted
 only on strict residual decrease, with geometric backtracking.
 
-The preconditioner is the exact inverse of P = -eps^2 lap_h + c, c = min V
-on the interior, which the type-I sine transform diagonalizes (Buzbee,
-Golub and Nielson 1970): two DST-I passes around a division.  V is
-validated positive, so P is SPD even where J is indefinite; that is all
+The preconditioner is the exact inverse of P = -eps^2 lap_h + V_inf, the
+far-field operator, which the type-I sine transform diagonalizes (Buzbee,
+Golub and Nielson 1970): two DST-I passes around a division.  V_inf is
+the potential's background, the value V takes outside every well's
+support ball, so P is J's linear part wherever V = V_inf and P^-1 J - I
+lives on the patches and bumps alone.  The background is validated
+positive, so P is SPD even where J is indefinite; that is all
 preconditioned MINRES (Paige and Saunders 1975) needs, and it still
 minimizes a residual, in the P^-1 norm, in steps that no longer grow in
 number as the grid refines.
@@ -204,15 +207,16 @@ def _columnwise(coef: np.ndarray, x: np.ndarray):
 
 
 def dirichlet_inverse(spec: ProblemSpec):
-    """Exact inverse of -eps^2 lap_h + c, c = min V on the interior, on the
-    interior unknowns: two DST-I passes around a division by its
-    eigenvalues, as a scipy LinearOperator."""
+    """Exact inverse of the far-field operator -eps^2 lap_h + V_inf on the
+    interior unknowns, V_inf the potential's background (module
+    docstring): two DST-I passes around a division by its eigenvalues, as
+    a scipy LinearOperator."""
     from scipy.fft import dstn
     from scipy.sparse.linalg import LinearOperator
-    v_int = spec.potential_values[_interior(spec)]
-    axes = tuple(range(v_int.ndim))
-    symbol = np.full(v_int.shape, float(v_int.min()))
-    for a, (n, h) in enumerate(zip(v_int.shape, spec.grid.spacing)):
+    shape = tuple(n - 2 for n in spec.grid.counts)
+    axes = tuple(range(len(shape)))
+    symbol = np.full(shape, spec.potential.background)
+    for a, (n, h) in enumerate(zip(shape, spec.grid.spacing)):
         k = np.arange(1, n + 1).reshape([n if b == a else 1 for b in axes])
         symbol += spec.eps ** 2 * (2.0 * np.sin(0.5 * np.pi * k / (n + 1))
                                    / h) ** 2

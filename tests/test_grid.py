@@ -11,6 +11,7 @@ from nlsbump.errors import DomainError, GeometryError
 from nlsbump.grid import (
     ball_coverage,
     box_integral,
+    eps_gram,
     eps_inner,
     eps_norm,
     field_values_on,
@@ -20,9 +21,10 @@ from nlsbump.grid import (
     power_map,
     same_grid,
 )
-from nlsbump.potential import WellSpec, constant_potential, make_multiwell
-from nlsbump.radial import eval_profile, radial_integral
+from nlsbump.potential import WellSpec, make_multiwell
+from nlsbump.radial import eval_profile
 from nlsbump.solver import interior_operator
+from support import constant_potential, radial_integral
 
 
 def node_points(grid):
@@ -72,7 +74,7 @@ def boundary_zero(rng, grid):
 def test_make_grid_and_field_validation():
     g = make_grid([-1.0, 0.0], [1.0, 2.0], [9, 11])
     assert g.spacing == (0.25, 0.2)
-    assert g.node_count == 99
+    assert g.counts == (9, 11)
     with pytest.raises(DomainError):
         make_grid([0.0], [1.0], [7])
     with pytest.raises(GeometryError):
@@ -193,6 +195,46 @@ def test_eps_inner_symmetry_and_bilinearity():
     assert lhs == pytest.approx(rhs, rel=1e-12)
     l2_squared = box_integral(g, u ** 2)
     assert eps_inner(spec, u, u) >= 2.0 * l2_squared * (1 - 1e-12)
+
+
+def pairwise_eps_inner(spec, u, v):
+    """The energy pairing of one pair, term by term: forward differences
+    on edges with trapezoid weights across the other axes, then V u v with
+    trapezoid weights on every axis."""
+    grid = spec.grid
+
+    def trapezoid(shape, skip):
+        w = np.ones(shape)
+        for b in range(grid.dim):
+            if b != skip:
+                for end in (0, -1):
+                    w[(slice(None),) * b + (end,)] *= 0.5
+        return w
+
+    total = 0.0
+    for a, h in enumerate(grid.spacing):
+        du, dv = np.diff(u, axis=a), np.diff(v, axis=a)
+        total += spec.eps ** 2 / (h * h) * float(
+            np.sum(du * dv * trapezoid(du.shape, a))) * grid.cell_volume
+    w = trapezoid(u.shape, None)
+    return total + float(np.sum(spec.potential_values * u * v * w)
+                         ) * grid.cell_volume
+
+
+@pytest.mark.parametrize("counts", [(9,), (11, 9), (9, 8, 10)])
+def test_eps_gram_is_the_pairwise_loop_bit_for_bit(counts):
+    dim = len(counts)
+    well = WellSpec(center=np.zeros(dim), depth=1.0, coeff=1.0)
+    pot = make_multiwell([well], exponent=2.0, patch_radius=0.2)
+    g = make_grid([-1.0] * dim, [1.0, 1.2, 0.9][:dim], list(counts))
+    spec = make_problem(0.1, 4.0, pot, g)
+    rng = np.random.default_rng(len(counts))
+    left = [rng.normal(size=g.counts) for _ in range(3)]
+    right = left[1:] + [rng.normal(size=g.counts)]
+    gram = eps_gram(spec, left, right)
+    want = [[pairwise_eps_inner(spec, a, b) for b in right] for a in left]
+    assert np.array_equal(gram, np.array(want))
+    assert eps_inner(spec, left[0], right[2]) == want[0][2]
 
 
 def test_eps_norm_of_sampled_bump_matches_radial_identity(get_profile):

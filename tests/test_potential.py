@@ -8,11 +8,11 @@ from nlsbump.errors import DomainError, GeometryError, PositivityError
 from nlsbump.potential import (
     PotentialModel,
     WellSpec,
-    constant_potential,
     eval_potential,
     grad_potential,
     make_multiwell,
 )
+from support import constant_potential
 
 
 def single_well(m, depth=1.0, coeff=1.0, delta=1.0, dim=2, background=None):

@@ -29,8 +29,8 @@ from nlsbump.grid import power_map, power_source
 from nlsbump.radial import (_CLASSIFY_RATIO, _OVERSHOOT, _TAIL_RATIO,
                             TABLE_BLOCK, _classify, _linear_tail, _march,
                             _series_start, eval_profile, ode_residual,
-                            profile_ode_residual, radial_integral,
-                            solve_ground_state)
+                            profile_ode_residual, solve_ground_state)
+from support import radial_integral
 
 
 def soliton_1d(r, p, v_a=1.0):
