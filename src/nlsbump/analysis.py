@@ -46,6 +46,7 @@ from .solver import (
     build_ansatz,
     bump_centers,
     dirichlet_inverse,
+    interior,
     interior_operator,
     jacobian_diagonal,
     newton_solve,
@@ -233,17 +234,15 @@ def decompose(spec: ProblemSpec, u: np.ndarray, initial_centers,
 
 
 def default_ball_radius(spec: ProblemSpec) -> float:
-    """Half the minimum well separation; sensible fallbacks otherwise."""
+    """Half the least well separation; one well: half its wall distance."""
     wells = spec.potential.wells
     if len(wells) >= 2:
         seps = [np.linalg.norm(a.center - b.center)
                 for i, a in enumerate(wells) for b in wells[i + 1:]]
         return 0.5 * float(min(seps))
-    if len(wells) == 1:
-        c = wells[0].center
-        return 0.5 * float(min(np.min(c - spec.grid.lo),
-                               np.min(spec.grid.hi - c)))
-    return 0.25 * float(np.min(spec.grid.hi - spec.grid.lo))
+    c = wells[0].center
+    return 0.5 * float(min(np.min(c - spec.grid.lo),
+                           np.min(spec.grid.hi - c)))
 
 
 def pohozaev_terms(spec: ProblemSpec, u: np.ndarray, centers,
@@ -350,15 +349,12 @@ def _smallest_eigs(a_op, m_op, precond, x0):
         ax = a_op(x)
         mx = m_op(x)
         res = np.linalg.norm(ax - vals[i] * mx)
-        if res > _LOBPCG_TOL:
+        scale = np.linalg.norm(ax) + abs(vals[i]) * np.linalg.norm(mx)
+        # "not <=": a NaN residual or eigenvalue fails too
+        if not res <= min(_LOBPCG_TOL, 1e-6 * max(scale, 1e-30)):
             raise SpectralError(
                 f"LOBPCG did not converge in {iterations} iterations: "
-                f"eigenpair {i} residual {res:.2e} over {_LOBPCG_TOL:g}")
-        scale = np.linalg.norm(ax) + abs(vals[i]) * np.linalg.norm(mx)
-        if not np.isfinite(vals[i]) or res > 1e-6 * max(scale, 1e-30):
-            raise SpectralError(
-                f"eigenpair {i} did not converge (residual {res:.2e} "
-                f"against scale {scale:.2e})")
+                f"eigenpair {i} residual {res:.2e} at scale {scale:.2e}")
     return vals, iterations
 
 
@@ -412,7 +408,7 @@ def coercivity_estimate(spec: ProblemSpec, dec: BumpDecomposition,
     k >= 2), so one seed gives one start block.
     """
     grid = spec.grid
-    inner = tuple(slice(1, -1) for _ in grid.counts)
+    inner = interior(spec)
     e2 = spec.eps ** 2
     weight = (spec.p - 1.0) * sum(b ** (spec.p - 2.0) for b in dec.bumps)
     v_int = spec.potential_values[inner]
@@ -460,7 +456,7 @@ def _reduced_system(spec: ProblemSpec, profiles: Sequence[RadialProfile],
     dU_l/dxi_l = -T_l gives -<J T_{l,b}, T_{j,a}> - delta_jl <F, d_a d_b U_j>,
     from one sample_bump per bump and one product of J with all T."""
     grid, cell = spec.grid, spec.grid.cell_volume
-    inner = tuple(slice(1, -1) for _ in grid.counts)
+    inner = interior(spec)
     bumps, translations, hessians = zip(*(
         sample_bump(spec, prof, c) for prof, c in zip(profiles, centers)))
     u = sum(bumps)

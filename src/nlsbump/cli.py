@@ -129,14 +129,13 @@ from .errors import (
     ConvergenceError,
     DecompositionError,
     FormatError,
-    GridMismatchError,
     KrylovError,
     NlsbumpError,
     SpectralError,
 )
 from .fieldio import read_field, write_field
 from .grid import box_integral, same_grid
-from .radial import (TABLE_BLOCK, RadialProfile, ode_residual,
+from .radial import (TABLE_BLOCK, RadialProfile, profile_ode_residual,
                      solve_ground_state)
 from .solver import BumpSpec, build_ansatz, newton_solve
 
@@ -250,7 +249,8 @@ def _base_ansatz(cfg: ExperimentConfig) -> Tuple[BumpSpec, ...]:
 def cmd_groundstate(args) -> int:
     out_dir = _output_dir(args.out or ".")
     profile = solve_ground_state(args.va, args.p, args.dim)
-    residual = ode_residual(profile)
+    residual = profile_ode_residual(profile.r_nodes, profile.values,
+                                    profile.v_a, profile.p, profile.dim)
     path = out_dir / f"profile_va{args.va:g}_p{args.p:g}_dim{args.dim}.csv"
     with _writing(path), open(path, "w", newline="") as fh:
         fh.write("r,u,du\n")
@@ -576,7 +576,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _ITERATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ITERATION
-    except (FormatError, GridMismatchError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except NlsbumpError as exc:

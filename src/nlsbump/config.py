@@ -33,9 +33,9 @@ class ExperimentConfig:
     box_lo: Tuple[float, ...]
     box_hi: Tuple[float, ...]
     eps_schedule: Tuple[float, ...]
-    spacing_divisor: float = 6.0
-    seed: int = 12345
-    output_dir: str = "out"
+    spacing_divisor: float
+    seed: int
+    output_dir: str
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -141,13 +141,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if dim not in (1, 2, 3):
         raise ConfigError(f"problem.dim: must be 1, 2, or 3, got {dim}")
 
-    def opt_float(key, default):
+    def opt(key, default, parse=_parse_float):
         raw = entries.take(key)
-        return default if raw is None else _parse_float(raw, key)
-
-    def opt_int(key, default):
-        raw = entries.take(key)
-        return default if raw is None else _parse_int(raw, key)
+        return default if raw is None else parse(raw, key)
 
     box_lo = _parse_vec(entries.require("grid.lo"), "grid.lo")
     box_hi = _parse_vec(entries.require("grid.hi"), "grid.hi")
@@ -160,9 +156,9 @@ def parse_config(text: str) -> ExperimentConfig:
         ("problem.p", "problem.exponent", "problem.patch_radius"))
     wells = _collect_wells(entries, dim)
     eps_schedule = _parse_vec(entries.require("schedule.eps"), "schedule.eps")
-    background = opt_float("problem.background", None)
-    spacing_divisor = opt_float("grid.spacing_divisor", 6.0)
-    seed = opt_int("run.seed", 12345)
+    background = opt("problem.background", None)
+    spacing_divisor = opt("grid.spacing_divisor", 6.0)
+    seed = opt("run.seed", 12345, _parse_int)
     out_dir = entries.take("run.output_dir")
     stray = entries.leftovers()
     if stray:

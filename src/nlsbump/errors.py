@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every failure mode that callers are expected to catch gets its own class;
-generic programming errors (wrong types, impossible shapes produced
-internally) stay as plain ValueError/RuntimeError.
+generic programming errors (wrong types, shapes the program built wrong,
+as fieldio.write_field checks) stay as plain ValueError/RuntimeError.
 """
 
 
@@ -28,10 +28,6 @@ class GeometryError(NlsbumpError):
 
 class PositivityError(NlsbumpError):
     """Potential would lose positivity with the requested parameters."""
-
-
-class GridMismatchError(NlsbumpError):
-    """Field data and grid shape disagree."""
 
 
 class ConsistencyError(NlsbumpError):

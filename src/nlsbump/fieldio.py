@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import FormatError, GridMismatchError, NlsbumpError
+from .errors import FormatError, NlsbumpError
 from .grid import TensorGrid, make_grid
 
 MAGIC = b"NLSB"
@@ -30,7 +30,7 @@ _TAIL = struct.Struct("<dd")
 def write_field(path, values: np.ndarray, grid: TensorGrid, eps: float,
                 p: float) -> None:
     if tuple(values.shape) != tuple(grid.counts):
-        raise GridMismatchError("field values do not match their grid")
+        raise ValueError("field values do not match their grid")
     parts = [
         _HEAD.pack(MAGIC, FORMAT_VERSION, grid.dim),
         np.asarray(grid.counts, dtype="<u4").tobytes(),

@@ -80,12 +80,6 @@ class ProblemSpec:
     grid: TensorGrid
     potential_values: np.ndarray = field(repr=False)  # V at the nodes
 
-    @property
-    def min_depth(self) -> float:
-        if self.potential.wells:
-            return min(w.depth for w in self.potential.wells)
-        return self.potential.background
-
 
 def make_problem(eps: float, p: float, potential: PotentialModel,
                  grid: TensorGrid) -> ProblemSpec:
@@ -102,9 +96,9 @@ def make_problem(eps: float, p: float, potential: PotentialModel,
                        grid=grid,
                        potential_values=eval_potential(potential,
                                                        grid.mesh()))
-    margin = 5.0 * eps / math.sqrt(spec.min_depth)
-    reach = 2.0 * potential.patch_radius + margin
     for k, w in enumerate(potential.wells):
+        margin = 5.0 * eps / math.sqrt(min(v.depth for v in potential.wells))
+        reach = 2.0 * potential.patch_radius + margin
         if np.any(w.center - reach < grid.lo) or \
                 np.any(w.center + reach > grid.hi):
             raise GeometryError(

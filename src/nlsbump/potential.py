@@ -45,7 +45,7 @@ class PotentialModel:
 def make_multiwell(wells: Sequence[WellSpec], exponent: float,
                    patch_radius: float,
                    background: Optional[float] = None) -> PotentialModel:
-    """Validate geometry and positivity, then assemble the model.
+    """Validate geometry, positivity and finiteness, then assemble the model.
 
     background defaults to the largest value V takes on any patch boundary
     (depth + coeff * patch_radius^m for a minimum, the center depth for a
@@ -54,12 +54,12 @@ def make_multiwell(wells: Sequence[WellSpec], exponent: float,
     """
     if len(wells) == 0:
         raise GeometryError("need at least one well")
-    if not exponent > 1.0:
+    if not 1.0 < exponent < np.inf:
         raise DomainError(
-            f"flatness exponent must exceed 1 (got {exponent}); the gradient "
+            f"need 1 < exponent < inf (got {exponent}); the gradient "
             "expressions degenerate at m = 1")
-    if not patch_radius > 0.0:
-        raise GeometryError(f"patch_radius must be positive, got {patch_radius}")
+    if not 0.0 < patch_radius < np.inf:
+        raise GeometryError(f"need 0 < patch_radius < inf, got {patch_radius}")
     dim = None
     norm_wells = []
     for w in wells:
@@ -68,8 +68,12 @@ def make_multiwell(wells: Sequence[WellSpec], exponent: float,
             dim = c.shape[0]
         if c.shape != (dim,):
             raise GeometryError("well centers must share one dimension")
+        if not np.all(np.isfinite(c)):
+            raise GeometryError(f"well center must be finite, got {c}")
         if not w.depth > 0.0:
             raise PositivityError(f"well depth must be positive, got {w.depth}")
+        if not (np.isfinite(w.depth) and np.isfinite(w.coeff)):
+            raise DomainError("well depth and coeff must be finite")
         if w.coeff == 0.0:
             raise DomainError("well coeff must be nonzero")
         norm_wells.append(WellSpec(center=c, depth=float(w.depth),
@@ -95,8 +99,8 @@ def make_multiwell(wells: Sequence[WellSpec], exponent: float,
         background = max(
             w.depth + max(0.0, w.coeff) * patch_radius ** exponent
             for w in norm_wells)
-    if not background > 0.0:
-        raise PositivityError(f"background must be positive, got {background}")
+    if not 0.0 < background < np.inf:
+        raise PositivityError(f"need 0 < background < inf, got {background}")
     return PotentialModel(wells=tuple(norm_wells), exponent=float(exponent),
                           patch_radius=float(patch_radius),
                           background=float(background), dim=dim)

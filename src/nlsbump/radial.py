@@ -550,12 +550,6 @@ def profile_ode_residual(r_nodes: np.ndarray, values: np.ndarray,
     return float(sup)
 
 
-def ode_residual(profile: RadialProfile) -> float:
-    """Residual sup norm of a profile's own table (profile_ode_residual)."""
-    return profile_ode_residual(profile.r_nodes, profile.values,
-                                profile.v_a, profile.p, profile.dim)
-
-
 def eval_profile(profile: RadialProfile, r) -> Tuple[np.ndarray, np.ndarray]:
     """(U, U') at radii r >= 0 (a scalar or an array; each of r's shape).
 

@@ -194,7 +194,8 @@ def build_ansatz(spec: ProblemSpec, bumps: Sequence[BumpSpec],
     return total
 
 
-def _interior(spec: ProblemSpec) -> Tuple[slice, ...]:
+def interior(spec: ProblemSpec) -> Tuple[slice, ...]:
+    """The slices of a field's interior unknowns, the nodes off the ring."""
     return tuple(slice(1, -1) for _ in spec.grid.counts)
 
 
@@ -213,7 +214,7 @@ def dirichlet_inverse(spec: ProblemSpec):
     a scipy LinearOperator."""
     from scipy.fft import dstn
     from scipy.sparse.linalg import LinearOperator
-    shape = tuple(n - 2 for n in spec.grid.counts)
+    shape = spec.potential_values[interior(spec)].shape
     axes = tuple(range(len(shape)))
     symbol = np.full(shape, spec.potential.background)
     for a, (n, h) in enumerate(zip(shape, spec.grid.spacing)):
@@ -258,7 +259,7 @@ def interior_operator(diag: np.ndarray, spacing,
 
 def residual(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     """F(u) on the grid nodes (u a raw array over them), zero on the ring."""
-    inner = _interior(spec)
+    inner = interior(spec)
     v_int, u_int = spec.potential_values[inner], u[inner].ravel()
     r = np.zeros(spec.grid.counts)
     r[inner] = (interior_operator(v_int, spec.grid.spacing, spec.eps ** 2)(
@@ -269,7 +270,7 @@ def residual(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
 def jacobian_diagonal(spec: ProblemSpec, u_int: np.ndarray) -> np.ndarray:
     """V - (p-1)|u|^(p-2) on the interior unknowns: J[u] is
     interior_operator of it."""
-    return (spec.potential_values[_interior(spec)]
+    return (spec.potential_values[interior(spec)]
             - (spec.p - 1.0) * np.abs(u_int) ** (spec.p - 2.0))
 
 
@@ -293,7 +294,7 @@ def newton_solve(spec: ProblemSpec,
     residual would pass the stopping test), ConvergenceError when Newton
     runs out of iterations or backtracking cannot find a descent step,
     KrylovError if MINRES breaks down; either of the last two carries the
-    .report and the .field (the iterate) of the steps taken.
+    .report of the steps taken.
     """
     from scipy.sparse.linalg import LinearOperator
     grid = spec.grid
@@ -302,7 +303,7 @@ def newton_solve(spec: ProblemSpec,
     if not np.all(np.isfinite(u0)):
         raise DomainError("initial iterate must be finite")
 
-    inner = _interior(spec)
+    inner = interior(spec)
     u = np.zeros(grid.counts)
     u[inner] = u0[inner]
     sup_u0 = float(np.abs(u).max())
@@ -337,7 +338,6 @@ def newton_solve(spec: ProblemSpec,
     def fail(error, message: str):
         exc = error(message)
         exc.report = make_report(False, it)
-        exc.field = u
         return exc
 
     # Seed for the adaptive shift when a pure Newton step cannot make

@@ -10,6 +10,7 @@ amplitudes, and remainders are known by construction.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import nlsbump.analysis
 import nlsbump.solver
@@ -607,6 +608,34 @@ def test_lobpcg_iteration_cap_is_a_spectral_error(well_case, monkeypatch):
     monkeypatch.setattr(nlsbump.analysis, "_LOBPCG_MAX_ITER", 1)
     with pytest.raises(SpectralError, match="LOBPCG did not converge"):
         coercivity_estimate(spec, dec)
+
+
+@pytest.mark.parametrize("diag,lam,vec,accepted", [
+    # an exact pair
+    ([1e-3, 1.0, 2.0], 1e-3, [1.0, 0.0, 0.0], True),
+    # a finite eigenvalue with a NaN eigenvector: every comparison with
+    # its NaN residual is false, so a ">" test lets it through
+    ([1e-3, 1.0, 2.0], 0.5, [np.nan] * 3, False),
+    # residual 5e-9: within the absolute 1e-8, not within 1e-6 of the
+    # scale |A x| + |lam| |M x| = 2e-3
+    ([1e-3, 1.0, 2.0], 1e-3, [1.0, 5e-9, 0.0], False),
+    # residual 1e-7: within 1e-6 of the scale 2e3, not within 1e-8
+    ([1e3, 2e3, 3e3], 1e3, [1.0, 1e-10, 0.0], False),
+], ids=["exact", "nan-vector", "small-eigenvalue", "large-eigenvalue"])
+def test_lobpcg_pairs_must_meet_both_residual_bounds(diag, lam, vec,
+                                                     accepted, monkeypatch):
+    diag, vec = np.array(diag), np.array(vec)
+    vec /= np.linalg.norm(vec)
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg",
+                        lambda *args, **kwargs: (np.array([lam]),
+                                                 vec[:, None]))
+    smallest = nlsbump.analysis._smallest_eigs
+    args = (lambda x: diag * x, lambda x: x, lambda x: x, vec[:, None])
+    if accepted:
+        assert smallest(*args)[0][0] == lam
+    else:
+        with pytest.raises(SpectralError, match="LOBPCG did not converge"):
+            smallest(*args)
 
 
 # --- uniqueness probe ---

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ import pytest
 import nlsbump.analysis
 import nlsbump.cli
 import nlsbump.solver
-from nlsbump.analysis import decompose, uniqueness_probe
+from nlsbump.analysis import (decompose, default_ball_radius,
+                              uniqueness_probe)
 from nlsbump.cli import (_analyze_one, _base_ansatz, _build_parser, _cell,
                          _row, _solution_name, _write_csv, main)
 from nlsbump.config import load_config, parse_config, problem_at
@@ -517,6 +519,40 @@ def test_base_ansatz_solves_each_depth_once(deep, solves, monkeypatch):
     assert len(calls) == solves
     assert calls[0] == (1.0, 4.0, 2) and calls[-1] == (float(deep), 4.0, 2)
     assert (first.profile is second.profile) == (solves == 1)
+
+
+@pytest.mark.parametrize("text,overrides,default", [
+    # two wells 2 apart: half their separation
+    (TWO_WELLS, {}, 1.0),
+    # one well at (0.5, 0.2): half its distance 2.8 to the wall y = 3
+    (SMOKE, {"problem.well.0.center": "0.5 0.2", "grid.lo": "-3.25 -3",
+             "grid.hi": "3.75 3"}, 1.4),
+])
+def test_flux_ball_radius(text, overrides, default, tmp_path, monkeypatch):
+    # analyze clips the default to 1.5 patch_radius = 0.6 on both; its
+    # solution file, decomposition and flux terms are stubbed, so only the
+    # radius rule runs.
+    cfg = load_config(write_config(tmp_path, text, **overrides))
+    spec = problem_at(cfg, 0.4)
+    assert default_ball_radius(spec) == pytest.approx(default, rel=1e-15)
+    radii = []
+
+    class Stop(Exception):
+        pass
+
+    def flux_terms(spec, u, centers, radius):
+        radii.append(radius)
+        raise Stop
+
+    monkeypatch.setattr(nlsbump.cli, "_load_solution",
+                        lambda *args: (spec, np.zeros(spec.grid.counts)))
+    monkeypatch.setattr(nlsbump.cli, "decompose",
+                        lambda spec, u, centers, profiles:
+                        SimpleNamespace(centers=centers))
+    monkeypatch.setattr(nlsbump.cli, "pohozaev_terms", flux_terms)
+    with pytest.raises(Stop):
+        _analyze_one(cfg, tmp_path, 0.4, "unread.nlsb", [])
+    assert radii == [pytest.approx(0.6, rel=1e-15)]
 
 
 def test_analyze_solves_each_depth_once_per_sweep(pipeline, tmp_path,

@@ -199,6 +199,12 @@ def test_validation_errors():
         make_multiwell([w0], 0.5, 0.4)
     with pytest.raises(GeometryError):
         make_multiwell([w0], 2.0, -0.1)
+    # Unchecked, either makes V non-finite: d^inf is inf past d = 1, and an
+    # infinite patch blends nothing, 0 * inf background being NaN.
+    with pytest.raises(DomainError):
+        make_multiwell([w0], np.inf, 0.8)
+    with pytest.raises(GeometryError):
+        make_multiwell([w0], 2.0, np.inf)
     with pytest.raises(PositivityError):
         make_multiwell([WellSpec(np.zeros(2), -1.0, 1.0)], 2.0, 0.4)
     with pytest.raises(DomainError):
@@ -213,9 +219,31 @@ def test_validation_errors():
         make_multiwell([WellSpec(np.zeros(2), 1.0, -1.0)], 2.0, 1.0)
     with pytest.raises(PositivityError):
         make_multiwell([w0], 2.0, 0.4, background=-2.0)
+    with pytest.raises(PositivityError):  # V would be inf, NaN where chi = 1
+        make_multiwell([w0], 2.0, 0.4, background=np.inf)
     pot = make_multiwell([w0], 2.0, 0.4)
     with pytest.raises(GeometryError):
         eval_potential(pot, np.zeros(3))
+
+
+@pytest.mark.parametrize("center,depth,coeff,error", [
+    ([np.nan, 0.0], 1.21, 1.0, GeometryError),
+    ([1.0, np.nan], 1.21, 1.0, GeometryError),
+    ([1.0, 0.0], 1.21, np.inf, DomainError),
+    ([1.0, 0.0], 1.21, -np.inf, DomainError),
+    ([1.0, 0.0], 1.21, np.nan, DomainError),
+    ([1.0, 0.0], np.inf, 1.0, DomainError),
+], ids=["nan-x", "nan-y", "inf-coeff", "-inf-coeff", "nan-coeff",
+        "inf-depth"])
+def test_non_finite_well_parameters_are_rejected(center, depth, coeff,
+                                                 error):
+    # Unchecked, a NaN center coordinate drops that well out of V (every
+    # distance comparison with it is false), and an infinite or NaN
+    # coefficient or depth makes V, or its default background, non-finite.
+    wells = [WellSpec(np.array([-1.0, 0.0]), 1.0, 1.0),
+             WellSpec(np.array(center), depth, coeff)]
+    with pytest.raises(error, match="finite"):
+        make_multiwell(wells, 2.0, 0.4)
 
 
 def test_separation_just_above_threshold_accepted():
